@@ -1,5 +1,5 @@
-"""Anchored-evaluation benchmark: canonical anchor positions vs the
-node-keyed baseline.
+"""Anchored-evaluation benchmark: canonical anchor positions, with the
+node-keyed baseline kept as a recorded number.
 
 The rewrite layer's hottest traffic — Theorem 1's per-holder numerators
 and Theorem 2's α-pattern conjunctions — is *anchored*: pattern nodes
@@ -10,7 +10,7 @@ memos, so every fresh plan, extension, restart or isomorphic twin paid
 them cold.  Canonical anchor *positions* (digest-sorted rank paths)
 turn them into content-addressed store entries.
 
-Two workloads, each timed under two configurations against a shared
+Two workloads, each timed against a shared
 :class:`~repro.store.InMemoryStore`:
 
 * ``theorem1`` — the personnel family (restricted plan: batched
@@ -31,15 +31,13 @@ its first pass runs cold; Id-free twin extensions are digest-identical
 and the second twin's *first, cold* pass must already hit the shared
 store (``twin_cold_store_hits > 0`` is asserted).
 
-Per configuration of the two main workloads:
-
-* ``node_keyed`` — ``anchored_store=False``: anchored entries go to
-  session-local memos; a *fresh* plan over the warm shared store
-  (``warm_node_keyed_s``) still recomputes every anchored DP — this is
-  the pre-ISSUE-5 behaviour;
-* ``anchored``  — ``anchored_store=True``: the same fresh plan starts
-  warm (``warm_anchored_s``), probing anchor-position keys filled by the
-  previous evaluation.
+For the two main workloads, a *fresh* plan over the warm shared store
+starts warm (``warm_anchored_s``), probing anchor-position keys filled
+by the previous evaluation.  The node-keyed baseline — anchored entries
+in session-local memos, so a fresh plan recomputed every anchored DP —
+no longer exists in the library; its last measured numbers are carried
+into the report under ``recorded`` (:data:`RECORDED_NODE_KEYED`), not
+re-measured.
 
 Run standalone to emit the machine-readable comparison::
 
@@ -47,9 +45,7 @@ Run standalone to emit the machine-readable comparison::
     PYTHONPATH=src python benchmarks/bench_anchored.py --quick   # CI smoke
 
 which writes ``BENCH_anchored.json`` at the repository root.  The full
-run asserts the ISSUE-5 acceptance bar — warm Theorem-1/2 answering at
-64 persons is ≥ 2× faster than the node-keyed baseline — and the
-ISSUE-6 bar: the vectorized ``array`` backend is ≥ 3× faster than
+run asserts that the vectorized ``array`` backend is ≥ 3× faster than
 ``fast`` on the resident-session anchored warm path (``warm_session_s``
 backend columns), within 1e-9 of ``exact``.  Both runs also
 assert the structural-sharing bar: anchored entries hit the store on the
@@ -93,6 +89,40 @@ FULL_SIZES = [8, 16, 32, 64]
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_anchored.json"
 
 _TWIN_OFFSET = 10_000_000
+
+#: The node-keyed arm (``anchored_store=False``, since removed) as last
+#: measured at FULL_SIZES, copied from the committed BENCH_anchored.json;
+#: ``warm_speedup`` is warm node-keyed ÷ warm anchored of that run.
+RECORDED_NODE_KEYED = {
+    "theorem1": [
+        {"persons": 8, "cold_node_keyed_s": 0.0023817520013835747,
+         "warm_node_keyed_s": 0.0012729420013783965,
+         "warm_speedup": 1.979953806782264},
+        {"persons": 16, "cold_node_keyed_s": 0.021133289999852423,
+         "warm_node_keyed_s": 0.005562131998885889,
+         "warm_speedup": 4.68248504383912},
+        {"persons": 32, "cold_node_keyed_s": 0.025294929999290616,
+         "warm_node_keyed_s": 0.02055193100022734,
+         "warm_speedup": 8.98368881438654},
+        {"persons": 64, "cold_node_keyed_s": 0.12492171799931384,
+         "warm_node_keyed_s": 0.08346063700082595,
+         "warm_speedup": 18.905834220629334},
+    ],
+    "theorem2": [
+        {"persons": 8, "cold_node_keyed_s": 0.027443703000244568,
+         "warm_node_keyed_s": 0.020259152999642538,
+         "warm_speedup": 2.6184298381814464},
+        {"persons": 16, "cold_node_keyed_s": 0.05465292200096883,
+         "warm_node_keyed_s": 0.03984385300100257,
+         "warm_speedup": 2.95127322086336},
+        {"persons": 32, "cold_node_keyed_s": 0.08747370700075408,
+         "warm_node_keyed_s": 0.07672135700158833,
+         "warm_speedup": 3.2916005777250112},
+        {"persons": 64, "cold_node_keyed_s": 0.17413696699986758,
+         "warm_node_keyed_s": 0.145294465999541,
+         "warm_speedup": 3.0832244261014843},
+    ],
+}
 
 
 # ----------------------------------------------------------------------
@@ -148,18 +178,13 @@ def theorem2_setup(chains: int):
     return p, q, view, extension
 
 
-def evaluate_fresh_plan(
-    q, view, extension, store, anchored: bool, backend: str = "exact"
-):
+def evaluate_fresh_plan(q, view, extension, store, backend: str = "exact"):
     """One plan evaluation as a *fresh* consumer of the shared store.
 
-    A fresh plan means fresh per-extension sessions: node-keyed local
-    memos start empty (the baseline's anchored work recomputes), whereas
-    anchor-position entries in the shared store survive.
+    A fresh plan means fresh per-extension sessions; anchor-position
+    entries in the shared store survive them.
     """
-    plan = probabilistic_tp_plan(
-        q, view, store=store, anchored_store=anchored, backend=backend
-    )
+    plan = probabilistic_tp_plan(q, view, store=store, backend=backend)
     assert plan is not None
     return plan.evaluate(extension)
 
@@ -296,19 +321,16 @@ def twin_extension_measure(persons: int, repeats: int = 1) -> dict:
 # ----------------------------------------------------------------------
 @pytest.mark.paper("§4 Theorems 1/2 — warm anchored rewrite answering")
 @pytest.mark.parametrize("persons", SIZES)
-@pytest.mark.parametrize("anchored", [False, True], ids=["node_keyed", "anchored"])
-def test_theorem1_warm(benchmark, report, persons, anchored):
+def test_theorem1_warm(benchmark, report, persons):
     p, q, view, extension = theorem1_setup(persons)
     expected = query_answer(p, q)
     store = InMemoryStore()
-    evaluate_fresh_plan(q, view, extension, store, anchored)  # fill, untimed
-    answer = benchmark(
-        evaluate_fresh_plan, q, view, extension, store, anchored
-    )
+    evaluate_fresh_plan(q, view, extension, store)  # fill, untimed
+    answer = benchmark(evaluate_fresh_plan, q, view, extension, store)
     assert answer == expected
     report.append(
         f"anchored persons={persons}: warm Theorem-1 plan, "
-        f"{'position-keyed store' if anchored else 'node-keyed baseline'}"
+        "position-keyed store"
     )
 
 
@@ -348,26 +370,20 @@ def _measure(setup, persons: int, repeats: int) -> dict:
     result = {"persons": persons, "pdocument_size": p.size(),
               "extension_size": extension.pdocument.size(),
               "answers": len(expected)}
-    for label, anchored in (("node_keyed", False), ("anchored", True)):
-        store = InMemoryStore()
-        # The first evaluation over the empty store IS the cold pass —
-        # time it and assert its answer, so the warm runs below find the
-        # store exactly as one production evaluation leaves it.
-        start = time.perf_counter()
-        answer = evaluate_fresh_plan(q, view, extension, store, anchored)
-        cold = time.perf_counter() - start
-        assert answer == expected
-        warm = _best_of(repeats, evaluate_fresh_plan, q, view, extension,
-                        store, anchored)
-        result[f"cold_{label}_s"] = cold
-        result[f"warm_{label}_s"] = warm
-        if anchored:
-            gauges = store.stats()
-            result["anchored_entries"] = gauges["anchored_entries"]
-            result["anchored_hits"] = gauges["anchored_hits"]
-    result["warm_speedup"] = (
-        result["warm_node_keyed_s"] / result["warm_anchored_s"]
+    store = InMemoryStore()
+    # The first evaluation over the empty store IS the cold pass — time
+    # it and assert its answer, so the warm runs below find the store
+    # exactly as one production evaluation leaves it.
+    start = time.perf_counter()
+    answer = evaluate_fresh_plan(q, view, extension, store)
+    result["cold_anchored_s"] = time.perf_counter() - start
+    assert answer == expected
+    result["warm_anchored_s"] = _best_of(
+        repeats, evaluate_fresh_plan, q, view, extension, store
     )
+    gauges = store.stats()
+    result["anchored_entries"] = gauges["anchored_entries"]
+    result["anchored_hits"] = gauges["anchored_hits"]
     # Numeric-backend columns.  Two warm measurements per backend:
     #
     # * ``warm_anchored_s`` — a *fresh* plan over the warm shared store
@@ -387,7 +403,7 @@ def _measure(setup, persons: int, repeats: int) -> dict:
     for backend in ("exact", "fast", "array"):
         store = InMemoryStore()
         start = time.perf_counter()
-        answer = evaluate_fresh_plan(q, view, extension, store, True, backend)
+        answer = evaluate_fresh_plan(q, view, extension, store, backend)
         cold = time.perf_counter() - start
         error = 0.0
         for node_id in set(expected) | set(answer):
@@ -412,7 +428,7 @@ def _measure(setup, persons: int, repeats: int) -> dict:
             "cold_anchored_s": cold,
             "warm_anchored_s": _best_of(
                 repeats, evaluate_fresh_plan, q, view, extension, store,
-                True, backend,
+                backend,
             ),
             "warm_session_s": _best_of(
                 repeats, session.boolean_many, items
@@ -436,8 +452,14 @@ def run(sizes: list[int], repeats: int = 3) -> dict:
             "theorem2": "nested b/c chains, unrestricted plan "
             "(inclusion-exclusion, engine-anchored α-patterns)",
         },
-        "strategies": ["node_keyed (anchored_store=False)",
-                       "anchored (anchored_store=True)"],
+        "strategies": ["anchored"],
+        "recorded": {
+            "node_keyed": {
+                "description": "node-keyed baseline (anchored_store=False, "
+                "since removed): last measured numbers, not re-measured",
+                "results": RECORDED_NODE_KEYED,
+            },
+        },
         "repeats": repeats,
         "twin_cold_anchored_hits": twin_cold_anchored_hits(),
         "results": workloads,
@@ -485,17 +507,18 @@ def main(argv: list[str] | None = None) -> int:
     exit_code = 0
     for name, rows in report["results"].items():
         largest = rows[-1]
-        print(
-            f"{name} persons={largest['persons']}: warm anchored vs "
-            f"node-keyed ×{largest['warm_speedup']:.1f} "
-            f"({largest['anchored_entries']} anchored entries)"
+        recorded = next(
+            (row for row in RECORDED_NODE_KEYED[name]
+             if row["persons"] == largest["persons"]),
+            RECORDED_NODE_KEYED[name][-1],
         )
-        if not args.quick and largest["warm_speedup"] < 2.0:
-            print(
-                f"FAIL: warm {name} answering under 2x over the "
-                "node-keyed baseline", file=sys.stderr,
-            )
-            exit_code = 1
+        print(
+            f"{name} persons={largest['persons']}: warm anchored "
+            f"{largest['warm_anchored_s'] * 1e3:.2f} ms "
+            f"({largest['anchored_entries']} anchored entries); recorded "
+            f"node-keyed baseline ×{recorded['warm_speedup']:.1f} slower "
+            f"at persons={recorded['persons']}"
+        )
     print(
         f"array vs fast resident-session warm ×"
         f"{report['array_vs_fast_warm_speedup']:.1f}, "

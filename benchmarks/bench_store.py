@@ -14,8 +14,9 @@ sizes:
 * ``warm_disk_perkey`` / ``warm_disk_bulk`` — the ISSUE-10 pair: the
   same restarted worker in *lazy* mode (``preload=False``, the shared
   huge-store regime where rows are fetched on demand), probing one key
-  per subtree (``bulk_store=False``) versus the probe-plan prefetch
-  (the ``prefers_bulk`` default).  A *round-trips* column reads the
+  per subtree (a benchmark-local :class:`PerKeySqliteStore` with
+  ``prefers_bulk = False``) versus the probe-plan prefetch (the
+  ``prefers_bulk`` default of a live ``SqliteStore``).  A *round-trips* column reads the
   ``repro_store_sqlite_statements_total`` telemetry series around each
   pass: the per-key arm issues O(probed keys) SQL statements, the bulk
   arm a handful of chunked bulk calls, with bit-identical answers and
@@ -60,6 +61,12 @@ PROJECTS = 8
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_store.json"
 
 
+class PerKeySqliteStore(SqliteStore):
+    """A SQLite store whose passes take the per-key probe path."""
+
+    prefers_bulk = False
+
+
 def _setup(persons: int):
     return batch_workload(persons=persons, projects=PROJECTS, seed=persons)
 
@@ -92,18 +99,17 @@ def _statement_count() -> int:
     )
 
 
-def warm_disk_lazy_answers(p, queries, path, bulk):
-    """A restarted worker in lazy mode, per-key (False) or bulk probing."""
-    store = SqliteStore(path, preload=False)
+def warm_disk_lazy_answers(p, queries, path, store_class):
+    """A restarted worker in lazy mode, per-key (``PerKeySqliteStore``)
+    or bulk (``SqliteStore``) probing."""
+    store = store_class(path, preload=False)
     try:
-        return QuerySession(p, store=store, bulk_store=bulk).answer_many(
-            queries
-        )
+        return QuerySession(p, store=store).answer_many(queries)
     finally:
         store.close()
 
 
-def round_trips(p, queries, path, bulk):
+def round_trips(p, queries, path, store_class):
     """One lazy disk-warm pass, instrumented.
 
     Returns ``(answers, sql_statements, keys_probed, accounting)`` where
@@ -111,10 +117,10 @@ def round_trips(p, queries, path, bulk):
     counter across the pass and ``keys_probed`` its hit+miss count — the
     round-trips column of ``BENCH_store.json``.
     """
-    store = SqliteStore(path, preload=False)
+    store = store_class(path, preload=False)
     try:
         before = _statement_count()
-        session = QuerySession(p, store=store, bulk_store=bulk)
+        session = QuerySession(p, store=store)
         answers = session.answer_many(queries)
         statements = _statement_count() - before
         stats = store.stats()
@@ -147,7 +153,6 @@ def isomorphic_cold_hits() -> int:
     session = QuerySession(p)
     answer = session.answer(q)
     assert answer == query_answer(p, q)
-    assert session.store is not None
     return session.store.stats()["hits"]
 
 
@@ -206,8 +211,8 @@ def run(sizes: list[int], store_dir: Path, repeats: int = 3) -> dict:
         # ISSUE-10 round-trips column: the same lazy disk-warm pass,
         # per-key vs probe-plan — answers and store accounting must be
         # bit-identical, only the SQL statement count may differ.
-        perkey = round_trips(p, queries, path, bulk=False)
-        bulk = round_trips(p, queries, path, bulk=None)
+        perkey = round_trips(p, queries, path, PerKeySqliteStore)
+        bulk = round_trips(p, queries, path, SqliteStore)
         assert perkey[0] == bulk[0] == expected
         assert perkey[3] == bulk[3], (perkey[3], bulk[3])
         warm_session = QuerySession(p, store=InMemoryStore())
@@ -221,10 +226,11 @@ def run(sizes: list[int], store_dir: Path, repeats: int = 3) -> dict:
                 repeats, warm_disk_answers, p, queries, path
             ),
             "warm_disk_perkey_s": _best_of(
-                repeats, warm_disk_lazy_answers, p, queries, path, False
+                repeats, warm_disk_lazy_answers, p, queries, path,
+                PerKeySqliteStore,
             ),
             "warm_disk_bulk_s": _best_of(
-                repeats, warm_disk_lazy_answers, p, queries, path, None
+                repeats, warm_disk_lazy_answers, p, queries, path, SqliteStore
             ),
         }
         probe = SqliteStore(path)

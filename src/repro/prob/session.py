@@ -44,28 +44,24 @@ of the fingerprint and re-bound to canonical anchor *positions*
 (digest-sorted rank paths, :meth:`repro.pxml.pdocument.PDocument.
 anchor_index`), so the rewrite layer's Theorem-1/2 anchored traffic
 shares entries across extensions, subdocuments, restarts and isomorphic
-twin documents.  With ``anchored_store=False`` the historical node-keyed
-behaviour returns: anchored entries then live in a session-local memo
-(itself an :class:`~repro.store.InMemoryStore`, so the same
-GreedyDual-Size eviction replaces the old clear-at-capacity purge).
+twin documents.
 
-All four store-consulting loops that used to live here and in the
-engine are now one shared skeleton —
-:func:`repro.prob.traversal.stored_postorder`; the session's passes are
-multi-lane instances of it.
+The session's classic passes are multi-lane instances of the one
+store-consulting skeleton, :func:`repro.prob.traversal.stored_postorder`;
+every store call goes through its pass-scoped probe object
+(:func:`repro.prob.traversal.open_probe`), chosen by the store's
+``prefers_bulk`` alone.
 
 **Mutation epochs and spine-only refreshes.**  When :attr:`repro.pxml.
 pdocument.PDocument.mutation_epoch` changes (code that mutates a
 p-document in place calls ``mark_mutated(node)``), the session consults
 :meth:`PDocument.dirty_since`.  For node-scoped mutations it performs a
-*spine refresh*: only local-memo entries keyed on dirty node Ids are
-discarded, stacked batch plans survive (their per-node key caches are
-pruned of dirty Ids and their answer memos cleared), and — when the
+*spine refresh*: stacked batch plans survive (their per-node key caches
+are pruned of dirty Ids and their answer memos cleared), and — when the
 mutation was probability-only, so the maximal world is unchanged —
 cached candidate sets and the world itself stay warm too.  Only a
-whole-document :meth:`PDocument.mark_all_mutated` (or the deprecated
-argument-less ``mark_mutated()``) still triggers the historical full
-reset.  The structural store needs no purge either way: mutated
+whole-document :meth:`PDocument.mark_all_mutated` still triggers the
+historical full reset.  The structural store needs no purge either way: mutated
 subtrees change their digests and simply stop matching, while untouched
 sibling subtrees keep hitting — content addressing makes invalidation
 automatic and minimal, and the session records each spine refresh on
@@ -99,7 +95,7 @@ from ..store import (
 from ..tp.embedding import evaluate as evaluate_deterministic
 from ..tp.pattern import TreePattern
 from .engine import AnchorsLike, EvaluationEngine
-from .traversal import Lane, stored_postorder
+from .traversal import Lane, open_probe, stored_postorder
 
 __all__ = ["QuerySession", "SessionStats", "BooleanItem"]
 
@@ -128,11 +124,10 @@ class SessionStats:
             ``answer_many`` touches each node exactly once no matter how
             many queries the batch holds.
         memo_hits: per-query subtree evaluations answered from the
-            structural store or the local anchored memo.
+            structural store.
         memo_misses: per-query subtree evaluations computed and stored.
         anchored_hits: the subset of ``memo_hits`` whose restriction was
-            anchored (store anchor-position keys, or the node-keyed local
-            memo when ``anchored_store=False``).
+            anchored (store keys with an anchor-position component).
         anchored_misses: the subset of ``memo_misses`` that was anchored.
         neutral_skips: per-query subtree evaluations short-circuited to
             the unit distribution because the subtree holds no goal-table
@@ -144,8 +139,6 @@ class SessionStats:
             mutation epochs, manual ``invalidate()`` calls).
         spine_refreshes: node-scoped mutation epochs absorbed without a
             full reset — only state keyed on dirty node Ids was dropped.
-        survived_local: cumulative local-memo entries kept live across
-            spine refreshes (node-keyed baseline sessions only).
         survived_plans: cumulative stacked batch plans kept live across
             spine refreshes (array backend).
     """
@@ -161,7 +154,6 @@ class SessionStats:
     subtree_skips: int = 0
     invalidations: int = 0
     spine_refreshes: int = 0
-    survived_local: int = 0
     survived_plans: int = 0
 
     def snapshot(self) -> dict:
@@ -211,73 +203,38 @@ class QuerySession:
     Args:
         p: the p-document all queries are evaluated against.
         backend: numeric backend name or instance (default ``"exact"``).
-        memoize: keep the cross-query subtree memo (default true).
-        memo_limit: entry cap.  For the session-owned default store this
-            is its ``max_entries`` (evicted cost-aware, entry by entry);
-            it also caps the local anchored memo of the node-keyed
-            baseline, which now shares the same GreedyDual-Size eviction
-            (an :class:`~repro.store.InMemoryStore`) instead of the old
-            clear-at-capacity purge.
+        memo_limit: the ``max_entries`` of the session-owned default
+            store (evicted cost-aware, entry by entry).
         store: a :class:`repro.store.MemoStore` to consult and fill —
             share one store between sessions (or pass a
             :class:`repro.store.SqliteStore`) for cross-document and
             cross-restart reuse.  Default: a private
-            :class:`repro.store.InMemoryStore`.
-        anchored_store: content-address anchored restrictions under
-            canonical anchor-position keys in the structural store (the
-            default).  ``False`` restores the node-keyed behaviour:
-            anchored entries live in the session-local memo and die with
-            the session — kept as the baseline of
-            ``benchmarks/bench_anchored.py``.
-        bulk_store: probe-plan prefetch for the session's store passes —
-            ``None`` (default) follows ``store.prefers_bulk`` (on for a
-            live :class:`~repro.store.SqliteStore`), ``True``/``False``
-            force it.  Answers and store accounting are identical either
-            way; only the round-trip shape changes (one ``get_many`` /
+            :class:`repro.store.InMemoryStore`.  Anchored restrictions
+            are keyed by canonical anchor positions like every other
+            entry; a store that ``prefers_bulk`` gets one ``get_many`` /
             ``contains_many`` / ``put_many`` per pass instead of
-            per-node calls).
+            per-node calls, with identical answers and accounting.
 
     Attributes:
         stats: cumulative :class:`SessionStats`.
-        store: the structural memo store in use (``None`` iff
-            ``memoize=False``).
+        store: the structural memo store in use.
     """
 
     def __init__(
         self,
         p: PDocument,
         backend: BackendLike = "exact",
-        memoize: bool = True,
         memo_limit: int = 1 << 18,
         store: Optional[MemoStore] = None,
-        anchored_store: bool = True,
-        bulk_store: Optional[bool] = None,
     ) -> None:
         self.p = p
         self.backend: NumericBackend = get_backend(backend)
-        self.memoize = memoize
         self.memo_limit = memo_limit
-        self.anchored_store = anchored_store
-        self.bulk_store = bulk_store
-        if not memoize and store is not None:
-            raise ValueError(
-                "memoize=False is contradictory with an explicit store: "
-                "the store would never be consulted or filled"
-            )
         self._owns_store = store is None
-        if not memoize:
-            store = None
-        elif store is None:
+        if store is None:
             store = InMemoryStore(max_entries=memo_limit)
         self.store = store
         self.stats = SessionStats()
-        # Node-keyed side memo for anchored entries when anchored_store
-        # is off; shares InMemoryStore's cost-aware GDS eviction.
-        self._local: Optional[InMemoryStore] = (
-            InMemoryStore(max_entries=memo_limit)
-            if memoize and not anchored_store
-            else None
-        )
         self._epoch = getattr(p, "mutation_epoch", 0)
         self._world = None
         # Stacked-pass plan cache (array backend): batch id-signature ->
@@ -463,7 +420,7 @@ class QuerySession:
     def invalidate(self) -> None:
         """Reset the session's caches and every derived document map.
 
-        Drops the local (anchored, node-keyed) memo and bumps the
+        Drops the session's identity-keyed caches and bumps the
         document's mutation epoch so all epoch-tagged derived state
         (label index, structural digests, identity digest) is re-derived
         — ``invalidate()`` therefore restores correctness even after an
@@ -473,27 +430,19 @@ class QuerySession:
         content-addressed entries are valid beyond this session; clear it
         explicitly via ``session.store.clear()``.
         """
-        mark_all = getattr(self.p, "mark_all_mutated", None)
-        if mark_all is not None:
-            mark_all()
-        else:
-            self.p.mark_mutated()
+        self.p.mark_all_mutated()
         self._epoch = self.p.mutation_epoch
-        if self._local is not None:
-            self._local.clear()
         self._world = None
         self._stacked.clear()
         self._candidates.clear()
-        if self._owns_store and self.store is not None:
+        if self._owns_store:
             self.store.clear()
         self.stats.invalidations += 1
 
     @property
     def memo_size(self) -> int:
-        """Cached subtree entries visible to this session (store + local)."""
-        store_size = len(self.store) if self.store is not None else 0
-        local_size = len(self._local) if self._local is not None else 0
-        return store_size + local_size
+        """Cached subtree entries visible to this session."""
+        return len(self.store)
 
     # ------------------------------------------------------------------
     # Shared-pass machinery
@@ -517,8 +466,6 @@ class QuerySession:
 
     def _apply_refresh(self, dirty, sp) -> None:
         if dirty is None:
-            if self._local is not None:
-                self._local.clear()
             self._world = None
             self._stacked.clear()
             self._candidates.clear()
@@ -530,11 +477,6 @@ class QuerySession:
         if sp:
             sp.set("dirty_nodes", len(changed))
             sp.set("world_changed", world_changed)
-        if self._local is not None:
-            # Local keys are (node_id, fingerprint, targets, gate):
-            # entries for untouched subtrees stay correct and warm.
-            self._local.discard(lambda key: key[0] in changed)
-            stats.survived_local += len(self._local)
         if world_changed:
             # Labels or the node set moved: candidate sets, the maximal
             # world and every stacked plan (whose lanes bake candidate /
@@ -554,14 +496,12 @@ class QuerySession:
                 if plan is None:
                     continue
                 plan[4].clear()
-                keyer = plan[1]
-                if keyer is not None:
-                    for node_id in changed:
-                        keyer._cache.pop(node_id, None)
+                keyer_cache = plan[1]._cache
+                for node_id in changed:
+                    keyer_cache.pop(node_id, None)
                 survived += 1
             stats.survived_plans += survived
-        if self.store is not None:
-            self.store.record_spine_recompute(len(self.store))
+        self.store.record_spine_recompute(len(self.store))
 
     def _max_world(self):
         if self._world is None:
@@ -591,32 +531,12 @@ class QuerySession:
     def _candidate_sets_inner(
         self, engines: list[EvaluationEngine], queries: list[TreePattern]
     ) -> list[frozenset]:
-        store = self.store
         session_cache = self._candidates
-        if store is None:
-            sets = []
-            for query in queries:
-                hit = session_cache.get(id(query))
-                if hit is not None and hit[0] is query:
-                    sets.append(hit[1])
-                    continue
-                candidates = frozenset(
-                    evaluate_deterministic(query, self._max_world())
-                )
-                if len(session_cache) > 4096:
-                    session_cache.clear()
-                session_cache[id(query)] = (query, candidates)
-                sets.append(candidates)
-            return sets
         document_key = self.p.identity_digest()
-        bulk = (
-            self.bulk_store
-            if self.bulk_store is not None
-            else getattr(store, "prefers_bulk", False)
-        )
-        # Resolve per-query store keys first: the bulk path prefetches
-        # every cache-missing key in one round trip instead of one point
-        # read per query.  ``key is None`` marks a session-cache hit.
+        # Resolve per-query store keys first, so a bulk-preferring store
+        # answers every cache-missing key in one round trip instead of
+        # one point read per query.  ``key is None`` marks a
+        # session-cache hit.
         plan = []
         for engine, query in zip(engines, queries):
             # World-scoped session cache first: spine refreshes keep it
@@ -636,29 +556,19 @@ class QuerySession:
                 "node-ids",
             )
             plan.append((query, key, None))
-        prefetched: dict = {}
-        if bulk:
-            wanted = [key for _, key, _ in plan if key is not None]
-            if wanted:
-                prefetched = store.get_many(wanted, record=False)
-        # Misses save into ``pending`` and flush as one put_many; probes
-        # consult it too, so two queries sharing a key count miss-then-hit
-        # and put once — exactly as the per-key loop would.
-        pending: dict = {}
+        wanted = [key for _, key, _ in plan if key is not None]
+        if not wanted:
+            return [known for _, _, known in plan]
+        # Two queries sharing a key count miss-then-hit and put once:
+        # the probe object's saves are presence-guarded (a probe plan
+        # also serves its pending saves).
+        io = open_probe(self.store, lambda: (wanted, ()))
         sets = []
         for query, key, known in plan:
             if key is None:
                 sets.append(known)
                 continue
-            if bulk:
-                cached = prefetched.get(key)
-                if cached is None:
-                    entry = pending.get(key)
-                    if entry is not None:
-                        cached = entry[0]
-                store.record_probe(key, cached is not None)
-            else:
-                cached = store.get(key)
+            cached = io.probe(key)
             if cached is not None:
                 candidates = frozenset(cached)
             else:
@@ -669,29 +579,23 @@ class QuerySession:
                 # running the deterministic embedding — O(document) — so
                 # weight by document size, not by the (often tiny)
                 # candidate count.
-                payload = {node_id: 1.0 for node_id in candidates}
-                if bulk:
-                    pending[key] = (payload, self.p.size())
-                else:
-                    store.put(key, payload, weight=self.p.size())
+                io.save(
+                    key,
+                    {node_id: 1.0 for node_id in candidates},
+                    self.p.size(),
+                )
             if len(session_cache) > 4096:
                 session_cache.clear()
             session_cache[id(query)] = (query, candidates)
             sets.append(candidates)
-        if pending:
-            store.put_many(
-                (key, payload, weight)
-                for key, (payload, weight) in pending.items()
-            )
+        io.flush()
         return sets
 
     # ------------------------------------------------------------------
     # Shared passes: lanes over the one store-consulting skeleton
     # ------------------------------------------------------------------
     def _keyer(self, engine: EvaluationEngine) -> SubtreeKeyer:
-        return SubtreeKeyer(
-            self.p, engine, self.backend, anchored=self.anchored_store
-        )
+        return SubtreeKeyer(self.p, engine, self.backend)
 
     def _pinned_batch_pass(
         self,
@@ -710,13 +614,12 @@ class QuerySession:
         *every* query of the batch is neutral or hits the memo at a
         subtree root, the subtree is not traversed at all.
         """
-        use_memo = self.store is not None
         lanes = [
             Lane(
                 table_labels=engine.table_labels,
                 combine=partial(engine.combine_pinned, candidate_set=candidates),
                 unit=engine._unit(),
-                keyer=self._keyer(engine) if use_memo else None,
+                keyer=self._keyer(engine),
                 live=live,
                 gate=_BLOCKED,
                 pinned=True,
@@ -737,13 +640,12 @@ class QuerySession:
         Same skeleton as :meth:`_pinned_batch_pass` — one unpinned lane
         per item, without the pinned (per-candidate) machinery.
         """
-        use_memo = self.store is not None
         lanes = [
             Lane(
                 table_labels=engine.table_labels,
                 combine=engine.combine_unpinned,
                 unit=engine._unit(),
-                keyer=self._keyer(engine) if use_memo else None,
+                keyer=self._keyer(engine),
                 gate=_UNPINNED,
             )
             for engine in engines
@@ -762,17 +664,12 @@ class QuerySession:
         sp = trace_span(
             "session.traversal", lanes=len(lanes), pinned=pinned
         )
+        store = self.store
         if sp:
             stats_before = self.stats.snapshot()
-            store = self.store
-            store_before = (
-                (store.hits, store.misses) if store is not None else (0, 0)
-            )
+            store_before = (store.hits, store.misses)
         with sp:
-            roots = stored_postorder(
-                self.p, lanes, self.store, self._local, self.stats,
-                bulk=self.bulk_store,
-            )
+            roots = stored_postorder(self.p, lanes, store, self.stats)
         if sp:
             after = self.stats
             sp.set(
@@ -786,7 +683,6 @@ class QuerySession:
                 "subtree_skips",
                 after.subtree_skips - stats_before["subtree_skips"],
             )
-            if self.store is not None:
-                sp.set("store_hits", self.store.hits - store_before[0])
-                sp.set("store_misses", self.store.misses - store_before[1])
+            sp.set("store_hits", store.hits - store_before[0])
+            sp.set("store_misses", store.misses - store_before[1])
         return roots

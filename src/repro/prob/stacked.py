@@ -39,11 +39,13 @@ lanes), so a blocked pinned-pass entry and an unpinned Boolean-pass
 entry share whenever every lane is insensitive.  Warm passes resolve
 the whole key with one dict lookup per node (:class:`StackedKeyer`
 caches per node id, and the session caches the keyer per batch
-signature).  Against a bulk-preferring store (a live
-:class:`~repro.store.SqliteStore`, or ``QuerySession(bulk_store=True)``)
-the pass prefetches every combined key with one uncounted ``get_many``
-and lands its saves as one ``put_many`` — the probe-plan protocol of
-:mod:`repro.prob.traversal`, with identical hit/miss/put accounting.
+signature).  Store calls go through the same pass-scoped probe object
+as the classic pass (:func:`repro.prob.traversal.open_probe`): against
+an in-memory store its ``probe`` is the store's bound ``get``; against
+a bulk-preferring store (a live :class:`~repro.store.SqliteStore`) the
+pass prefetches every combined key with one uncounted ``get_many`` and
+lands its saves as one ``put_many``, with identical hit/miss/put
+accounting.
 
 **Exact fallback.**  When a stacked width exceeds the backend's
 ``width_threshold`` — or a row-offset would not fit int64 — the node
@@ -77,7 +79,7 @@ from ..store import (
     fingerprint_digest,
 )
 from .engine import _GRANT_ALL, _GRANT_NONE, EvaluationEngine
-from .traversal import _ProbePlan
+from .traversal import open_probe
 
 __all__ = ["StackedKeyer", "stacked_answer_many", "stacked_boolean_many"]
 
@@ -88,8 +90,6 @@ _EMPTY: dict = {}
 #: Unsatisfiable ``need`` padding for the stacked rewrite (masks use at
 #: most 48 goal bits, see probability_array._MAX_VECTOR_GOAL_BITS).
 _SENTINEL_NEED = 1 << 61
-
-_UNCACHED = object()
 
 
 class _ScalarFallback(Exception):
@@ -280,13 +280,14 @@ class StackedKeyer:
         self.keyers = keyers
         self.labels = [keyer.table_labels for keyer in keyers]
         self.gate = gate
-        # node_id -> (key | None, anchored)
+        # node_id -> (key, anchored)
         self._cache: dict[int, tuple] = {}
 
     def key(self, node_id: int, label_set) -> tuple:
-        """``(combined key | None, is_anchored)`` for the subtree."""
-        entry = self._cache.get(node_id, _UNCACHED)
-        if entry is not _UNCACHED:
+        """``(combined key, is_anchored)`` for a subtree where at least
+        one lane is non-neutral (callers shortcut all-neutral ones)."""
+        entry = self._cache.get(node_id)
+        if entry is not None:
             return entry
         parts = []
         anchored = False
@@ -295,33 +296,20 @@ class StackedKeyer:
             if not (labels & label_set):
                 parts.append(None)
                 continue
-            token, is_local, is_anchored = keyer.token(
-                node_id, label_set, self.gate
-            )
-            if is_local:
-                # Node-keyed baseline tokens have no canonical form; the
-                # whole combined entry becomes uncacheable.
-                entry = (None, True)
-                self._cache[node_id] = entry
-                return entry
+            token, is_anchored = keyer.token(node_id, label_set, self.gate)
             parts.append((token[1], token[2], token[3]))
             backend_name = token[4]
             anchored |= is_anchored
-        if backend_name is None:
-            # All lanes neutral: no key needed (callers shortcut first).
-            entry = (None, False)
-        else:
-            entry = (
-                (
-                    self.digests[node_id],
-                    fingerprint_digest(("stacked", tuple(parts))),
-                    None,
-                    None,
-                    backend_name,
-                ),
-                anchored,
-            )
-        self._cache[node_id] = entry
+        entry = self._cache[node_id] = (
+            (
+                self.digests[node_id],
+                fingerprint_digest(("stacked", tuple(parts))),
+                None,
+                None,
+                backend_name,
+            ),
+            anchored,
+        )
         return entry
 
     def weight(self, node_id: int, distribution) -> int:
@@ -337,7 +325,7 @@ class _StackedLane:
     def __init__(
         self,
         engine: EvaluationEngine,
-        keyer: Optional[SubtreeKeyer],
+        keyer: SubtreeKeyer,
         live=frozenset(),
         candidates=frozenset(),
     ) -> None:
@@ -365,7 +353,7 @@ class _StackedPass:
     __slots__ = (
         "p", "lanes", "ops", "store", "stats", "backend", "grant",
         "union_live", "all_labels", "keyer", "width_threshold",
-        "unit_dict", "bulk", "_rewrite_plans", "_a_mask_col",
+        "unit_dict", "_rewrite_plans", "_a_mask_col",
     )
 
     def __init__(
@@ -373,7 +361,7 @@ class _StackedPass:
         session,
         lanes: list,
         gate: str,
-        keyer: Optional[StackedKeyer],
+        keyer: StackedKeyer,
         union_live=frozenset(),
     ) -> None:
         backend = session.backend
@@ -386,7 +374,6 @@ class _StackedPass:
         self.grant = _GRANT_NONE if gate == GATE_BLOCKED else _GRANT_ALL
         self.union_live = union_live
         self.keyer = keyer
-        self.bulk = getattr(session, "bulk_store", None)
         self.width_threshold = backend.width_threshold
         self.unit_dict = {0: 1.0}
         all_labels: frozenset = frozenset()
@@ -408,19 +395,9 @@ class _StackedPass:
         lane_count = len(self.lanes)
         union_live = self.union_live
         all_labels = self.all_labels
-        store = self.store
         keyer = self.keyer
-        use_memo = store is not None and keyer is not None
-        plan = (
-            self._build_plan(labels)
-            if use_memo
-            and (
-                self.bulk
-                if self.bulk is not None
-                else getattr(store, "prefers_bulk", False)
-            )
-            else None
-        )
+        io = open_probe(self.store, lambda: (self._plan_keys(labels), ()))
+        probe, save = io.probe, io.save
         stats = self.stats
         entries: dict = {}
         stack = [(p.root, False)]
@@ -435,24 +412,18 @@ class _StackedPass:
                         stats.neutral_skips += lane_count
                         stats.subtree_skips += 1
                         continue
-                    if use_memo:
-                        key, anchored = keyer.key(node_id, label_set)
-                        if key is not None:
-                            cached = (
-                                plan.probe(key)
-                                if plan is not None
-                                else store.get(key)
-                            )
-                            if (
-                                cached is not None
-                                and getattr(cached, "lanes", -1) == lane_count
-                            ):
-                                entries[node_id] = ("s", cached)
-                                stats.memo_hits += lane_count
-                                stats.subtree_skips += 1
-                                if anchored:
-                                    stats.anchored_hits += lane_count
-                                continue
+                    key, anchored = keyer.key(node_id, label_set)
+                    cached = probe(key)
+                    if (
+                        cached is not None
+                        and getattr(cached, "lanes", -1) == lane_count
+                    ):
+                        entries[node_id] = ("s", cached)
+                        stats.memo_hits += lane_count
+                        stats.subtree_skips += 1
+                        if anchored:
+                            stats.anchored_hits += lane_count
+                        continue
                 stack.append((node, True))
                 stack.extend((child, False) for child in node.children)
                 continue
@@ -463,45 +434,29 @@ class _StackedPass:
             else:
                 entry = self._stacked_combine(node, entries, label_set)
                 entries[node_id] = entry
-                anchored = False
-                if use_memo:
-                    key, anchored = keyer.key(node_id, label_set)
-                    if key is not None and entry[0] == "s":
-                        stacked = entry[1]
-                        if plan is not None:
-                            plan.save(
-                                key, stacked, keyer.weight(node_id, stacked)
-                            )
-                        elif not store.contains(key):
-                            store.put(
-                                key, stacked, keyer.weight(node_id, stacked)
-                            )
+                key, anchored = keyer.key(node_id, label_set)
+                if entry[0] == "s":
+                    stacked = entry[1]
+                    save(key, stacked, keyer.weight(node_id, stacked))
                 stats.memo_misses += lane_count
                 if anchored:
                     stats.anchored_misses += lane_count
             for child in node.children:
                 entries.pop(child.node_id, None)
-        if plan is not None:
-            plan.flush()  # the pass's saves land as one put_many
+        io.flush()  # a probe plan's saves land as one put_many
         return entries.pop(p.root.node_id)
 
-    def _build_plan(self, labels: dict) -> _ProbePlan:
-        """Enumerate every combined key the pass may probe and answer
-        them with one uncounted ``get_many`` (live-spine nodes never
-        probe or save here, so no ``contains_many`` guard set)."""
+    def _plan_keys(self, labels: dict) -> set:
+        """Every combined key the pass may probe (live-spine nodes never
+        probe or save here, so there is no save-guard set)."""
         keyer = self.keyer
         union_live = self.union_live
         all_labels = self.all_labels
-        keys = set()
-        for node_id, label_set in labels.items():
-            if node_id in union_live or not (all_labels & label_set):
-                continue
-            key, _ = keyer.key(node_id, label_set)
-            if key is not None:
-                keys.add(key)
-        with trace_span("store.bulk_prefetch", probe_keys=len(keys)):
-            snapshot = self.store.get_many(keys, record=False) if keys else {}
-        return _ProbePlan(self.store, snapshot, set())
+        return {
+            keyer.key(node_id, label_set)[0]
+            for node_id, label_set in labels.items()
+            if node_id not in union_live and all_labels & label_set
+        }
 
     # -- per-lane views of child entries --------------------------------
     def _pinned_view(self, entry, lane_index: int):
@@ -692,10 +647,6 @@ def _mask_bits(engines: Sequence[EvaluationEngine]) -> int:
 def _supported(session, engines: Sequence[EvaluationEngine]) -> bool:
     if len(engines) < 2:
         return False
-    if session.store is not None and not session.anchored_store:
-        # Node-keyed baseline: per-lane local tokens have no canonical
-        # combined form — keep the classic pass.
-        return False
     if not _vector_engines(engines):
         return False
     # Row offsets (lane index, pair index) must share int64 with the
@@ -797,11 +748,10 @@ def _build_answer_plan(session, queries: list, cache: dict, key: tuple):
     candidate_sets = session._candidate_sets(engines, queries)
     live_sets = [session.p.ancestral_closure(cs) for cs in candidate_sets]
     union_live = frozenset().union(*live_sets) if live_sets else frozenset()
-    use_memo = session.store is not None
     lanes = [
         _StackedLane(
             engine,
-            session._keyer(engine) if use_memo else None,
+            session._keyer(engine),
             live=live,
             candidates=candidates,
         )
@@ -809,12 +759,8 @@ def _build_answer_plan(session, queries: list, cache: dict, key: tuple):
             engines, candidate_sets, live_sets
         )
     ]
-    keyer = (
-        StackedKeyer(
-            session.p, [lane.keyer for lane in lanes], GATE_BLOCKED
-        )
-        if use_memo
-        else None
+    keyer = StackedKeyer(
+        session.p, [lane.keyer for lane in lanes], GATE_BLOCKED
     )
     targets = [
         engine.pattern_target(q) for engine, q in zip(engines, queries)
@@ -867,15 +813,9 @@ def stacked_boolean_many(
     when the batch must take the classic per-lane pass."""
     if not _supported(session, engines):
         return None
-    use_memo = session.store is not None
-    lanes = [
-        _StackedLane(engine, session._keyer(engine) if use_memo else None)
-        for engine in engines
-    ]
-    keyer = (
-        StackedKeyer(session.p, [lane.keyer for lane in lanes], GATE_UNPINNED)
-        if use_memo
-        else None
+    lanes = [_StackedLane(engine, session._keyer(engine)) for engine in engines]
+    keyer = StackedKeyer(
+        session.p, [lane.keyer for lane in lanes], GATE_UNPINNED
     )
     sp = trace_span("stacked.pass", lanes=len(lanes), gate="unpinned")
     if sp:

@@ -1,14 +1,11 @@
 """THE store-consulting post-order traversal.
 
-Before this module existed, four hand-rolled copies of the same loop
-lived in the engine and session layers —
-``EvaluationEngine._single_pass_stored`` / ``_pinned_pass_stored`` and
-``QuerySession._pinned_batch_pass`` / ``_unpinned_batch_pass`` — each
-re-implementing the probe / neutral-skip / second-chance-reprobe /
-contains-guarded-save choreography with slightly different memo
-routing.  :func:`stored_postorder` is the one remaining skeleton; the
-engine passes are single-lane instances of it and inherit the session's
-reprobe semantics for free.
+:func:`stored_postorder` is the one DP walk of the engine and session
+layers: :class:`~repro.prob.engine.EvaluationEngine` passes (with or
+without a store) are single-lane instances of it, and the classic
+:class:`~repro.prob.session.QuerySession` batch passes are multi-lane
+ones.  Each applies the same probe / neutral-skip /
+second-chance-reprobe / presence-guarded-save choreography.
 
 **Lanes.**  A :class:`Lane` is one query's view of a shared pass: its
 goal-table label support (for the neutral short-circuit), its *live* set
@@ -33,29 +30,31 @@ same pass filled the identical key at this very node (same-pass
 cross-lane sharing), but a repeated miss is answered from
 :meth:`~repro.store.MemoStore.contains` and not re-counted.
 
-**Memo routing.**  A lane token (:meth:`repro.store.keys.SubtreeKeyer.
-token`) is either a canonical content-addressed store key — unanchored,
-or anchored with canonical position encoding — or, when anchored keying
-is disabled (node-keyed baseline), a node-identity key served by a
-session-``local`` store.  Live-spine entries are recombined every pass
-without a prior probe; equal keys mean equal distributions, so saves are
-``contains``-guarded to skip the redundant re-store (a disk write per
-node on :class:`~repro.store.SqliteStore`).
+**Store I/O.**  A lane token (:meth:`repro.store.keys.SubtreeKeyer.
+token`) is a canonical content-addressed store key — unanchored, or
+anchored with canonical position encoding.  Every store call of a pass
+goes through one pass-scoped probe object (:func:`open_probe`) with
+``probe`` / ``reprobe`` / ``save`` / ``flush``.  Live-spine entries are
+recombined every pass without a prior probe; equal keys mean equal
+distributions, so saves are presence-guarded to skip the redundant
+re-store (a disk write per node on :class:`~repro.store.SqliteStore`).
 
-**Probe plans (bulk I/O).**  Against a store that prefers bulk probing
-(``store.prefers_bulk``, e.g. a live :class:`~repro.store.SqliteStore`;
-forceable via ``bulk=``), the pass front-loads its store traffic: every
-lane's candidate keys are enumerated from the epoch-cached digest
-indexes (:meth:`~repro.store.SubtreeKeyer.plan_keys`) and answered by
-ONE :meth:`~repro.store.MemoStore.get_many` plus one
+The probe object is chosen by ``store.prefers_bulk`` alone.  Against an
+in-memory store it is a thin view whose ``probe`` / ``reprobe`` *are*
+the store's bound ``get`` / ``reprobe`` and whose ``flush`` is a no-op.
+Against a store that prefers bulk probing (a live
+:class:`~repro.store.SqliteStore`) it is a *probe plan* that front-loads
+the pass's store traffic: every candidate key is enumerated up front
+(for lanes, :meth:`~repro.store.SubtreeKeyer.plan_keys` over the
+epoch-cached digest indexes) and answered by ONE
+:meth:`~repro.store.MemoStore.get_many` plus one
 :meth:`~repro.store.MemoStore.contains_many` for the live-spine
 save-guard set, and all saves collect into one
-:meth:`~repro.store.MemoStore.put_many` at pass end — per-node store
-calls disappear from the hot loop.  The prefetch is *uncounted*
-(``record=False``): it probes keys under subtrees the walk may skip, so
-hit/miss accounting happens per *use* through
+:meth:`~repro.store.MemoStore.put_many` at pass end.  The prefetch is
+*uncounted* (``record=False``): it probes keys under subtrees the walk
+may skip, so hit/miss accounting happens per *use* through
 :meth:`~repro.store.MemoStore.record_probe`, keeping ``stats()``
-byte-identical to the per-key path.  Deferred saves live in the plan's
+identical to the point path.  Deferred saves live in the plan's
 ``pending`` map, which probes and reprobes consult — same-pass
 cross-lane sharing survives the deferral.
 """
@@ -67,7 +66,7 @@ from typing import Callable, Optional, Sequence
 from ..obs.trace import span
 from ..store import MemoStore, SubtreeKeyer
 
-__all__ = ["Lane", "stored_postorder"]
+__all__ = ["Lane", "open_probe", "stored_postorder"]
 
 #: Sentinel recording a counted pre-check probe miss (see module docs).
 _MISS = object()
@@ -117,25 +116,25 @@ class Lane:
         self.unit_entry = (unit, {}) if pinned else unit
 
 
-def _probe(key, is_local: bool, store, local) -> Optional[dict]:
-    target = local if is_local else store
-    if target is None:
-        return None
-    return target.get(key)
+class _PointProbe:
+    """Per-key store I/O: ``probe`` / ``reprobe`` are the store's own
+    bound ``get`` / ``reprobe``, so the in-memory hot path pays no
+    wrapper call per node."""
 
+    __slots__ = ("probe", "reprobe", "_store")
 
-def _reprobe(key, is_local: bool, store, local) -> Optional[dict]:
-    """Second-chance probe: one store call, a hit counts, a miss does not."""
-    target = local if is_local else store
-    if target is None:
-        return None
-    return target.reprobe(key)
+    def __init__(self, store: MemoStore) -> None:
+        self.probe = store.get
+        self.reprobe = store.reprobe
+        self._store = store
 
+    def save(self, key, distribution, weight) -> None:
+        store = self._store
+        if not store.contains(key):
+            store.put(key, distribution, weight)
 
-def _save(key, is_local: bool, store, local, distribution, weight) -> None:
-    target = local if is_local else store
-    if target is not None and not target.contains(key):
-        target.put(key, distribution, weight)
+    def flush(self) -> None:
+        pass
 
 
 class _ProbePlan:
@@ -148,7 +147,7 @@ class _ProbePlan:
     cross-lane sharing works exactly as with eager per-key puts, and
     landed as one ``put_many`` by :meth:`flush`.  Hit/miss accounting
     happens per use (:meth:`~repro.store.MemoStore.record_probe`), so
-    store counters match the per-key path even though the prefetch
+    store counters match the point path even though the prefetch
     touched keys under skipped subtrees.
     """
 
@@ -181,7 +180,7 @@ class _ProbePlan:
 
     def save(self, key, distribution, weight) -> None:
         if key in self.snapshot or key in self.present or key in self.pending:
-            return  # presence-guarded, like the per-key _save
+            return  # presence-guarded, like _PointProbe.save
         self.pending[key] = (distribution, weight)
 
     def flush(self) -> None:
@@ -192,16 +191,20 @@ class _ProbePlan:
             )
 
 
-def _build_plan(lanes, store, labels) -> _ProbePlan:
-    """Enumerate every lane's candidate keys and issue the bulk probes."""
-    probe_keys: set = set()
-    guard_keys: set = set()
-    for lane in lanes:
-        lane_probe, lane_guard = lane.keyer.plan_keys(
-            labels, lane.live, lane.gate
-        )
-        probe_keys |= lane_probe
-        guard_keys |= lane_guard
+def open_probe(store: MemoStore, plan_keys: Callable[[], tuple]):
+    """The pass-scoped probe object for one pass over ``store``.
+
+    ``plan_keys()`` returns ``(probe_keys, guard_keys)``: every key the
+    pass may probe, and the keys it may save without probing first.  It
+    is called only when ``store.prefers_bulk`` — the probe plan then
+    answers them with one uncounted ``get_many`` and one
+    ``contains_many``.  Otherwise the pass gets the per-key view.
+    Answers and store hit/miss/put accounting are identical either way.
+    The caller must :meth:`flush` the object when the pass ends.
+    """
+    if not store.prefers_bulk:
+        return _PointProbe(store)
+    probe_keys, guard_keys = plan_keys()
     with span(
         "store.bulk_prefetch",
         probe_keys=len(probe_keys),
@@ -212,13 +215,24 @@ def _build_plan(lanes, store, labels) -> _ProbePlan:
     return _ProbePlan(store, snapshot, present)
 
 
+def _lane_plan_keys(lanes: Sequence[Lane], labels: dict) -> tuple:
+    """Union of every lane's :meth:`~repro.store.SubtreeKeyer.plan_keys`."""
+    probe_keys: set = set()
+    guard_keys: set = set()
+    for lane in lanes:
+        lane_probe, lane_guard = lane.keyer.plan_keys(
+            labels, lane.live, lane.gate
+        )
+        probe_keys |= lane_probe
+        guard_keys |= lane_guard
+    return probe_keys, guard_keys
+
+
 def stored_postorder(
     p,
     lanes: Sequence[Lane],
     store: Optional[MemoStore],
-    local: Optional[MemoStore] = None,
     stats=None,
-    bulk: Optional[bool] = None,
 ) -> list:
     """Run all ``lanes`` through one shared post-order pass over ``p``.
 
@@ -231,35 +245,24 @@ def stored_postorder(
         store: the content-addressed memo store (``None`` = memo-less
             pass: neutral subtrees still short-circuit, everything else
             is combined).
-        local: node-identity store for tokens the keyer marks local
-            (anchored restrictions in node-keyed baseline mode); ``None``
-            means such restrictions are simply not cached.
         stats: optional :class:`repro.prob.session.SessionStats`-shaped
             sink (``node_visits`` / ``memo_hits`` / ``memo_misses`` /
             ``anchored_hits`` / ``anchored_misses`` / ``neutral_skips`` /
             ``subtree_skips`` are updated; ``traversals`` is the
             caller's).
-        bulk: probe-plan prefetch — ``None`` (default) follows
-            ``store.prefers_bulk``, ``True``/``False`` force it on/off.
-            Answers and store hit/miss/put accounting are identical
-            either way; only the store-call shape changes (a handful of
-            bulk calls instead of per-node round trips).
     """
     labels = p.label_index()
     use_memo = store is not None
-    if use_memo and (
-        bulk if bulk is not None else getattr(store, "prefers_bulk", False)
-    ):
-        plan = _build_plan(lanes, store, labels)
-    else:
-        plan = None
+    if use_memo:
+        io = open_probe(store, lambda: _lane_plan_keys(lanes, labels))
+        probe, reprobe, save = io.probe, io.reprobe, io.save
     count = len(lanes)
     # A stashed pre-check miss can only turn into a hit when ANOTHER lane
     # fills the identical key before the expanded visit — between the two
     # only the node's strict descendants run, and a proper subtree can
     # never share its ancestor's digest.  Single-lane passes therefore
     # skip the second-chance reprobe entirely (it would be one
-    # guaranteed-miss ``contains`` probe per cold node).
+    # guaranteed-miss probe per cold node).
     reprobe_possible = count > 1
     indices = range(count)
     entries: list[dict] = [{} for _ in indices]
@@ -288,13 +291,8 @@ def stored_postorder(
                 if not use_memo:
                     skip = False
                     break
-                key, is_local, anchored = lane.keyer.token(
-                    node_id, label_set, lane.gate
-                )
-                if plan is not None and not is_local:
-                    cached = plan.probe(key)
-                else:
-                    cached = _probe(key, is_local, store, local)
+                key, anchored = lane.keyer.token(node_id, label_set, lane.gate)
+                cached = probe(key)
                 if cached is None:
                     probed.append(_MISS)
                     skip = False
@@ -327,19 +325,13 @@ def stored_postorder(
                 entry = lane.combine(node, entry_map)
                 entry_map[node_id] = entry
                 if use_memo:
-                    key, is_local, _ = lane.keyer.token(
-                        node_id, label_set, lane.gate
-                    )
+                    keyer = lane.keyer
                     blocked = entry[0] if lane.pinned else entry
-                    if plan is not None and not is_local:
-                        plan.save(
-                            key, blocked, lane.keyer.weight(node_id, blocked)
-                        )
-                    else:
-                        _save(
-                            key, is_local, store, local, blocked,
-                            lane.keyer.weight(node_id, blocked),
-                        )
+                    save(
+                        keyer.token(node_id, label_set, lane.gate)[0],
+                        blocked,
+                        keyer.weight(node_id, blocked),
+                    )
             elif not (lane.table_labels & label_set):
                 entry_map[node_id] = lane.unit_entry
                 if stats is not None:
@@ -347,24 +339,12 @@ def stored_postorder(
             elif not use_memo:
                 entry_map[node_id] = lane.combine(node, entry_map)
             else:
-                key, is_local, anchored = lane.keyer.token(
-                    node_id, label_set, lane.gate
-                )
+                key, anchored = lane.keyer.token(node_id, label_set, lane.gate)
                 stashed = probed[i] if i < len(probed) else None
-                bulk_key = plan is not None and not is_local
                 if stashed is None:
-                    cached = (
-                        plan.probe(key)
-                        if bulk_key
-                        else _probe(key, is_local, store, local)
-                    )
+                    cached = probe(key)
                 elif stashed is _MISS:
-                    if not reprobe_possible:
-                        cached = None
-                    elif bulk_key:
-                        cached = plan.reprobe(key)
-                    else:
-                        cached = _reprobe(key, is_local, store, local)
+                    cached = reprobe(key) if reprobe_possible else None
                 else:
                     # Pre-check hit, stashed in entry form already.
                     entry_map[node_id] = stashed
@@ -383,22 +363,14 @@ def stored_postorder(
                     entry = lane.combine(node, entry_map)
                     entry_map[node_id] = entry
                     blocked = entry[0] if lane.pinned else entry
-                    if bulk_key:
-                        plan.save(
-                            key, blocked, lane.keyer.weight(node_id, blocked)
-                        )
-                    else:
-                        _save(
-                            key, is_local, store, local, blocked,
-                            lane.keyer.weight(node_id, blocked),
-                        )
+                    save(key, blocked, lane.keyer.weight(node_id, blocked))
                     if stats is not None:
                         stats.memo_misses += 1
                         if anchored:
                             stats.anchored_misses += 1
             for child in children:
                 entry_map.pop(child.node_id, None)
-    if plan is not None:
-        plan.flush()  # the pass's saves land as one put_many
+    if use_memo:
+        io.flush()  # a probe plan's saves land as one put_many
     root_id = p.root.node_id
     return [entries[i].pop(root_id) for i in indices]

@@ -14,7 +14,6 @@ materialized by :mod:`repro.pxml.worlds`.
 from __future__ import annotations
 
 import enum
-import warnings
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
@@ -205,7 +204,7 @@ class PDocument:
         """
         return self._mutation_epoch
 
-    def mark_mutated(self, node: Union["PNode", int, None] = None) -> None:
+    def mark_mutated(self, node: Union["PNode", int]) -> None:
         """Record an in-place mutation at ``node`` (node or node Id).
 
         The spine from ``node`` to the root is the only region whose
@@ -220,23 +219,9 @@ class PDocument:
         ``node`` may be a node that was just *attached*: any nodes of its
         subtree not yet known to the document are registered (their Ids
         must be fresh).  Detaching is the one edit this cannot see —
-        mark the still-attached parent, not the removed child.
-
-        The argument-less form is deprecated: it degrades to
-        :meth:`mark_all_mutated` (whole-document invalidation).
+        mark the still-attached parent, not the removed child.  For
+        whole-document invalidation call :meth:`mark_all_mutated`.
         """
-        if node is None:
-            warnings.warn(
-                "mark_mutated() without a node invalidates every cached "
-                "digest and index; pass the mutated node (or its Id) for "
-                "O(depth) spine-only maintenance, or call "
-                "mark_all_mutated() for explicit whole-document "
-                "invalidation",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.mark_all_mutated()
-            return
         if isinstance(node, int):
             node = self.node(node)
         self._register_subtree(node)

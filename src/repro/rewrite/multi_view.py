@@ -93,7 +93,6 @@ def theorem3_plan(
     check_equivalence: bool = True,
     backend: BackendLike = "exact",
     store: Optional[MemoStore] = None,
-    anchored_store: bool = True,
 ) -> Optional[TPIRewritePlan]:
     """Build Theorem 3's probabilistic TP∩-rewriting, if its conditions hold.
 
@@ -123,9 +122,7 @@ def theorem3_plan(
         return None  # not a deterministic rewriting
     oracles = {}
     for member in normalized:
-        oracle = _theorem3_oracle(
-            member, q, extensions, backend, store, anchored_store
-        )
+        oracle = _theorem3_oracle(member, q, extensions, backend, store)
         if oracle is None:
             return None  # compensated member fails §4's conditions
         oracles[member.name] = oracle
@@ -162,14 +159,12 @@ def _theorem3_oracle(
     extensions: Extensions,
     backend: BackendLike,
     store: Optional[MemoStore] = None,
-    anchored_store: bool = True,
 ):
     extension = extensions[member.base.name]
     if member.compensation_depth is None:
         return _selection_oracle(extension, backend)
     plan = probabilistic_tp_plan(
-        member.unfolded(q), member.base, backend=backend, store=store,
-        anchored_store=anchored_store,
+        member.unfolded(q), member.base, backend=backend, store=store
     )
     if plan is None:
         return None
@@ -284,7 +279,6 @@ def tpi_rewrite(
     interleaving_limit: Optional[int] = None,
     backend: BackendLike = "exact",
     store: Optional[MemoStore] = None,
-    anchored_store: bool = True,
 ) -> Optional[TPIRewritePlan]:
     """``TPIrewrite`` (Figure 7): the canonical probabilistic TP∩-rewriting.
 
@@ -311,7 +305,7 @@ def tpi_rewrite(
     oracles = {}
     for member in computable:
         oracles[member.tag] = _member_oracle(
-            member, extensions, backend, store, anchored_store
+            member, extensions, backend, store
         )
     exponents = {tag: coefficient for tag, coefficient in certificate.items()}
 
@@ -341,15 +335,13 @@ def _member_oracle(
     extensions: Extensions,
     backend: BackendLike = "exact",
     store: Optional[MemoStore] = None,
-    anchored_store: bool = True,
 ):
     """``Pr(n ∈ u_i(P))`` from the member's base-view extension only."""
     extension = extensions[member.base.name]
     if member.compensation_depth is None:
         return _selection_oracle(extension, backend)
     plan = probabilistic_tp_plan(
-        member.unfolded, member.base, backend=backend, store=store,
-        anchored_store=anchored_store,
+        member.unfolded, member.base, backend=backend, store=store
     )
     if plan is None:  # pragma: no cover - guarded by membership in V″
         raise RewritingError(f"member {member.tag} is not probability-computable")

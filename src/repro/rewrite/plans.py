@@ -84,10 +84,6 @@ class TPRewritePlan:
             isomorphic subtrees of the document and its extensions share
             one evaluation, and the plan's anchored Theorem-1/2 traffic
             shares canonical anchor-position entries.
-        anchored_store: content-address the plan's anchored evaluations
-            (default).  ``False`` = node-keyed baseline: anchored entries
-            stay in session-local memos and die with each per-extension
-            session (``benchmarks/bench_anchored.py``).
     """
 
     query: TreePattern
@@ -99,7 +95,6 @@ class TPRewritePlan:
     u: int
     backend: BackendLike = "exact"
     store: Optional[MemoStore] = None
-    anchored_store: bool = True
     # Per-extension evaluation caches, single-slot keyed on the extension's
     # identity (all entries are derived from one extension's p-document and
     # must never leak to another): the session over the extension document
@@ -173,7 +168,6 @@ class TPRewritePlan:
                     extension.pdocument,
                     backend=self.backend,
                     store=self.store,
-                    anchored_store=self.anchored_store,
                 ),
                 {},
                 {},
@@ -368,7 +362,6 @@ class TPRewritePlan:
                 extension.result_subdocument(top),
                 backend=self.backend,
                 store=self.store,
-                anchored_store=self.anchored_store,
             )
         return session
 

@@ -33,10 +33,10 @@ subtree's structure, the abstract restricted table, and which concrete
 subtree nodes each anchored entry admits — all preserved — so equal
 keys imply equal distributions, exactly as in the unanchored case.
 
-With ``anchored=False`` the keyer reproduces the historical behaviour:
-anchored restrictions get no store key (:meth:`SubtreeKeyer.store_key`
-returns ``None``) and callers fall back to a node-identity local memo.
-This is the *node-keyed baseline* of ``benchmarks/bench_anchored.py``.
+Every restriction — anchored or not — therefore gets one canonical
+store key; there is no node-identity keying.  The node-keyed baseline
+that anchored keys replaced survives only as a recorded arm of
+``BENCH_anchored.json``.
 """
 
 from __future__ import annotations
@@ -57,22 +57,18 @@ class SubtreeKeyer:
         engine: the evaluating engine (supplies ``table_labels`` and
             ``goal_table_fingerprint``).
         backend: the numeric backend (its ``name`` enters every key).
-        anchored: derive canonical position-encoded store keys for
-            anchored restrictions (default).  ``False`` = node-keyed
-            baseline: anchored restrictions yield local tokens only.
     """
 
     __slots__ = (
-        "p", "digests", "sizes", "backend_name", "table_labels", "anchored",
+        "p", "digests", "sizes", "backend_name", "table_labels",
         "_fingerprint", "_described", "_positions",
     )
 
-    def __init__(self, p, engine, backend, anchored: bool = True) -> None:
+    def __init__(self, p, engine, backend) -> None:
         self.p = p
         self.digests, self.sizes = p.structural_index()
         self.backend_name = backend.name
         self.table_labels = engine.table_labels
-        self.anchored = anchored
         self._fingerprint = engine.goal_table_fingerprint
         # relevant-label frozenset -> (fp digest, out_sensitive, targets)
         self._described: dict[frozenset, tuple] = {}
@@ -94,12 +90,9 @@ class SubtreeKeyer:
     def token(
         self, node_id: int, label_set: frozenset, gate: str
     ) -> tuple:
-        """``(key, is_local, is_anchored)`` for the subtree at ``node_id``.
-
-        Unanchored restrictions and (by default) anchored ones get a
-        canonical 5-part store key; with ``anchored=False`` an anchored
-        restriction instead gets a node-identity key for a session-local
-        memo (``is_local`` true).
+        """``(key, is_anchored)`` for the subtree at ``node_id``: the
+        canonical 5-part store key, and whether the restriction is
+        anchored (its key then carries an anchor-position component).
         """
         fingerprint, out_sensitive, targets = self.describe(label_set)
         effective = gate if out_sensitive else None
@@ -108,25 +101,19 @@ class SubtreeKeyer:
                 (self.digests[node_id], fingerprint, None, effective,
                  self.backend_name),
                 False,
-                False,
             )
-        if not self.anchored:
-            return ((node_id, fingerprint, targets, effective), True, True)
         return (
             (self.digests[node_id], fingerprint,
              self._encode(node_id, targets), effective, self.backend_name),
-            False,
             True,
         )
 
     def store_key(
         self, node_id: int, label_set: frozenset, gate: str
-    ) -> Optional[StoreKey]:
+    ) -> StoreKey:
         """The canonical store key for the subtree at ``node_id`` under
-        ``gate``, or ``None`` when the restriction is anchored and
-        position keying is disabled (node-keyed baseline)."""
-        key, is_local, _ = self.token(node_id, label_set, gate)
-        return None if is_local else key
+        ``gate``."""
+        return self.token(node_id, label_set, gate)[0]
 
     def plan_keys(self, labels: dict, live: frozenset, gate: str) -> tuple:
         """``(probe_keys, guard_keys)`` for a whole store-consulting pass.
@@ -135,22 +122,17 @@ class SubtreeKeyer:
         non-live subtree — the keys a :func:`~repro.prob.traversal.
         stored_postorder` pass may probe; ``guard_keys`` are the keys of
         the live-spine subtrees, whose saves are presence-guarded but
-        never probed.  Local (node-keyed baseline) tokens are excluded —
-        they stay on the per-key path.  ``labels`` is the document's
-        ``label_index()`` mapping.
+        never probed.  ``labels`` is the document's ``label_index()``
+        mapping.
         """
         probe: set = set()
         guard: set = set()
         table_labels = self.table_labels
         for node_id, label_set in labels.items():
             if node_id in live:
-                key, is_local, _ = self.token(node_id, label_set, gate)
-                if not is_local:
-                    guard.add(key)
+                guard.add(self.token(node_id, label_set, gate)[0])
             elif table_labels & label_set:
-                key, is_local, _ = self.token(node_id, label_set, gate)
-                if not is_local:
-                    probe.add(key)
+                probe.add(self.token(node_id, label_set, gate)[0])
         return probe, guard
 
     def _encode(self, root_id: int, targets: tuple) -> tuple:

@@ -146,9 +146,9 @@ class InMemoryStore(MemoStore):
     def discard(self, predicate) -> int:
         """Drop every entry whose key satisfies ``predicate``.
 
-        Sessions use this for targeted invalidation of node-keyed local
-        memos after a spine-only mutation (drop the keys naming dirty
-        node Ids, keep the rest).  Heap records of dropped keys go stale
+        Targeted invalidation: drop the keys naming stale state (e.g.
+        dirty node Ids after a spine-only mutation), keep the rest.  Heap
+        records of dropped keys go stale
         and are skipped by the usual lazy-eviction pop.  Returns the
         number of entries removed (not counted as evictions — these are
         invalidations, not pressure).

@@ -14,7 +14,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.probability_array import ArrayBackend
-from repro.prob import QuerySession, query_answer
+from repro.prob import EvaluationEngine, QuerySession, query_answer
 from repro.prob.engine import boolean_probability, node_probability
 from repro.store import InMemoryStore
 from repro.workloads.synthetic import random_pdocument, random_tree_pattern
@@ -56,13 +56,11 @@ def test_answer_many_matches_exact(seed):
 @settings(max_examples=20, deadline=None)
 @given(seeds)
 def test_answer_many_store_free(seed):
+    # Store-less array engines: the same DP walk without a memo store.
     p, queries = make_batch(seed)
-    expected = [query_answer(p, q) for q in queries]
-    session = QuerySession(p, backend="array", memoize=False)
-    for _ in range(2):
-        got = session.answer_many(queries)
-        for d_exact, d_got in zip(expected, got):
-            assert_close(d_exact, d_got)
+    for q in queries:
+        engine = EvaluationEngine(p, [q], backend="array")
+        assert_close(query_answer(p, q), engine.answer())
 
 
 @settings(max_examples=20, deadline=None)

@@ -34,6 +34,18 @@ ACCOUNTING = (
 )
 
 
+class BulkMemoryStore(InMemoryStore):
+    """An in-memory store whose passes take the probe-plan (bulk) path."""
+
+    prefers_bulk = True
+
+
+class PerKeySqliteStore(SqliteStore):
+    """A SQLite store whose passes take the per-key (point) path."""
+
+    prefers_bulk = False
+
+
 def make_batch(seed: int, max_queries: int = 3):
     rng = random.Random(seed)
     p = random_pdocument(rng, labels=LABELS, max_depth=4, max_children=3)
@@ -72,8 +84,8 @@ def test_bulk_matches_perkey_on_memory_store(seed):
     # Same document, same batch, one session per arm on its own store;
     # interleaved node-scoped mutations churn the digests under both.
     p, queries, rng = make_batch(seed)
-    perkey = QuerySession(p, store=InMemoryStore(), bulk_store=False)
-    bulk = QuerySession(p, store=InMemoryStore(), bulk_store=True)
+    perkey = QuerySession(p, store=InMemoryStore())
+    bulk = QuerySession(p, store=BulkMemoryStore())
     for round_ in range(3):
         expected = [query_answer(p, q) for q in queries]
         assert perkey.answer_many(queries) == expected
@@ -95,18 +107,18 @@ def test_bulk_matches_perkey_on_sqlite_warm_from_disk(
     expected = [query_answer(p, q) for q in queries]
     tmp = tmp_path_factory.mktemp("bulk")
     snapshots = {}
-    for arm, forced in (("perkey", False), ("bulk", None)):
-        # bulk=None follows prefers_bulk, which is True for a live
-        # SqliteStore — the production default takes the bulk path.
+    for arm, store_class in (("perkey", PerKeySqliteStore), ("bulk", SqliteStore)):
+        # A live SqliteStore prefers bulk probing — the production
+        # default takes the bulk path.
         path = tmp / f"{arm}_{seed}.db"
-        store = SqliteStore(path, preload=False)
-        assert store.prefers_bulk
-        cold = QuerySession(p, store=store, bulk_store=forced)
+        store = store_class(path, preload=False)
+        assert store.prefers_bulk == (arm == "bulk")
+        cold = QuerySession(p, store=store)
         assert cold.answer_many(queries) == expected
         cold_counts = accounting(store)
         store.close()
-        reopened = SqliteStore(path, preload=False)
-        warm = QuerySession(p, store=reopened, bulk_store=forced)
+        reopened = store_class(path, preload=False)
+        warm = QuerySession(p, store=reopened)
         assert warm.answer_many(queries) == expected
         warm_counts = accounting(reopened)
         if arm == "bulk":
@@ -119,16 +131,14 @@ def test_bulk_matches_perkey_on_sqlite_warm_from_disk(
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_bulk_matches_perkey_on_stacked_array_pass(seed):
-    # The stacked (array-backend) pass has its own probe/save loop; its
+    # The stacked (array-backend) pass uses the same probe object; its
     # bulk plan must preserve answers within 1e-9 of exact and keep the
     # combined-key store accounting identical to per-key stacked runs.
     pytest.importorskip("numpy")
     p, queries, rng = make_batch(seed)
     exact = [query_answer(p, q) for q in queries]
-    perkey = QuerySession(p, backend="array", store=InMemoryStore(),
-                          bulk_store=False)
-    bulk = QuerySession(p, backend="array", store=InMemoryStore(),
-                        bulk_store=True)
+    perkey = QuerySession(p, backend="array", store=InMemoryStore())
+    bulk = QuerySession(p, backend="array", store=BulkMemoryStore())
     for session in (perkey, bulk):
         for answers in (session.answer_many(queries),
                         session.answer_many(queries)):

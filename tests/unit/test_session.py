@@ -91,9 +91,10 @@ class TestAnswerMany:
         assert session.stats.memo_hits > 0
         assert session.stats.memo_misses > 0
 
-    def test_memoize_false_still_correct(self):
+    def test_session_over_tiny_store_still_correct(self):
+        # A one-entry store evicts nearly every saved subtree.
         p, queries = batch_workload(persons=5, projects=3, seed=9)
-        session = QuerySession(p, memoize=False)
+        session = QuerySession(p, memo_limit=1)
         assert session.answer_many(queries) == [
             query_answer(p, q) for q in queries
         ]
@@ -169,7 +170,7 @@ class TestInvalidation:
         session = QuerySession(p)
         first = session.answer_many(queries)
         assert session.memo_size > 0
-        p.mark_mutated()
+        p.mark_all_mutated()
         # The session notices the epoch on its next use and re-derives
         # everything from the document.
         assert session.answer_many(queries) == first
@@ -184,8 +185,8 @@ class TestInvalidation:
 
     def test_epoch_starts_at_zero_and_counts(self, p_per):
         assert p_per.mutation_epoch == 0
-        p_per.mark_mutated()
-        p_per.mark_mutated()
+        p_per.mark_all_mutated()
+        p_per.mark_all_mutated()
         assert p_per.mutation_epoch == 2
 
     def test_memo_limit_bounds_entries(self):
@@ -203,7 +204,11 @@ class TestVisitAccounting:
         q = personnel_query("project0")
         engine = EvaluationEngine(p, [q])
         engine.answer(engine.candidate_ids())
-        assert engine.visits == p.size()
+        # One walk combining every node whose subtree holds a query label.
+        table_labels = engine.table_labels
+        assert engine.visits == sum(
+            1 for labels in p.label_index().values() if labels & table_labels
+        )
 
     def test_session_visits_scale_with_document_not_batch(self):
         # Cold visit counts depend on the document (minus its query-neutral

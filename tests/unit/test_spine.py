@@ -1,8 +1,8 @@
 """Spine-only incremental maintenance (ISSUE-7 tentpole).
 
 Node-scoped ``PDocument.mark_mutated(node)``: dirty-log semantics,
-O(depth) index splicing vs scratch rebuilds, the deprecation shim for
-the argument-less form, store survival counters, and session-level
+O(depth) index splicing vs scratch rebuilds, whole-document
+``mark_all_mutated()``, store survival counters, and session-level
 memo/plan retention across spine refreshes.
 """
 
@@ -46,33 +46,6 @@ def assert_indexes_equal_scratch(p):
 
 
 class TestMarkMutated:
-    def test_argless_form_warns_and_invalidates_everything(self):
-        p = small_doc()
-        before = p.mutation_epoch
-        with pytest.warns(DeprecationWarning, match="mark_all_mutated"):
-            p.mark_mutated()
-        assert p.mutation_epoch == before + 1
-        assert p.dirty_since(before) is None
-
-    def test_argless_form_degrades_to_mark_all_mutated(self):
-        """The deprecated form is exactly ``mark_all_mutated()``."""
-        p_argless, p_explicit = small_doc(), small_doc()
-        for p in (p_argless, p_explicit):
-            warm_indexes(p)
-            p.mark_mutated(3)  # pending scoped entry, to be wiped
-        before = p_argless.mutation_epoch
-        with pytest.warns(DeprecationWarning):
-            p_argless.mark_mutated()
-        p_explicit.mark_all_mutated()
-        assert p_argless.mutation_epoch == p_explicit.mutation_epoch
-        for epoch in (0, before):
-            assert p_argless.dirty_since(epoch) is None
-            assert p_explicit.dirty_since(epoch) is None
-        # cached derived indexes were dropped, not spliced: both rebuild
-        # to the same state as a scratch copy
-        assert_indexes_equal_scratch(p_argless)
-        assert_indexes_equal_scratch(p_explicit)
-
     def test_mark_all_mutated_resets_dirty_log(self):
         p = small_doc()
         warm_indexes(p)

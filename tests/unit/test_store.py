@@ -59,7 +59,7 @@ class TestStructuralDigest:
         node = reweighted.node(102)
         assert node.probabilities is not None
         node.probabilities[103] = Fraction(1, 4)
-        reweighted.mark_mutated()
+        reweighted.mark_all_mutated()
         assert len({base, relabeled, reweighted.document_digest}) == 3
         ind_doc = pdoc(ordinary(1, "a", ind(2, (ordinary(3, "b"), "0.5"))))
         mux_doc = pdoc(ordinary(1, "a", mux(2, (ordinary(3, "b"), "0.5"))))
@@ -69,7 +69,7 @@ class TestStructuralDigest:
         p = pdoc(ordinary(1, "a", person(1)))
         before = p.document_digest
         p.node(103).label = "Morty"
-        p.mark_mutated()
+        p.mark_all_mutated()
         assert p.document_digest != before
 
     def test_subtree_size_counts_all_node_kinds(self, p_per):
@@ -219,19 +219,6 @@ class TestSubtreeKeyer:
         assert plain_key is not None and plain_key[2] is None
         assert key != plain_key
 
-    def test_node_keyed_baseline_gets_no_store_key(self, p_per):
-        q = paper.q_bon()
-        anchored = EvaluationEngine(p_per, [q], {q.out: 5})
-        keyer = SubtreeKeyer(
-            p_per, anchored, anchored.backend, anchored=False
-        )
-        root_labels = p_per.label_index()[p_per.root.node_id]
-        assert keyer.store_key(1, root_labels, GATE_BLOCKED) is None
-        token, is_local, is_anchored = keyer.token(
-            1, root_labels, GATE_BLOCKED
-        )
-        assert is_local and is_anchored and token[0] == 1
-
     def test_anchor_outside_subtree_encodes_empty_slot(self, p_per):
         # Anchor node 5 (person 1's bonus) lies outside person 2's
         # subtree: the slot encodes as the empty position tuple — pinned
@@ -313,7 +300,7 @@ class TestStoreBackedEvaluation:
         node = p.node(102)  # person 1's name mux
         assert node.probabilities is not None
         node.probabilities[103] = Fraction(1, 4)
-        p.mark_mutated()
+        p.mark_all_mutated()
         hits_before = session.store.stats()["hits"]
         assert session.answer(q) == query_answer(p, q)
         # person 2's subtrees kept their digests and still hit the store
@@ -363,18 +350,6 @@ class TestStoreBackedEvaluation:
         shared.invalidate()
         assert len(shared_store) == entries  # shared stores are kept
 
-    def test_memoize_false_uses_no_store(self, p_per):
-        session = QuerySession(p_per, memoize=False)
-        assert session.store is None
-        assert session.answer(paper.q_bon()) == query_answer(
-            p_per, paper.q_bon()
-        )
-        assert session.memo_size == 0
-
-    def test_memoize_false_rejects_explicit_store(self, p_per):
-        with pytest.raises(ValueError, match="memoize=False"):
-            QuerySession(p_per, memoize=False, store=InMemoryStore())
-
     def test_rewrite_plans_share_the_cache_store(self, p_per):
         from repro.cache import AnswerSource, RewritingCache
         from repro.views.view import View
@@ -418,7 +393,7 @@ class TestAnchorPositions:
         positions = p_per.anchor_index()
         assert set(positions) == {n.node_id for n in p_per.nodes()}
         assert p_per.anchor_index() is positions  # epoch-cached
-        p_per.mark_mutated()
+        p_per.mark_all_mutated()
         assert p_per.anchor_index() is not positions
 
     def test_digest_equal_subtrees_give_equal_relative_positions(self):
@@ -440,33 +415,10 @@ class TestAnchoredStoreBacked:
         assert got == query_answer(p_per, q)[5]
         assert store.anchored_puts > 0
         hits_before = store.anchored_hits
-        second = QuerySession(p_per, store=store)  # fresh session, no local
+        second = QuerySession(p_per, store=store)  # fresh session
         assert second.node_probability(q, 5) == got
         assert store.anchored_hits > hits_before
         assert second.stats.anchored_hits > 0
-
-    def test_node_keyed_baseline_keeps_anchored_entries_local(self, p_per):
-        q = paper.q_bon()
-        store = InMemoryStore()
-        session = QuerySession(p_per, store=store, anchored_store=False)
-        expected = query_answer(p_per, q)[5]
-        assert session.node_probability(q, 5) == expected
-        assert store.anchored_puts == 0  # nothing anchored reached the store
-        assert session.node_probability(q, 5) == expected
-        assert session.stats.anchored_hits > 0  # served by the local memo
-
-    def test_local_memo_evicts_cost_aware_not_clear_all(self, p_per):
-        q = paper.q_bon()
-        session = QuerySession(
-            p_per, store=InMemoryStore(), anchored_store=False, memo_limit=4
-        )
-        for node_id in (5, 7, 5, 7):
-            assert session.node_probability(q, node_id) == query_answer(
-                p_per, q
-            ).get(node_id, 0)
-        assert session._local is not None
-        assert len(session._local) <= 4
-        assert session.stats.invalidations == 0  # no coarse purge events
 
     def test_anchored_sqlite_roundtrip_across_restart(self, tmp_path, p_per):
         q = paper.q_bon()
