@@ -75,7 +75,6 @@ from repro.store import InMemoryStore
 from repro.tp import parse_pattern
 from repro.views import ProvenanceTable, View, probabilistic_extension
 from repro.views.extension import ProbabilisticViewExtension
-from repro.views.view import _marker_label
 from repro.workloads.synthetic import (
     batch_workload,
     isomorphic_twin,
@@ -218,21 +217,22 @@ def _legacy_marker_extension(p: PDocument, view: View) -> ProbabilisticViewExten
 
     Rebuilt locally for the benchmark's ``marker`` arm — the production
     builders are Id-free and no longer plant markers.  The provenance
-    table is decoded back from the markers, so plan evaluation works
-    unchanged; only the document structure (and hence the digests)
-    differs.
+    table is recorded while copying, so plan evaluation works unchanged;
+    only the document structure (and hence the digests) differs.
     """
     answer = query_answer(p, view.pattern)
     fresh = itertools.count(1)
     root = PNode(0, PNodeKind.ORDINARY, view.doc_label)
     bundle = PNode(next(fresh), PNodeKind.IND)
     subtree_roots: dict[int, int] = {}
+    provenance = ProvenanceTable()
 
-    def copy_with_markers(source: PNode) -> PNode:
+    def copy_with_markers(source: PNode, holder: int) -> PNode:
         node = PNode(next(fresh), source.kind, source.label)
         if source.is_ordinary:
+            provenance.record(source.node_id, node.node_id, holder)
             node.add_child(
-                PNode(next(fresh), PNodeKind.ORDINARY, _marker_label(source.node_id))
+                PNode(next(fresh), PNodeKind.ORDINARY, f"Id({source.node_id})")
             )
         for child in source.children:
             probability = (
@@ -240,11 +240,11 @@ def _legacy_marker_extension(p: PDocument, view: View) -> ProbabilisticViewExten
                 if source.probabilities is not None
                 else None
             )
-            node.add_child(copy_with_markers(child), probability)
+            node.add_child(copy_with_markers(child, holder), probability)
         return node
 
     for selected in sorted(answer):
-        sub = copy_with_markers(p.node(selected))
+        sub = copy_with_markers(p.node(selected), selected)
         bundle.add_child(sub, answer[selected])
         subtree_roots[selected] = sub.node_id
     if subtree_roots:
@@ -255,7 +255,7 @@ def _legacy_marker_extension(p: PDocument, view: View) -> ProbabilisticViewExten
         pdocument=pdocument,
         selection=dict(answer),
         subtree_roots=subtree_roots,
-        provenance=ProvenanceTable.from_markers(pdocument),
+        provenance=provenance.bind(pdocument),
     )
 
 

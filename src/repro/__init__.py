@@ -113,7 +113,6 @@ from .views import (
     View,
     probabilistic_extension,
     deterministic_extension,
-    anchor_via_marker,
 )
 from .rewrite import (
     c_independent,
@@ -144,7 +143,7 @@ __all__ = [
     "query_answer", "node_probability", "boolean_probability",
     "intersection_answer",
     "View", "ProvenanceTable", "probabilistic_extension",
-    "deterministic_extension", "anchor_via_marker",
+    "deterministic_extension",
     "c_independent", "tp_rewrite", "probabilistic_tp_plan",
     "theorem3_plan", "tpi_rewrite",
     "__version__",

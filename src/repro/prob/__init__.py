@@ -5,8 +5,7 @@ that is polynomial in the size of the p-document (data complexity) for
 fixed queries — matching the tractability statement of [22] that the paper
 builds on — supports both TP and TP∩ queries plus node anchors, computes
 *all* candidate answers in one traversal, and is parameterized by a
-numeric backend (``exact`` Fractions or ``fast`` floats).  ``evaluator``
-keeps the historical ``ProbEvaluator`` surface as a shim over the engine.
+numeric backend (``exact`` Fractions or ``fast`` floats).
 ``session`` is the workload layer on top of the engine: a
 :class:`QuerySession` evaluates *batches* of queries in one shared
 post-order pass with a cross-query memo of per-subtree distributions,
@@ -25,7 +24,6 @@ from .engine import (
     intersection_answer,
     intersection_node_probability,
 )
-from .evaluator import ProbEvaluator
 from .session import QuerySession, SessionStats
 from .bruteforce import (
     brute_force_query_answer,
@@ -36,7 +34,6 @@ from .bruteforce import (
 __all__ = [
     "EvaluationEngine",
     "normalize_anchors",
-    "ProbEvaluator",
     "QuerySession",
     "SessionStats",
     "query_answer",

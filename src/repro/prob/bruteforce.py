@@ -1,7 +1,7 @@
 """Reference semantics: query probabilities by possible-world enumeration.
 
 Exponential in the number of distributional choices; used by the test suite
-to validate the exact dynamic program of :mod:`repro.prob.evaluator` and by
+to validate the exact dynamic program of :mod:`repro.prob.engine` and by
 the empirical c-independence checker.
 """
 
@@ -45,7 +45,7 @@ def brute_force_node_probability(
     p: PDocument, q: TreePattern, node_id: int
 ) -> Fraction:
     """``Pr(n ∈ q(P))`` by possible-world enumeration."""
-    return brute_force_boolean_probability(p, q, {id(q.out): node_id})
+    return brute_force_boolean_probability(p, q, {q.out: node_id})
 
 
 def brute_force_intersection_node_probability(

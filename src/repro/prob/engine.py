@@ -1,11 +1,11 @@
 """Single-pass evaluation engine for TP / TP∩ queries over p-documents.
 
-This module is the production probability path.  It keeps the goal-set
-dynamic program documented in :mod:`repro.prob.evaluator` — for every
-pattern node ``u`` a goal ``D(u)`` ("the pattern subtree at ``u`` embeds
-with ``u`` mapped to *this* document node") and a goal ``A(u)`` ("... to
-this node or a proper descendant") — but changes the machinery in three
-ways:
+This module is the probability path.  It runs the classic goal-set
+dynamic program — for every pattern node ``u`` a goal ``D(u)`` ("the
+pattern subtree at ``u`` embeds with ``u`` mapped to *this* document
+node") and a goal ``A(u)`` ("... to this node or a proper descendant"),
+union-convolution at ordinary and ``ind`` nodes, probability mixtures at
+``mux`` nodes — with three refinements:
 
 **Interned goal-set bitmasks.**  Goal sets are machine integers instead of
 ``frozenset[int]``: goal ``i`` owns bit ``1 << i``, union-convolution is
@@ -54,7 +54,6 @@ across queries through :meth:`goal_table_fingerprint`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 from typing import Mapping, Optional, Sequence, Union
 
@@ -87,7 +86,7 @@ __all__ = [
 #: A goal-set distribution: interned bitmask -> backend probability value.
 Distribution = dict
 
-AnchorKey = Union[PatternNode, tuple, int]
+AnchorKey = Union[PatternNode, tuple]
 AnchorTarget = Union[int, "Sequence[int]"]
 AnchorsLike = Mapping[AnchorKey, AnchorTarget]
 """Maps a pattern node to the document node Id(s) it must be mapped to.
@@ -106,11 +105,10 @@ Keys may be, in order of preference:
   when a single pattern is evaluated; anchors can then be persisted and
   re-applied to copies of the pattern;
 * ``(pattern_index, path)`` — a pattern index paired with such a path,
-  for multi-pattern (TP∩) evaluation, e.g. ``(1, q2.path_to(node))``;
-* ``id(pattern_node)`` (a bare ``int``).  **Deprecated**: object ids are
-  recycled by the interpreter and break on copied patterns; pass the
-  ``PatternNode`` or its path instead.  Accepted for backward
-  compatibility with the pre-engine ``Mapping[int, int]`` form.
+  for multi-pattern (TP∩) evaluation, e.g. ``(1, q2.path_to(node))``.
+
+Bare ``id(pattern_node)`` ints are rejected: object ids are recycled by
+the interpreter and break on copied patterns.
 """
 
 # Output-goal gates for the ordinary-node rewrite (identity-compared).
@@ -144,13 +142,6 @@ def normalize_anchors(
                 )
         elif isinstance(key, tuple):
             uid = id(_resolve_path_key(patterns, key))
-        elif isinstance(key, int) and not isinstance(key, bool):
-            if key not in known:
-                raise PatternError(
-                    f"legacy anchor key {key} is not the id() of any "
-                    "evaluated pattern node"
-                )
-            uid = key
         else:
             raise PatternError(f"unsupported anchor key {key!r}")
         normalized[uid] = _normalize_anchor_target(key, target)
@@ -293,15 +284,6 @@ class EvaluationEngine:
         self._unit = self._ops.unit
         self._convolve = self._ops.convolve
         self._mixture = self._ops.mixture
-
-    # ------------------------------------------------------------------
-    # Goal ids (kept for compatibility with the pre-engine evaluator)
-    # ------------------------------------------------------------------
-    def d_goal(self, u: PatternNode) -> int:
-        return 2 * self._goal_index[id(u)]
-
-    def a_goal(self, u: PatternNode) -> int:
-        return 2 * self._goal_index[id(u)] + 1
 
     # ------------------------------------------------------------------
     # Batch-evaluation surface (used by repro.prob.session)

@@ -47,8 +47,10 @@ shares entries across extensions, subdocuments, restarts and isomorphic
 twin documents.
 
 The session's classic passes are multi-lane instances of the one
-store-consulting skeleton, :func:`repro.prob.traversal.stored_postorder`;
-every store call goes through its pass-scoped probe object
+store-consulting skeleton, :func:`repro.prob.traversal.stored_postorder`,
+and its stacked ``array`` passes are one lane group of it
+(:mod:`repro.prob.stacked`); every store call goes through its
+pass-scoped probe object
 (:func:`repro.prob.traversal.open_probe`), chosen by the store's
 ``prefers_bulk`` alone.
 
@@ -628,8 +630,7 @@ class QuerySession:
                 engines, candidate_sets, live_sets
             )
         ]
-        roots = self._traced_postorder(lanes, pinned=True)
-        self.stats.traversals += 1
+        roots = self._run_pass(lanes, "session.traversal", pinned=True)
         return [root[1] for root in roots]
 
     def _unpinned_batch_pass(
@@ -650,27 +651,32 @@ class QuerySession:
             )
             for engine in engines
         ]
-        roots = self._traced_postorder(lanes, pinned=False)
-        self.stats.traversals += 1
-        return roots
+        return self._run_pass(lanes, "session.traversal", pinned=False)
 
-    def _traced_postorder(self, lanes: list, pinned: bool) -> list:
-        """Run :func:`stored_postorder`, under a traversal span if tracing.
+    def _run_pass(self, lanes: list, name: str, **attrs) -> list:
+        """One :func:`stored_postorder` pass over the session's document
+        and store, counted as one traversal; returns the lanes' roots.
 
-        The span records per-pass deltas of the session counters (node
-        visits, memo and store hit/miss traffic) — cheap because the
-        snapshots happen once per pass, never per node.
+        Traced, the pass runs under span ``name`` recording per-pass
+        deltas of the session counters (node visits, memo and store
+        hit/miss traffic, and the array backend's exact fallbacks) —
+        cheap because the snapshots happen once per pass, never per node.
         """
         sp = trace_span(
-            "session.traversal", lanes=len(lanes), pinned=pinned
+            name, lanes=sum(lane.width for lane in lanes), **attrs
         )
         store = self.store
+        backend = self.backend
         if sp:
             stats_before = self.stats.snapshot()
             store_before = (store.hits, store.misses)
+            fallbacks_before = getattr(backend, "fallbacks", None)
         with sp:
             roots = stored_postorder(self.p, lanes, store, self.stats)
+        self.stats.traversals += 1
         if sp:
+            if fallbacks_before is not None:
+                sp.set("fallbacks", backend.fallbacks - fallbacks_before)
             after = self.stats
             sp.set(
                 "node_visits", after.node_visits - stats_before["node_visits"]

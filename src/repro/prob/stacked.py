@@ -7,7 +7,15 @@ store token and one probe *per lane* (query) at every node.  With the
 axis**: every subtree's blocked/unpinned distributions for all ``L``
 lanes are one :class:`~repro.probability_array.StackedDistribution` —
 aligned ``(L × W)`` mask/value matrices — and a single vectorized
-kernel advances the entire batch through a node:
+kernel advances the entire batch through a node.
+
+**One walk.**  The stacked pass is not a traversal of its own: the
+batch runs as ONE *lane group* (``width = L``) of
+:func:`~repro.prob.traversal.stored_postorder`, so probing, saving,
+neutral skips, the bulk probe plan and the session counters all live
+in that one skeleton.  This module supplies only the group's combine
+step, its combined keyer and the session entry points.  The combine
+works as follows:
 
 * *convolution* is a per-row outer product followed by one row-wise
   dedup (masks are offset by ``row_index << B`` so a single
@@ -39,13 +47,13 @@ lanes), so a blocked pinned-pass entry and an unpinned Boolean-pass
 entry share whenever every lane is insensitive.  Warm passes resolve
 the whole key with one dict lookup per node (:class:`StackedKeyer`
 caches per node id, and the session caches the keyer per batch
-signature).  Store calls go through the same pass-scoped probe object
-as the classic pass (:func:`repro.prob.traversal.open_probe`): against
-an in-memory store its ``probe`` is the store's bound ``get``; against
-a bulk-preferring store (a live :class:`~repro.store.SqliteStore`) the
-pass prefetches every combined key with one uncounted ``get_many`` and
-lands its saves as one ``put_many``, with identical hit/miss/put
-accounting.
+signature).  The keyer has the :class:`~repro.store.SubtreeKeyer`
+shape (``token`` / ``weight`` / ``plan_keys``), so the skeleton's
+probe object (:func:`repro.prob.traversal.open_probe`) serves the group
+exactly as it serves a query lane — a bound ``get`` against an
+in-memory store, one prefetch ``get_many`` and one ``put_many`` against
+a bulk-preferring one.  Only the vectorized form is stored; split and
+scalar-fallback entries are recombined every pass.
 
 **Exact fallback.**  When a stacked width exceeds the backend's
 ``width_threshold`` — or a row-offset would not fit int64 — the node
@@ -56,8 +64,9 @@ the engine's ops dispatch, which keeps vectorized and fallen-back
 regions composable.
 
 Per-lane stats are necessarily approximate here (one combined probe
-covers L lanes); hits/misses/skips are counted ``× L`` so cumulative
-session counters stay comparable with the classic pass.
+covers L lanes); the skeleton counts a group's hits/misses/skips
+``× L`` so cumulative session counters stay comparable with the classic
+pass.
 """
 
 from __future__ import annotations
@@ -66,11 +75,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..obs.trace import span as trace_span
-from ..probability_array import (
-    ArrayDistribution,
-    ArrayOps,
-    StackedDistribution,
-)
+from ..probability_array import ArrayOps, StackedDistribution
 from ..pxml.pdocument import PNodeKind
 from ..store import (
     GATE_BLOCKED,
@@ -79,17 +84,22 @@ from ..store import (
     fingerprint_digest,
 )
 from .engine import _GRANT_ALL, _GRANT_NONE, EvaluationEngine
-from .traversal import open_probe
+from .traversal import Lane
 
 __all__ = ["StackedKeyer", "stacked_answer_many", "stacked_boolean_many"]
 
-#: Entry tag for an all-lanes-neutral subtree (the stacked unit).
-_UNIT_ENTRY = ("u",)
+#: Entry for an all-lanes-neutral subtree (the stacked unit).
+_UNIT_ENTRY = ("u", None)
 #: Shared empty pinned map (never mutated by the engine's combines).
 _EMPTY: dict = {}
 #: Unsatisfiable ``need`` padding for the stacked rewrite (masks use at
 #: most 48 goal bits, see probability_array._MAX_VECTOR_GOAL_BITS).
 _SENTINEL_NEED = 1 << 61
+
+
+def _storable(entry):
+    """The store holds only the vectorized form of a group entry."""
+    return entry if entry.__class__ is StackedDistribution else None
 
 
 class _ScalarFallback(Exception):
@@ -273,19 +283,28 @@ class StackedKeyer:
     making the cache effective across passes within a document epoch.
     """
 
-    __slots__ = ("digests", "sizes", "keyers", "labels", "gate", "_cache")
+    __slots__ = (
+        "digests", "sizes", "keyers", "labels", "table_labels", "gate",
+        "_cache",
+    )
 
     def __init__(self, p, keyers: list, gate: str) -> None:
         self.digests, self.sizes = p.structural_index()
         self.keyers = keyers
         self.labels = [keyer.table_labels for keyer in keyers]
+        #: The group's label support: the union of the lanes'.
+        self.table_labels = frozenset().union(*self.labels)
         self.gate = gate
         # node_id -> (key, anchored)
         self._cache: dict[int, tuple] = {}
 
-    def key(self, node_id: int, label_set) -> tuple:
+    def token(self, node_id: int, label_set, gate=None) -> tuple:
         """``(combined key, is_anchored)`` for a subtree where at least
-        one lane is non-neutral (callers shortcut all-neutral ones)."""
+        one lane is non-neutral (callers shortcut all-neutral ones).
+
+        ``gate`` is accepted for :class:`~repro.store.SubtreeKeyer`
+        signature parity; the keyer's own gate is fixed at construction.
+        """
         entry = self._cache.get(node_id)
         if entry is not None:
             return entry
@@ -316,6 +335,19 @@ class StackedKeyer:
         """Recomputation-cost estimate (matches SubtreeKeyer.weight)."""
         return len(distribution) * self.sizes[node_id]
 
+    def plan_keys(self, labels: dict, live: frozenset, gate=None) -> tuple:
+        """``(probe_keys, guard_keys)`` for one pass (see
+        :meth:`repro.store.SubtreeKeyer.plan_keys`).  Live-spine nodes
+        split into per-lane pairs the store never holds, so there are no
+        guard keys."""
+        table_labels = self.table_labels
+        probe = {
+            self.token(node_id, label_set)[0]
+            for node_id, label_set in labels.items()
+            if node_id not in live and table_labels & label_set
+        }
+        return probe, set()
+
 
 class _StackedLane:
     """One query's slice of a stacked pass."""
@@ -336,13 +368,17 @@ class _StackedLane:
         self.candidates = candidates
 
 
-class _StackedPass:
-    """One stacked post-order traversal (see the module docstring).
+class _StackedGroup:
+    """The whole batch as ONE lane group of
+    :func:`~repro.prob.traversal.stored_postorder` (see the module
+    docstring): the skeleton walks, probes, saves and counts; this class
+    only supplies the group's combine step.
 
     Per-node entries take one of four forms:
 
-    * ``("u",)`` — all lanes neutral below: the stacked unit.
-    * ``("s", StackedDistribution)`` — the vectorized stacked form.
+    * :data:`_UNIT_ENTRY` — all lanes neutral below: the stacked unit.
+    * a :class:`StackedDistribution` — the vectorized form, and the only
+      one the store holds.
     * ``("d", [dict, ...])`` — per-lane scalar fallback (exact dicts
       after a width-threshold escape, float dicts after a row-budget
       one); ancestors combine per-lane through the engines' ops.
@@ -351,141 +387,74 @@ class _StackedPass:
     """
 
     __slots__ = (
-        "p", "lanes", "ops", "store", "stats", "backend", "grant",
-        "union_live", "all_labels", "keyer", "width_threshold",
-        "unit_dict", "_rewrite_plans", "_a_mask_col",
+        "labels", "lanes", "keyer", "ops", "backend", "grant", "union_live",
+        "width_threshold", "unit_dict", "_rewrite_plans", "_a_mask_col",
     )
 
     def __init__(
-        self,
-        session,
-        lanes: list,
-        gate: str,
-        keyer: StackedKeyer,
-        union_live=frozenset(),
+        self, session, lanes: list, keyer: StackedKeyer, union_live=frozenset()
     ) -> None:
         backend = session.backend
         np = backend.np
-        self.p = session.p
+        self.labels = session.p.label_index()
         self.lanes = lanes
-        self.store = session.store
-        self.stats = session.stats
-        self.backend = backend
-        self.grant = _GRANT_NONE if gate == GATE_BLOCKED else _GRANT_ALL
-        self.union_live = union_live
         self.keyer = keyer
+        self.backend = backend
+        self.grant = _GRANT_NONE if keyer.gate == GATE_BLOCKED else _GRANT_ALL
+        self.union_live = union_live
         self.width_threshold = backend.width_threshold
         self.unit_dict = {0: 1.0}
-        all_labels: frozenset = frozenset()
-        bits = 1
-        for lane in lanes:
-            all_labels |= lane.table_labels
-            bits = max(bits, 2 * len(lane.engine._pattern_nodes))
-        self.all_labels = all_labels
+        bits = max(1, _mask_bits([lane.engine for lane in lanes]))
         self.ops = StackedOps(np, len(lanes), bits)
         self._rewrite_plans: dict = {}
         self._a_mask_col = np.array(
             [[lane.engine._a_mask] for lane in lanes], dtype=np.int64
         )
 
-    # -- traversal ------------------------------------------------------
-    def run(self):
-        p = self.p
-        labels = p.label_index()
-        lane_count = len(self.lanes)
-        union_live = self.union_live
-        all_labels = self.all_labels
+    def lane(self) -> Lane:
+        """The group as one :class:`~repro.prob.traversal.Lane`."""
         keyer = self.keyer
-        io = open_probe(self.store, lambda: (self._plan_keys(labels), ()))
-        probe, save = io.probe, io.save
-        stats = self.stats
-        entries: dict = {}
-        stack = [(p.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            node_id = node.node_id
-            if not expanded:
-                label_set = labels[node_id]
-                if node_id not in union_live:
-                    if not (all_labels & label_set):
-                        entries[node_id] = _UNIT_ENTRY
-                        stats.neutral_skips += lane_count
-                        stats.subtree_skips += 1
-                        continue
-                    key, anchored = keyer.key(node_id, label_set)
-                    cached = probe(key)
-                    if (
-                        cached is not None
-                        and getattr(cached, "lanes", -1) == lane_count
-                    ):
-                        entries[node_id] = ("s", cached)
-                        stats.memo_hits += lane_count
-                        stats.subtree_skips += 1
-                        if anchored:
-                            stats.anchored_hits += lane_count
-                        continue
-                stack.append((node, True))
-                stack.extend((child, False) for child in node.children)
-                continue
-            stats.node_visits += 1
-            label_set = labels[node_id]
-            if node_id in union_live:
-                entries[node_id] = self._split_combine(node, entries, label_set)
-            else:
-                entry = self._stacked_combine(node, entries, label_set)
-                entries[node_id] = entry
-                key, anchored = keyer.key(node_id, label_set)
-                if entry[0] == "s":
-                    stacked = entry[1]
-                    save(key, stacked, keyer.weight(node_id, stacked))
-                stats.memo_misses += lane_count
-                if anchored:
-                    stats.anchored_misses += lane_count
-            for child in node.children:
-                entries.pop(child.node_id, None)
-        io.flush()  # a probe plan's saves land as one put_many
-        return entries.pop(p.root.node_id)
+        return Lane(
+            table_labels=keyer.table_labels,
+            combine=self.combine,
+            unit=_UNIT_ENTRY,
+            keyer=keyer,
+            live=self.union_live,
+            gate=keyer.gate,
+            width=len(self.lanes),
+            cacheable=_storable,
+        )
 
-    def _plan_keys(self, labels: dict) -> set:
-        """Every combined key the pass may probe (live-spine nodes never
-        probe or save here, so there is no save-guard set)."""
-        keyer = self.keyer
-        union_live = self.union_live
-        all_labels = self.all_labels
-        return {
-            keyer.key(node_id, label_set)[0]
-            for node_id, label_set in labels.items()
-            if node_id not in union_live and all_labels & label_set
-        }
+    def combine(self, node, entries):
+        if node.node_id in self.union_live:
+            return self._split_combine(node, entries)
+        return self._stacked_combine(node, entries)
 
     # -- per-lane views of child entries --------------------------------
-    def _pinned_view(self, entry, lane_index: int):
-        tag = entry[0]
-        if tag == "u":
-            return (self.unit_dict, _EMPTY)
-        if tag == "s":
-            return (entry[1].row_dict(lane_index), _EMPTY)
-        if tag == "d":
-            return (entry[1][lane_index], _EMPTY)
-        return entry[1][lane_index]
-
     def _blocked_view(self, entry, lane_index: int):
-        tag = entry[0]
+        if entry.__class__ is StackedDistribution:
+            return entry.row_dict(lane_index)
+        tag, rows = entry
         if tag == "u":
             return self.unit_dict
-        if tag == "s":
-            return entry[1].row_dict(lane_index)
         if tag == "d":
+            return rows[lane_index]
+        return rows[lane_index][0]
+
+    def _pinned_view(self, entry, lane_index: int):
+        if entry.__class__ is not StackedDistribution and entry[0] == "p":
             return entry[1][lane_index]
-        return entry[1][lane_index][0]
+        return (self._blocked_view(entry, lane_index), _EMPTY)
 
     # -- combines -------------------------------------------------------
-    def _split_combine(self, node, entries, label_set):
+    def _split_combine(self, node, entries):
+        node_id = node.node_id
+        label_set = self.labels[node_id]
         children = node.children
         views = [entries[child.node_id] for child in children]
         results = []
         for i, lane in enumerate(self.lanes):
-            if node.node_id in lane.live:
+            if node_id in lane.live:
                 child_map = {
                     child.node_id: self._pinned_view(view, i)
                     for child, view in zip(children, views)
@@ -510,7 +479,7 @@ class _StackedPass:
                 )
         return ("p", results)
 
-    def _scalar_rows(self, node, forms) -> list:
+    def _scalar_rows(self, node, forms) -> tuple:
         """Per-lane scalar combine (fallback regions)."""
         children = node.children
         rows = []
@@ -522,21 +491,22 @@ class _StackedPass:
             rows.append(
                 lane.engine._combine_single_gated(node, child_map, self.grant)
             )
-        return rows
+        return ("d", rows)
 
-    def _stacked_combine(self, node, entries, label_set):
+    def _stacked_combine(self, node, entries):
         children = node.children
         forms = [entries[child.node_id] for child in children]
-        if any(form[0] == "d" for form in forms):
-            return ("d", self._scalar_rows(node, forms))
         ops = self.ops
         parts = []
         for form in forms:
-            if form[0] == "u":
+            if form.__class__ is StackedDistribution:
+                parts.append((form.masks, form.values))
+            elif form is _UNIT_ENTRY:
                 parts.append((ops.unit_masks, ops.unit_values))
             else:
-                stacked = form[1]
-                parts.append((stacked.masks, stacked.values))
+                # A scalar-form child (no split form lies below a
+                # non-live node): the whole node combines per lane.
+                return self._scalar_rows(node, forms)
         try:
             kind = node.kind
             if kind is PNodeKind.ORDINARY:
@@ -564,11 +534,11 @@ class _StackedPass:
                 else:
                     masks, values = ops.reduce_convolve(mixed)
         except _ScalarFallback:
-            return ("d", self._scalar_rows(node, forms))
+            return self._scalar_rows(node, forms)
         if masks.shape[1] > self.width_threshold:
             self.backend.fallbacks += 1
             return ("d", _rows_to_exact(masks, values))
-        return ("s", StackedDistribution(masks, values))
+        return StackedDistribution(masks, values)
 
     # -- the stacked ordinary-node rewrite ------------------------------
     def _rewrite_plan(self, label: str):
@@ -644,6 +614,17 @@ def _mask_bits(engines: Sequence[EvaluationEngine]) -> int:
     return max(2 * len(engine._pattern_nodes) for engine in engines)
 
 
+def _run_group(
+    session, lanes: list, keyer: StackedKeyer, union_live=frozenset()
+):
+    """One stacked pass: the batch runs as ONE lane group of
+    :func:`~repro.prob.traversal.stored_postorder`; returns the root
+    entry."""
+    group = _StackedGroup(session, lanes, keyer, union_live)
+    roots = session._run_pass([group.lane()], "stacked.pass", gate=keyer.gate)
+    return roots[0]
+
+
 def _supported(session, engines: Sequence[EvaluationEngine]) -> bool:
     if len(engines) < 2:
         return False
@@ -689,19 +670,7 @@ def stacked_answer_many(session, queries: list) -> Optional[list]:
     if not union_live:
         # No candidates anywhere: every answer is empty, no pass needed.
         return [{} for _ in queries]
-    sp = trace_span("stacked.pass", lanes=len(lanes), gate="blocked")
-    if sp:
-        fallbacks_before = getattr(session.backend, "fallbacks", 0)
-    with sp:
-        root = _StackedPass(
-            session, lanes, GATE_BLOCKED, keyer, union_live
-        ).run()
-    if sp:
-        sp.set(
-            "fallbacks",
-            getattr(session.backend, "fallbacks", 0) - fallbacks_before,
-        )
-    session.stats.traversals += 1
+    root = _run_group(session, lanes, keyer, union_live)
     zero = session.backend.zero
     # Root is a split entry ("p", per-lane (blocked, pinned)).
     answers: list[dict] = []
@@ -817,28 +786,16 @@ def stacked_boolean_many(
     keyer = StackedKeyer(
         session.p, [lane.keyer for lane in lanes], GATE_UNPINNED
     )
-    sp = trace_span("stacked.pass", lanes=len(lanes), gate="unpinned")
-    if sp:
-        fallbacks_before = getattr(session.backend, "fallbacks", 0)
-    with sp:
-        root = _StackedPass(session, lanes, GATE_UNPINNED, keyer).run()
-    if sp:
-        sp.set(
-            "fallbacks",
-            getattr(session.backend, "fallbacks", 0) - fallbacks_before,
-        )
-    session.stats.traversals += 1
-    tag = root[0]
-    if tag == "s":
-        stacked = root[1]
+    root = _run_group(session, lanes, keyer)
+    if root.__class__ is StackedDistribution:
         np = session.backend.np
         targets = np.array(
             [lane.engine._targets for lane in lanes], dtype=np.int64
         )
         ops = StackedOps(np, len(lanes), 1)
-        masses = ops.mass_rows(stacked.masks, stacked.values, targets)
+        masses = ops.mass_rows(root.masks, root.values, targets)
         return [float(m) for m in masses.tolist()]
-    if tag == "u":
+    if root is _UNIT_ENTRY:
         return [0.0 for _ in lanes]
     # Per-lane scalar root (fallback form).
     return [

@@ -2,17 +2,23 @@
 
 :func:`stored_postorder` is the one DP walk of the engine and session
 layers: :class:`~repro.prob.engine.EvaluationEngine` passes (with or
-without a store) are single-lane instances of it, and the classic
+without a store) are single-lane instances of it, the classic
 :class:`~repro.prob.session.QuerySession` batch passes are multi-lane
-ones.  Each applies the same probe / neutral-skip /
-second-chance-reprobe / presence-guarded-save choreography.
+ones, and the stacked ``array`` pass (:mod:`repro.prob.stacked`) is one
+*lane group*.  Each applies the same probe / neutral-skip /
+second-chance-reprobe / presence-guarded-save choreography, and keeps
+the same session counters.
 
 **Lanes.**  A :class:`Lane` is one query's view of a shared pass: its
 goal-table label support (for the neutral short-circuit), its *live* set
 (ancestors of candidate nodes, which must always be combined so pinned
 maps can be assembled), its gate, its keyer, and its combine callback.
 A batched session pass runs many lanes over one stack walk; a plain
-engine pass runs one.
+engine pass runs one.  A *lane group* is a lane standing for ``width``
+queries at once: its entries carry every query of the group (the
+stacked pass's ``(lanes × support)`` matrices), its keyer issues one
+combined key per subtree, and its hits, misses and neutral skips count
+``× width`` so the counters read as if each query had run its own lane.
 
 **Per node, per lane** the skeleton either
 
@@ -61,10 +67,11 @@ cross-lane sharing survives the deferral.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from ..obs.trace import span
-from ..store import MemoStore, SubtreeKeyer
+from ..store import MemoStore
 
 __all__ = ["Lane", "open_probe", "stored_postorder"]
 
@@ -74,38 +81,50 @@ _MISS = object()
 _EMPTY = frozenset()
 
 
+def _whole(entry):
+    return entry
+
+
 class Lane:
-    """One query's view of a shared store-consulting pass.
+    """One query's (or one lane group's) view of a shared pass.
 
     Args:
         table_labels: the lane's goal-table label support; a subtree
             whose label set is disjoint from it is *neutral*.
         combine: ``(node, entries) -> entry`` — the lane's DP combine
             step over the child entries.
-        unit: the lane's unit distribution ``{0: one}``.
-        keyer: the lane's :class:`~repro.store.SubtreeKeyer` (``None``
-            when the pass runs memo-less).
+        unit: the lane's unit distribution ``{0: one}`` (for a group:
+            its unit entry).
+        keyer: a :class:`~repro.store.SubtreeKeyer`-shaped key source
+            (``token`` / ``weight`` / ``plan_keys``); ``None`` when the
+            pass runs memo-less.
         live: node Ids whose subtree holds a candidate — always combined.
         gate: gate tag for the lane's cacheable (blocked / unpinned)
             distributions.
         pinned: entries are ``(blocked, pinned)`` pairs; only the blocked
             half is content-addressable (pinned maps name node Ids).
+        width: how many queries the lane stands for (see module docs).
+        cacheable: ``entry -> value or None`` — what the store may hold
+            of a combined entry (``None``: nothing).  Default: the blocked
+            half of a pinned entry, else the entry itself.
     """
 
     __slots__ = (
         "table_labels", "combine", "keyer", "live", "gate", "pinned",
-        "unit_entry",
+        "unit_entry", "width", "cacheable",
     )
 
     def __init__(
         self,
         table_labels: frozenset,
         combine: Callable,
-        unit: dict,
-        keyer: Optional[SubtreeKeyer] = None,
+        unit,
+        keyer=None,
         live: frozenset = _EMPTY,
         gate: Optional[str] = None,
         pinned: bool = False,
+        width: int = 1,
+        cacheable: Optional[Callable] = None,
     ) -> None:
         self.table_labels = table_labels
         self.combine = combine
@@ -114,6 +133,10 @@ class Lane:
         self.gate = gate
         self.pinned = pinned
         self.unit_entry = (unit, {}) if pinned else unit
+        self.width = width
+        if cacheable is None:
+            cacheable = itemgetter(0) if pinned else _whole
+        self.cacheable = cacheable
 
 
 class _PointProbe:
@@ -257,6 +280,8 @@ def stored_postorder(
         io = open_probe(store, lambda: _lane_plan_keys(lanes, labels))
         probe, reprobe, save = io.probe, io.reprobe, io.save
     count = len(lanes)
+    # Every query of every lane (group) — the unit of the hit counters.
+    queries = sum(lane.width for lane in lanes)
     # A stashed pre-check miss can only turn into a hit when ANOTHER lane
     # fills the identical key before the expanded visit — between the two
     # only the node's strict descendants run, and a proper subtree can
@@ -286,7 +311,7 @@ def stored_postorder(
                     break
                 if not (lane.table_labels & label_set):
                     probed.append(lane.unit_entry)
-                    neutral += 1
+                    neutral += lane.width
                     continue
                 if not use_memo:
                     skip = False
@@ -298,13 +323,13 @@ def stored_postorder(
                     skip = False
                     break
                 if anchored and stats is not None:
-                    stats.anchored_hits += 1
+                    stats.anchored_hits += lane.width
                 probed.append((cached, {}) if lane.pinned else cached)
             if skip:
                 for i in indices:
                     entries[i][node_id] = probed[i]
                 if stats is not None:
-                    stats.memo_hits += count - neutral
+                    stats.memo_hits += queries - neutral
                     stats.neutral_skips += neutral
                     stats.subtree_skips += 1
                 continue
@@ -325,17 +350,18 @@ def stored_postorder(
                 entry = lane.combine(node, entry_map)
                 entry_map[node_id] = entry
                 if use_memo:
-                    keyer = lane.keyer
-                    blocked = entry[0] if lane.pinned else entry
-                    save(
-                        keyer.token(node_id, label_set, lane.gate)[0],
-                        blocked,
-                        keyer.weight(node_id, blocked),
-                    )
+                    blocked = lane.cacheable(entry)
+                    if blocked is not None:
+                        keyer = lane.keyer
+                        save(
+                            keyer.token(node_id, label_set, lane.gate)[0],
+                            blocked,
+                            keyer.weight(node_id, blocked),
+                        )
             elif not (lane.table_labels & label_set):
                 entry_map[node_id] = lane.unit_entry
                 if stats is not None:
-                    stats.neutral_skips += 1
+                    stats.neutral_skips += lane.width
             elif not use_memo:
                 entry_map[node_id] = lane.combine(node, entry_map)
             else:
@@ -349,25 +375,26 @@ def stored_postorder(
                     # Pre-check hit, stashed in entry form already.
                     entry_map[node_id] = stashed
                     if stats is not None:
-                        stats.memo_hits += 1
+                        stats.memo_hits += lane.width
                     continue
                 if cached is not None:
                     entry_map[node_id] = (
                         (cached, {}) if lane.pinned else cached
                     )
                     if stats is not None:
-                        stats.memo_hits += 1
+                        stats.memo_hits += lane.width
                         if anchored:
-                            stats.anchored_hits += 1
+                            stats.anchored_hits += lane.width
                 else:
                     entry = lane.combine(node, entry_map)
                     entry_map[node_id] = entry
-                    blocked = entry[0] if lane.pinned else entry
-                    save(key, blocked, lane.keyer.weight(node_id, blocked))
+                    blocked = lane.cacheable(entry)
+                    if blocked is not None:
+                        save(key, blocked, lane.keyer.weight(node_id, blocked))
                     if stats is not None:
-                        stats.memo_misses += 1
+                        stats.memo_misses += lane.width
                         if anchored:
-                            stats.anchored_misses += 1
+                            stats.anchored_misses += lane.width
             for child in children:
                 entry_map.pop(child.node_id, None)
     if use_memo:

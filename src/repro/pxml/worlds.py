@@ -9,7 +9,7 @@ summed, as required by the definition of ``Pr(P)``.
 
 Exponential in the number of distributional choices — this is the reference
 semantics used by tests and by the brute-force evaluator, not the production
-evaluation path (see :mod:`repro.prob.evaluator`).
+evaluation path (see :mod:`repro.prob.engine`).
 """
 
 from __future__ import annotations

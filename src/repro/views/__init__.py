@@ -2,29 +2,25 @@
 
 Extensions are **Id-free**: original node identity lives in a provenance
 side table (:mod:`repro.views.provenance`), not in ``Id(n)`` marker
-nodes; ``marker_label`` / ``anchor_via_marker`` survive only as
-deprecated legacy shims.
+nodes.
 """
 
-from .view import View, doc_label, marker_label, parse_marker_label
+from .view import View, doc_label, parse_marker_label
 from .provenance import ProvenanceTable
 from .extension import (
     DeterministicViewExtension,
     ProbabilisticViewExtension,
     deterministic_extension,
     probabilistic_extension,
-    anchor_via_marker,
 )
 
 __all__ = [
     "View",
     "doc_label",
-    "marker_label",
     "parse_marker_label",
     "ProvenanceTable",
     "DeterministicViewExtension",
     "ProbabilisticViewExtension",
     "deterministic_extension",
     "probabilistic_extension",
-    "anchor_via_marker",
 ]

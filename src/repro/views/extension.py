@@ -25,7 +25,6 @@ only this object — never the original document.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -36,17 +35,15 @@ from ..prob.engine import query_answer
 from ..prob.session import QuerySession
 from ..pxml.pdocument import PDocument, PNode, PNodeKind
 from ..tp.embedding import evaluate as evaluate_deterministic
-from ..tp.pattern import Axis, PatternNode, TreePattern
 from ..xml.document import DocNode, Document
 from .provenance import ProvenanceTable
-from .view import View, _marker_label
+from .view import View
 
 __all__ = [
     "DeterministicViewExtension",
     "ProbabilisticViewExtension",
     "deterministic_extension",
     "probabilistic_extension",
-    "anchor_via_marker",
 ]
 
 
@@ -123,8 +120,7 @@ class ProbabilisticViewExtension:
         """Ids of the copies of ``original_id``, optionally restricted to
         the nodes of ``within`` (a :meth:`result_subdocument`, which
         preserves extension Ids).  Empty when the node was never copied —
-        a pattern anchored to the empty set cannot match, exactly like a
-        legacy marker pattern with no ``Id(n)`` node in the document."""
+        a pattern anchored to the empty set cannot match."""
         ids = self.provenance.copies_of(original_id)
         if within is not None:
             return tuple(cid for cid in ids if within.has_node(cid))
@@ -275,34 +271,3 @@ def _copy_pnode(
             probability,
         )
     return copy
-
-
-# ----------------------------------------------------------------------
-# Legacy marker anchoring (deprecated)
-# ----------------------------------------------------------------------
-def anchor_via_marker(pattern: TreePattern, original_id: int) -> TreePattern:
-    """Pin a pattern's output node via a legacy ``Id(n)`` marker child.
-
-    **Deprecated.**  Id-free extensions contain no marker nodes, so the
-    returned pattern can only match legacy marker-bearing documents.  Pin
-    the node through engine anchor sets instead — e.g. ::
-
-        boolean_probability(
-            ext.pdocument, q, anchors={q.out: ext.occurrence_copies(n)}
-        )
-
-    which is equivalent on marker-bearing documents, works on Id-free
-    ones, and keeps the goal table candidate-independent so anchored
-    evaluations share canonical store keys.
-    """
-    warnings.warn(
-        "anchor_via_marker is deprecated: Id-free extensions contain no "
-        "marker nodes — pin pattern nodes to provenance anchor sets "
-        "instead (anchors={q.out: extension.occurrence_copies(n)})",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    copied, mapping = pattern.copy_with_mapping()
-    out = mapping[id(pattern.out)]
-    out.add_child(PatternNode(_marker_label(original_id), Axis.CHILD))
-    return copied

@@ -29,13 +29,9 @@ occurrence_copies` feed engine anchor sets
 the canonical anchor-position store keys already support — with zero
 structural residue in the extension document itself.
 
-Legacy marker-bearing documents (e.g. re-parsed from old SQLite-warmed
-runs or serialized extensions) are still *readable*:
-:meth:`ProvenanceTable.from_markers` decodes the markers through the one
-sanctioned shim (:func:`repro.views.view.parse_marker_label`) into an
-equivalent table.  Marker-bearing and marker-free extensions have
-different structural digests by construction (the marker children are
-extra nodes), so old store entries can never be silently mis-shared with
+Marker-bearing and marker-free extensions have different structural
+digests by construction (the marker children are extra nodes), so store
+entries warmed by marker-era runs can never be silently mis-shared with
 Id-free ones — they simply stop matching.
 """
 
@@ -186,56 +182,3 @@ class ProvenanceTable:
         return tuple(
             sorted(self.rank_path(copy_id) for copy_id in self.copies_of(original_id))
         )
-
-    # ------------------------------------------------------------------
-    # Legacy decode
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_markers(cls, pdocument) -> "ProvenanceTable":
-        """Decode a legacy marker-bearing extension p-document.
-
-        Walks the §3.1 shape — ``doc(v)`` root, one ``ind`` bundle, one
-        result subtree per selected node — and rebuilds the provenance
-        table from the ``Id(n)`` marker children via the sanctioned
-        legacy shim (:func:`repro.views.view.parse_marker_label`).  The
-        marker nodes themselves are *not* recorded as copies.
-        """
-        from .view import parse_marker_label
-
-        table = cls(pdocument)
-        marker_ids = {
-            node.node_id
-            for node in pdocument.ordinary_nodes()
-            if node.label is not None
-            and parse_marker_label(node.label) is not None
-        }
-        for bundle in pdocument.root.children:
-            for subtree_root in bundle.children:
-                holder: Optional[int] = None
-                for child in subtree_root.children:
-                    decoded = (
-                        parse_marker_label(child.label)
-                        if child.label is not None
-                        else None
-                    )
-                    if decoded is not None:
-                        holder = decoded
-                        break
-                if holder is None:
-                    continue
-                for node in subtree_root.iter_subtree():
-                    if not node.is_ordinary or node.node_id in marker_ids:
-                        continue
-                    original = next(
-                        (
-                            decoded
-                            for child in node.children
-                            if child.label is not None
-                            and (decoded := parse_marker_label(child.label))
-                            is not None
-                        ),
-                        None,
-                    )
-                    if original is not None:
-                        table.record(original, node.node_id, holder)
-        return table

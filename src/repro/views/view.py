@@ -8,25 +8,23 @@ paper's structural ``Id(n)`` marker children — extensions are Id-free,
 so isomorphic base documents yield digest-identical extensions that
 share content-addressed memo entries.
 
-**Legacy markers.**  The §3.1 marker scheme survives only as a decode
-shim: :func:`parse_marker_label` recognizes ``Id(n)`` labels in old
-marker-bearing documents (e.g. serialized extensions from pre-Id-free
-runs) and is the *single* place in the production code that knows the
-marker prefix.  :func:`marker_label` still produces the legacy label but
-is deprecated — new code pins pattern nodes to provenance anchor sets
+**Legacy markers.**  :func:`parse_marker_label` recognizes the §3.1
+``Id(n)`` label in old marker-bearing documents (e.g. serialized
+extensions from pre-Id-free runs) and is the *single* place in the
+production code that knows the marker prefix.  Nothing builds markers
+any more: pattern nodes are pinned to provenance anchor sets
 (:meth:`repro.views.extension.ProbabilisticViewExtension.
 occurrence_copies`, :meth:`repro.views.provenance.ProvenanceTable.
-anchor_positions`) instead of planting marker nodes.
+anchor_positions`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from ..tp.pattern import TreePattern
 
-__all__ = ["View", "doc_label", "marker_label", "parse_marker_label"]
+__all__ = ["View", "doc_label", "parse_marker_label"]
 
 
 def doc_label(view_name: str) -> str:
@@ -34,41 +32,13 @@ def doc_label(view_name: str) -> str:
     return f"doc({view_name})"
 
 
-def _marker_label(original_node_id: int) -> str:
-    """The legacy ``Id(n)`` label (internal; no deprecation warning)."""
-    return f"Id({original_node_id})"
-
-
-def marker_label(original_node_id: int) -> str:
-    """The legacy ``Id(n)`` marker label.  **Deprecated.**
-
-    Extensions are Id-free: identity lives in the provenance side table,
-    not in marker nodes.  Pin pattern nodes to provenance anchor sets
-    (``ProbabilisticViewExtension.occurrence_copies`` /
-    ``ProvenanceTable.anchor_positions``) instead of matching ``Id(n)``
-    labels; this helper remains only for writing legacy-format documents.
-    """
-    warnings.warn(
-        "marker_label is deprecated: extensions are Id-free — pin pattern "
-        "nodes to provenance anchor sets (ProbabilisticViewExtension."
-        "occurrence_copies / ProvenanceTable.anchor_positions) instead of "
-        "matching Id(n) marker nodes",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _marker_label(original_node_id)
-
-
 def parse_marker_label(label: str) -> int | None:
     """Decode a legacy ``Id(n)`` marker label; ``None`` if not a marker.
 
-    The one sanctioned legacy shim: marker-bearing documents written by
-    pre-Id-free versions still *parse* through it (see
-    :meth:`repro.views.provenance.ProvenanceTable.from_markers`), and any
-    remaining marker-label sniffing must route through this function
-    rather than re-deriving the prefix.  Marker-bearing and Id-free
-    extensions have different structural digests by construction, so the
-    two generations can never silently share store entries.
+    Any marker-label sniffing must route through this function rather
+    than re-deriving the prefix.  Marker-bearing and Id-free extensions
+    have different structural digests by construction, so the two
+    generations can never silently share store entries.
     """
     if label.startswith("Id(") and label.endswith(")"):
         try:

@@ -11,7 +11,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.prob.evaluator import (
+from repro.prob import (
     intersection_node_probability,
     node_probability,
 )

@@ -11,9 +11,13 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.prob import EvaluationEngine, node_probability, query_answer
+from repro.prob import (
+    EvaluationEngine,
+    intersection_node_probability,
+    node_probability,
+    query_answer,
+)
 from repro.prob.engine import boolean_probability, intersection_answer
-from repro.prob.evaluator import intersection_node_probability
 from repro.workloads.synthetic import random_pdocument, random_tree_pattern
 
 LABELS = ("a", "b", "c")

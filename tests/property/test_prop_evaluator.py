@@ -8,10 +8,10 @@ from repro.prob import (
     boolean_probability,
     brute_force_boolean_probability,
     brute_force_query_answer,
+    intersection_node_probability,
     query_answer,
 )
 from repro.prob.bruteforce import brute_force_intersection_node_probability
-from repro.prob.evaluator import intersection_node_probability
 from repro.pxml.worlds import enumerate_worlds
 from repro.workloads.synthetic import random_pdocument, random_tree_pattern
 

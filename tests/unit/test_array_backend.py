@@ -30,7 +30,7 @@ from repro.probability_array import (
 )
 from repro.prob import QuerySession, query_answer
 from repro.prob.engine import boolean_probability, node_probability
-from repro.store import SqliteStore
+from repro.store import InMemoryStore, SqliteStore
 from repro.workloads import paper
 from repro.workloads.synthetic import (
     batch_workload,
@@ -222,6 +222,26 @@ class TestStackedSession:
         fresh = session.boolean_many(items)
         assert session.stats.traversals == walked + 1  # memo dropped
         assert [float(x) for x in fresh] == [float(x) for x in first]
+
+    def test_stacked_group_walks_like_the_classic_pass(self):
+        # The stacked pass is one lane group of the same walk as the
+        # classic per-lane pass: cold, and again from a warm store, both
+        # expand and skip exactly the same subtrees.
+        p, queries = batch_workload(persons=12, projects=4, seed=12)
+        items = [(q, {q.out: 101}) for q in queries]
+        walked = {}
+        for backend in ("array", "fast"):
+            store = InMemoryStore()
+            counts = []
+            for _ in range(2):  # cold, then a fresh session, warm store
+                session = QuerySession(p, backend=backend, store=store)
+                session.answer_many(queries)
+                session.boolean_many(items)
+                stats = session.stats
+                counts.append((stats.node_visits, stats.subtree_skips))
+            walked[backend] = counts
+        assert walked["array"] == walked["fast"]
+        assert walked["array"][1][0] < walked["array"][0][0]
 
     def test_width_fallback_inside_stacked_pass(self):
         backend = ArrayBackend(width_threshold=1)

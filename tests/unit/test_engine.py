@@ -18,7 +18,6 @@ from repro.probability import (
 )
 from repro.prob import (
     EvaluationEngine,
-    ProbEvaluator,
     brute_force_boolean_probability,
     brute_force_query_answer,
     node_probability,
@@ -223,11 +222,11 @@ class TestStableAnchors:
         assert copy.node_at(path).label == q.out.label
         assert copy.node_at(path) is copy.out
 
-    def test_legacy_id_anchors_still_accepted(self, p_per):
+    def test_legacy_id_anchors_rejected(self, p_per):
+        # id(pattern_node) keys break on copies and recycled ids.
         q = paper.v2_bon()
-        assert ProbEvaluator(
-            p_per, [q], {id(q.out): 5}
-        ).all_match_probability() == Fraction(1)
+        with pytest.raises(PatternError):
+            EvaluationEngine(p_per, [q], {id(q.out): 5})
 
     def test_foreign_keys_rejected(self, p_per):
         q = paper.v2_bon()
@@ -257,19 +256,6 @@ class TestStableAnchors:
         p = pdoc(ordinary(0, "a", ind(1, (ordinary(2, "b"), "0.5"))))
         q = parse_pattern("a/b")
         assert brute_force_boolean_probability(p, q, {q.out: 2}) == Fraction(1, 2)
-
-
-class TestShimCompatibility:
-    def test_prob_evaluator_matches_engine(self, p_per):
-        q = paper.q_bon()
-        shim = ProbEvaluator(p_per, [q], {id(q.out): 5})
-        engine = EvaluationEngine(p_per, [q], {q.out: 5})
-        assert shim.all_match_probability() == engine.match_probability()
-
-    def test_goal_ids_exposed(self, p_per):
-        q = paper.q_bon()
-        shim = ProbEvaluator(p_per, [q])
-        assert shim.a_goal(q.root) == shim.d_goal(q.root) + 1
 
 
 class TestAnchorSets:

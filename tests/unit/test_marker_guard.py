@@ -1,8 +1,8 @@
 """Guard: the ``Id(n)`` marker literal lives only in ``views/view.py``.
 
 Extensions are Id-free; the only production code allowed to spell the
-marker label is the sanctioned legacy shim (``_marker_label`` /
-``parse_marker_label`` in :mod:`repro.views.view`).  Any other
+marker label is the legacy decoder (``parse_marker_label`` in
+:mod:`repro.views.view`).  Any other
 occurrence of the *quoted* literal ``"Id("`` / ``'Id('`` in ``src/``
 means marker construction or label sniffing crept back in.
 

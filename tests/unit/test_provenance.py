@@ -2,8 +2,7 @@
 
 Covers: round-trip equivalence against a legacy marker-bearing reference
 implementation (``occurrence_copies`` / ``selected_ancestors_or_self`` /
-``nodes_between`` answer identically), legacy decode via
-:meth:`ProvenanceTable.from_markers`, digest sharing between extensions
+``nodes_between`` answer identically), digest sharing between extensions
 and their base documents, and the no-silent-mis-share guarantee for
 marker-era documents.
 """
@@ -18,7 +17,7 @@ from repro.store import InMemoryStore
 from repro.tp import parse_pattern
 from repro.views import ProvenanceTable, View, probabilistic_extension
 from repro.views.extension import ProbabilisticViewExtension
-from repro.views.view import _marker_label, parse_marker_label
+from repro.views.view import parse_marker_label
 from repro.workloads import paper
 from repro.workloads.synthetic import isomorphic_twin
 
@@ -27,16 +26,25 @@ from repro.workloads.synthetic import isomorphic_twin
 # Legacy reference implementation: the pre-Id-free §3.1 construction
 # (markers planted in the tree), kept here as the round-trip oracle.
 # ----------------------------------------------------------------------
+def _marker_label(original: int) -> str:
+    return f"Id({original})"
+
+
 def legacy_marker_extension(p: PDocument, view: View) -> ProbabilisticViewExtension:
+    """Markers planted in the tree; the provenance table is recorded
+    while copying, so provenance queries and marker scans run over the
+    same document."""
     answer = query_answer(p, view.pattern)
     fresh = itertools.count(1)
     root = PNode(0, PNodeKind.ORDINARY, view.doc_label)
     bundle = PNode(next(fresh), PNodeKind.IND)
     subtree_roots: dict[int, int] = {}
+    provenance = ProvenanceTable()
 
-    def copy_with_markers(source: PNode) -> PNode:
+    def copy_with_markers(source: PNode, holder: int) -> PNode:
         copy = PNode(next(fresh), source.kind, source.label)
         if source.is_ordinary:
+            provenance.record(source.node_id, copy.node_id, holder)
             copy.add_child(
                 PNode(next(fresh), PNodeKind.ORDINARY, _marker_label(source.node_id))
             )
@@ -46,11 +54,11 @@ def legacy_marker_extension(p: PDocument, view: View) -> ProbabilisticViewExtens
                 if source.probabilities is not None
                 else None
             )
-            copy.add_child(copy_with_markers(child), probability)
+            copy.add_child(copy_with_markers(child, holder), probability)
         return copy
 
     for selected in sorted(answer):
-        copy = copy_with_markers(p.node(selected))
+        copy = copy_with_markers(p.node(selected), selected)
         bundle.add_child(copy, answer[selected])
         subtree_roots[selected] = copy.node_id
     if subtree_roots:
@@ -61,7 +69,7 @@ def legacy_marker_extension(p: PDocument, view: View) -> ProbabilisticViewExtens
         pdocument=pdocument,
         selection=dict(answer),
         subtree_roots=subtree_roots,
-        provenance=ProvenanceTable.from_markers(pdocument),
+        provenance=provenance.bind(pdocument),
     )
 
 
@@ -129,9 +137,9 @@ FIXTURES = [
 class TestRoundTripAgainstMarkers:
     """The provenance implementation answers identically to the marker one.
 
-    The legacy extension's provenance is decoded *from its markers*
-    (:meth:`ProvenanceTable.from_markers`), so both code paths run over
-    the same document and must agree node-for-node.
+    The legacy extension carries both markers and a provenance table,
+    so both code paths run over the same document and must agree
+    node-for-node.
     """
 
     def test_occurrence_copies(self, make_p, make_view):
@@ -168,25 +176,6 @@ class TestRoundTripAgainstMarkers:
         modern = probabilistic_extension(make_p(), make_view())
         assert legacy.selection == modern.selection
         assert legacy.occurrences == modern.occurrences
-
-
-class TestFromMarkers:
-    def test_decodes_holders_and_originals(self):
-        legacy = legacy_marker_extension(
-            paper.p_per(), View("v2BON", paper.v2_bon())
-        )
-        table = legacy.provenance
-        for original, root_copy in legacy.subtree_roots.items():
-            assert table.original_of(root_copy) == original
-            assert table.holder_of(root_copy) == original
-        # Marker nodes themselves are never recorded as copies.
-        for node in legacy.pdocument.ordinary_nodes():
-            if node.label and parse_marker_label(node.label) is not None:
-                assert table.original_of(node.node_id) is None
-
-    def test_empty_for_marker_free_document(self, p_per):
-        ext = probabilistic_extension(p_per, View("v2BON", paper.v2_bon()))
-        assert len(ProvenanceTable.from_markers(ext.pdocument)) == 0
 
 
 class TestDigestSharing:

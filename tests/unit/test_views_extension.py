@@ -9,13 +9,11 @@ from fractions import Fraction
 import pytest
 
 from repro.prob import boolean_probability
-from repro.tp import parse_pattern
+from repro.tp import Axis, PatternNode, parse_pattern
 from repro.tp.embedding import evaluate
 from repro.views import (
     View,
-    anchor_via_marker,
     deterministic_extension,
-    marker_label,
     parse_marker_label,
     probabilistic_extension,
 )
@@ -24,17 +22,18 @@ from repro.workloads import paper
 
 class TestLegacyMarkerShim:
     def test_roundtrip(self):
-        with pytest.deprecated_call():
-            label = marker_label(42)
-        assert parse_marker_label(label) == 42
+        assert parse_marker_label("Id(42)") == 42
 
     def test_non_marker(self):
         assert parse_marker_label("bonus") is None
         assert parse_marker_label("Id(x)") is None
 
-    def test_marker_label_warns_with_pointer(self):
-        with pytest.warns(DeprecationWarning, match="provenance anchor sets"):
-            marker_label(7)
+    def test_marker_pattern_matches_nothing(self, ext_v2):
+        # A pre-Id-free pattern pinned its output through an Id(n) child;
+        # Id-free extensions hold no such node.
+        qr = parse_pattern("doc(v2BON)/bonus[laptop]")
+        qr.out.add_child(PatternNode("Id(5)", Axis.CHILD))
+        assert boolean_probability(ext_v2.pdocument, qr) == 0
 
     def test_parse_is_a_silent_decode_shim(self, recwarn):
         assert parse_marker_label("Id(3)") == 3
@@ -180,19 +179,3 @@ class TestProvenanceAnchoring:
             )
             == 0
         )
-
-
-class TestAnchorViaMarkerDeprecated:
-    def test_warns_and_builds_legacy_pattern(self):
-        q = parse_pattern("doc(v)/bonus")
-        with pytest.warns(DeprecationWarning, match="provenance anchor sets"):
-            anchored = anchor_via_marker(q, 5)
-        assert {
-            parse_marker_label(n.label) for n in anchored.predicate_nodes()
-        } == {5}
-
-    def test_marker_pattern_cannot_match_id_free_extension(self, ext_v2):
-        qr = parse_pattern("doc(v2BON)/bonus[laptop]")
-        with pytest.warns(DeprecationWarning):
-            anchored = anchor_via_marker(qr, 5)
-        assert boolean_probability(ext_v2.pdocument, anchored) == 0
