@@ -1,10 +1,10 @@
 """Anchored-evaluation benchmark: canonical anchor positions, with the
 node-keyed baseline kept as a recorded number.
 
-The rewrite layer's hottest traffic — Theorem 1's per-holder numerators
-and Theorem 2's α-pattern conjunctions — is *anchored*: pattern nodes
-pinned to concrete document nodes.  Until ISSUE 5 those evaluations
-bypassed the structural memo store (anchors pin node Ids, which are
+The rewrite layer's anchored traffic — Theorem 2's α-pattern
+conjunctions and the per-node ``fr`` numerators — pins pattern nodes to
+concrete document nodes.  Those evaluations used to bypass the
+structural memo store (anchors pin node Ids, which are
 document identity, not structure) and lived in per-session node-keyed
 memos, so every fresh plan, extension, restart or isomorphic twin paid
 them cold.  Canonical anchor *positions* (digest-sorted rank paths)
@@ -13,8 +13,9 @@ turn them into content-addressed store entries.
 Two workloads, each timed against a shared
 :class:`~repro.store.InMemoryStore`:
 
-* ``theorem1`` — the personnel family (restricted plan: batched
-  numerators + per-holder denominators);
+* ``theorem1`` — the personnel family (restricted plan: every
+  numerator and denominator from one unanchored pinned pass, so it
+  reports 0 anchored entries — the unanchored reference);
 * ``theorem2`` — nested ``b/c``-chain documents where
   ``a//b/c/b/c`` rewrites ``a//b/c/b/c//d`` unrestrictedly
   (inclusion-exclusion over overlapping holders, α-patterns with
@@ -330,7 +331,7 @@ def test_theorem1_warm(benchmark, report, persons):
     assert answer == expected
     report.append(
         f"anchored persons={persons}: warm Theorem-1 plan, "
-        "position-keyed store"
+        "one pinned pass over the shared store"
     )
 
 
@@ -448,7 +449,8 @@ def run(sizes: list[int], repeats: int = 3) -> dict:
         "benchmark": "bench_anchored",
         "workloads": {
             "theorem1": "personnel family, restricted plan "
-            "(batched anchored numerators + per-holder denominators)",
+            "(one unanchored pinned pass: numerators and denominators "
+            "of every candidate, 0 anchored entries)",
             "theorem2": "nested b/c chains, unrestricted plan "
             "(inclusion-exclusion, engine-anchored α-patterns)",
         },
@@ -513,9 +515,10 @@ def main(argv: list[str] | None = None) -> int:
             RECORDED_NODE_KEYED[name][-1],
         )
         print(
-            f"{name} persons={largest['persons']}: warm anchored "
+            f"{name} persons={largest['persons']}: warm plan "
             f"{largest['warm_anchored_s'] * 1e3:.2f} ms "
-            f"({largest['anchored_entries']} anchored entries); recorded "
+            f"({largest['anchored_entries']} anchored entries"
+            f"{'; one unanchored pass' if name == 'theorem1' else ''}); recorded "
             f"node-keyed baseline ×{recorded['warm_speedup']:.1f} slower "
             f"at persons={recorded['persons']}"
         )

@@ -92,7 +92,7 @@ class RewritingCache:
             :class:`repro.store.SqliteStore` makes it survive restarts.
             Anchored evaluations are content-addressed under canonical
             anchor-position keys, so the rewriting plans' per-extension
-            sessions share Theorem-1/2 entries with the base document's
+            sessions share their entries with the base document's
             store.
     """
 

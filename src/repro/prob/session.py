@@ -42,7 +42,7 @@ memory pressure instead of the old clear-at-capacity purge.  *Anchored*
 restrictions are content-addressed too: anchor values are abstracted out
 of the fingerprint and re-bound to canonical anchor *positions*
 (digest-sorted rank paths, :meth:`repro.pxml.pdocument.PDocument.
-anchor_index`), so the rewrite layer's Theorem-1/2 anchored traffic
+anchor_index`), so the rewrite layer's anchored traffic (Theorem 2)
 shares entries across extensions, subdocuments, restarts and isomorphic
 twin documents.
 
@@ -69,10 +69,11 @@ sibling subtrees keep hitting — content addressing makes invalidation
 automatic and minimal, and the session records each spine refresh on
 the store (:meth:`repro.store.MemoStore.record_spine_recompute`).
 
-The session also backs the rewrite layer: plans route their numerator /
-denominator / α-pattern evaluations through
-:meth:`QuerySession.boolean_many`, which batches anchored Boolean
-(TP / TP∩) probabilities through the same shared pass and memo.
+The session also backs the rewrite layer: a restricted plan answers
+Theorem 1 for all candidates with one :meth:`QuerySession.answer_many`
+pass over the extension, and Theorem 2's α-pattern evaluations go
+through :meth:`QuerySession.boolean_many`, which batches anchored
+Boolean (TP / TP∩) probabilities through the same shared pass and memo.
 """
 
 from __future__ import annotations

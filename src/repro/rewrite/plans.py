@@ -16,25 +16,27 @@ rewriting.  Two plan shapes exist:
 
 Both plan shapes carry a caller-chosen numeric ``backend`` (``"exact"``
 Fractions by default, ``"fast"`` floats for throughput) and route their
-inner evaluations — Theorem 1's numerators and denominators, Theorem 2's
-α-pattern conjunctions — through a :class:`repro.prob.session.QuerySession`
-over the extension p-document, so that a whole `evaluate()` call shares
-one cross-query subtree memo instead of spawning a fresh exact evaluator
-per candidate node.
+inner evaluations through a :class:`repro.prob.session.QuerySession` over
+the extension p-document.  A restricted plan's ``evaluate()`` is **one**
+pinned pass, ``answer_many([q_r, doc(v)/v_(k)])``: the first lane gives
+every copy's ``Pr(c ∈ q_r(P̂_v))`` (an original's numerator is the
+independent union of its copies'), the second every holder's
+denominator scaled by its ``ind`` edge — so Theorem 1 over the whole
+extension costs one linear traversal, whatever the candidate count.
 
-The paper's ``Id(n)``-marker device is realized through *engine anchors*
-over the extension's provenance table rather than marker pattern nodes:
-pinning a pattern node to the set of ``n``'s occurrence copies
-(:meth:`repro.views.extension.ProbabilisticViewExtension.
-occurrence_copies`, served by :class:`repro.views.provenance.
-ProvenanceTable`) is equivalent to requiring a legacy marker child
-(extensions are Id-free and contain none), but keeps the goal table identical
-across candidates — anchor values are abstracted out of the memo
-fingerprints and re-bound to canonical anchor *positions*
-(:mod:`repro.store.keys`), so the per-holder numerators, denominators
-and α-pattern conjunctions that dominate Theorem-1/2 answering become
-content-addressed store traffic instead of always-cold node-keyed work
-(measured by ``benchmarks/bench_anchored.py``).
+The paper's ``Id(n)``-marker device, which the per-node ``fr()`` and
+Theorem 2's α-pattern conjunctions still need, is realized through
+*engine anchors* over the extension's provenance table rather than
+marker pattern nodes: pinning a pattern node to the set of ``n``'s
+occurrence copies (:meth:`repro.views.extension.
+ProbabilisticViewExtension.occurrence_copies`, served by
+:class:`repro.views.provenance.ProvenanceTable`) is equivalent to
+requiring a legacy marker child (extensions are Id-free and contain
+none), but keeps the goal table identical across candidates — anchor
+values are abstracted out of the memo fingerprints and re-bound to
+canonical anchor *positions* (:mod:`repro.store.keys`), so that anchored
+traffic is content-addressed store traffic instead of always-cold
+node-keyed work (measured by ``benchmarks/bench_anchored.py``).
 """
 
 from __future__ import annotations
@@ -82,8 +84,8 @@ class TPRewritePlan:
             and their subdocuments — with a store shared with the base
             document (as :class:`repro.cache.RewritingCache` does),
             isomorphic subtrees of the document and its extensions share
-            one evaluation, and the plan's anchored Theorem-1/2 traffic
-            shares canonical anchor-position entries.
+            one evaluation, and the plan's anchored traffic (``fr()``,
+            Theorem 2) shares canonical anchor-position entries.
     """
 
     query: TreePattern
@@ -98,15 +100,17 @@ class TPRewritePlan:
     # Per-extension evaluation caches, single-slot keyed on the extension's
     # identity (all entries are derived from one extension's p-document and
     # must never leak to another): the session over the extension document
-    # (cross-candidate subtree memo), Theorem 1's per-holder denominators,
-    # and Theorem 2's per-holder subdocument sessions.
+    # (cross-candidate subtree memo), the per-holder denominators of
+    # ``fr()`` and Theorem 2, and Theorem 2's per-holder subdocument
+    # sessions.
     _extension_caches: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
     # Extension-independent derived patterns, built once per plan: the
     # denominator pattern ``v_(k)``, the view's last token and its
-    # main-branch length, and the α-conjuncts per overlap length ``s``
-    # (identical across candidates and holders).
+    # main-branch length, the batched denominator lane ``doc(v)/v_(k)``,
+    # and the α-conjuncts per overlap length ``s`` (identical across
+    # candidates and holders).
     _derived: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -227,15 +231,20 @@ class TPRewritePlan:
             return backend.zero
         return numerator / denominator
 
-    def _suffix_and_token(self) -> tuple:
-        """``(v_(k), last token, m)``, derived from the view once per plan."""
+    def _view_parts(self) -> tuple:
+        """``(v_(k), last token, m, doc(v)/v_(k))``, derived from the view
+        once per plan."""
         cached = self._derived
         if cached is None:
             token = ops.last_token(self.view.pattern)
+            holder_suffix = ops.suffix(self.view.pattern, self.k)
+            root = PatternNode(self.view.doc_label, Axis.CHILD)
+            root.add_child(holder_suffix.root)
             cached = self._derived = (
                 ops.suffix(self.view.pattern, self.k),
                 token,
                 token.main_branch_length(),
+                TreePattern(root, holder_suffix.out),
             )
         return cached
 
@@ -251,7 +260,7 @@ class TPRewritePlan:
         _, denominators, _ = self._caches_for(extension)
         key = (holder, backend.name)
         if key not in denominators:
-            out_token_node, _, _ = self._suffix_and_token()
+            out_token_node = self._view_parts()[0]
             denominators[key] = self._subdocument_session(
                 extension, holder
             ).boolean_probability(out_token_node)
@@ -340,7 +349,7 @@ class TPRewritePlan:
 
         components = [self.compensation]
         pin(0, self.compensation.path_to(self.compensation.out), node_id)
-        _, token, m = self._suffix_and_token()
+        _, token, m, _ = self._view_parts()
         for index, deeper in enumerate(subset[1:], start=1):
             s = extension.nodes_between(top, deeper)
             component, (deeper_path, out_path) = self._alpha_component(
@@ -414,33 +423,32 @@ class TPRewritePlan:
     ) -> dict[int, Union[Fraction, float]]:
         """The complete probabilistic answer ``q(P̂)`` from the extension.
 
-        Restricted plans batch every candidate's numerator through one
-        shared session pass (`QuerySession.boolean_many`); unrestricted
-        plans share per-holder subdocument sessions across candidates.
+        Restricted plans read every candidate's numerator and denominator
+        off one pinned session pass over the extension
+        (:meth:`_restricted_batch`), which also yields the candidates;
+        unrestricted plans share per-holder subdocument sessions across
+        candidates.
         """
         backend = get_backend(self.backend)
         self._check_extension(extension, session)
+        if self.restricted:
+            if session is None:
+                session, _, _ = self._caches_for(extension)
+            with trace_span("rewrite.plan", kind="restricted") as sp:
+                answer = self._restricted_batch(extension, session, backend)
+                if sp:
+                    sp.set("answers", len(answer))
+            return answer
         candidates = self._candidates(extension)
         answer: dict[int, Union[Fraction, float]] = {}
         if not candidates:
             return answer
         with trace_span(
-            "rewrite.plan",
-            kind="restricted" if self.restricted else "unrestricted",
-            candidates=len(candidates),
+            "rewrite.plan", kind="unrestricted", candidates=len(candidates)
         ) as sp:
             zero = backend.zero
-            if self.restricted:
-                if session is None:
-                    session, _, _ = self._caches_for(extension)
-                probabilities = self._restricted_batch(
-                    extension, candidates, session, backend
-                )
-            else:
-                probabilities = [
-                    self.fr(extension, node_id) for node_id in candidates
-                ]
-            for node_id, probability in zip(candidates, probabilities):
+            for node_id in candidates:
+                probability = self.fr(extension, node_id)
                 if probability > zero:
                     answer[node_id] = probability
             if sp:
@@ -450,53 +458,55 @@ class TPRewritePlan:
     def _restricted_batch(
         self,
         extension: ProbabilisticViewExtension,
-        candidates: list[int],
         session: QuerySession,
         backend,
-    ) -> list:
-        """Theorem 1 over a whole candidate list, numerators batched.
+    ) -> dict[int, Union[Fraction, float]]:
+        """Theorem 1 for every candidate from one pinned pass.
 
-        Candidates without a compensation-reachable holder have ``f_r = 0``
-        and are excluded from the numerator batch up front.
+        ``session.answer_many([q_r, doc(v)/v_(k)])`` walks the extension
+        once.  Its first lane gives ``Pr(c ∈ q_r(P̂_v))`` for every copy
+        ``c``; an original's numerator is the independent union of its
+        copies' values — ``q_r`` keeps each embedding inside one result
+        subtree, and a result subtree holds one copy of each descendant,
+        so the copies sit in distinct ``ind`` children of ``doc(v)``.
+        ``v_(k)``'s root is its out, so the second lane read at holder
+        ``n_a``'s subtree-root copy is ``selection[n_a] ·
+        Pr(n_a ∈ v_(k)(P̂_v^{n_a}))``; dividing out the (positive) ``ind``
+        edge leaves the denominator.  Only originals with a positive
+        numerator are candidates, and only positive quotients are kept.
         """
-        holder_of: dict[int, Optional[int]] = {}
-        for node_id in candidates:
-            holders = extension.selected_ancestors_or_self(node_id)
-            holder_of[node_id] = (
-                self._relevant_holder(extension, node_id, holders)
-                if holders
-                else None
+        with trace_span("rewrite.t1.numerators", items=1):
+            copies, roots = session.answer_many(
+                [self.qr, self._view_parts()[3]]
             )
-        evaluable = [n for n in candidates if holder_of[n] is not None]
-        with trace_span("rewrite.t1.numerators", items=len(evaluable)):
-            numerators = dict(
-                zip(
-                    evaluable,
-                    session.boolean_many(
-                        [
-                            (
-                                self.qr,
-                                {self.qr.out: extension.occurrence_copies(n)},
-                            )
-                            for n in evaluable
-                        ]
-                    ),
+            original_of = extension.provenance.original_of
+            numerators: dict = {}
+            for copy_id, probability in copies.items():
+                original = original_of(copy_id)
+                union = numerators.get(original)
+                # The stable union acc + p − acc·p: the complement form
+                # 1 − Π(1 − p) rounds tiny float probabilities to zero.
+                numerators[original] = (
+                    probability
+                    if union is None
+                    else union + probability - union * probability
                 )
-            )
-        with trace_span("rewrite.t1.denominators", candidates=len(candidates)):
-            probabilities = []
-            for node_id in candidates:
-                n_a = holder_of[node_id]
+        with trace_span("rewrite.t1.denominators", candidates=len(numerators)):
+            zero = backend.zero
+            answer: dict[int, Union[Fraction, float]] = {}
+            for node_id in sorted(numerators):
+                holders = extension.selected_ancestors_or_self(node_id)
+                n_a = self._relevant_holder(extension, node_id, holders)
                 if n_a is None:
-                    probabilities.append(backend.zero)
                     continue
-                denominator = self._denominator(extension, n_a, backend)
-                probabilities.append(
-                    numerators[node_id] / denominator
-                    if denominator
-                    else backend.zero
-                )
-        return probabilities
+                scaled = roots.get(extension.subtree_roots[n_a])
+                if not scaled:
+                    continue
+                denominator = scaled / backend.convert(extension.selection[n_a])
+                probability = numerators[node_id] / denominator
+                if probability > zero:
+                    answer[node_id] = probability
+        return answer
 
     def _candidates(self, extension: ProbabilisticViewExtension) -> list[int]:
         """Original node Ids that the deterministic part q_r may select.

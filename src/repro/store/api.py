@@ -19,8 +19,9 @@ Keys are 5-tuples
   holding the sorted *rank paths* (digest-sorted child order, relative
   to the keyed subtree's root) of the admissible document nodes inside
   the subtree.  Positions are isomorphism-invariant, which is what turns
-  the rewrite layer's anchored Theorem-1/2 traffic into shareable
-  content-addressed entries (see :mod:`repro.store.keys`);
+  the rewrite layer's anchored traffic (Theorem 2, per-node ``fr``)
+  into shareable content-addressed entries (see
+  :mod:`repro.store.keys`);
 * ``gate`` — :data:`GATE_BLOCKED` / :data:`GATE_UNPINNED`, or ``None``
   when the restriction holds no output-node entry and the two evaluations
   coincide;
@@ -178,10 +179,10 @@ class MemoStore(ABC):
             surfaced by :meth:`stats`.
         anchored_hits / anchored_misses / anchored_puts: the subset of the
             traffic whose keys carry an anchor-position component
-            (:func:`is_anchored_key`) — the rewrite layer's Theorem-1/2
-            anchored evaluations.  Concrete ``get``/``put``
-            implementations maintain them via :meth:`_count_get` /
-            :meth:`_count_put`.
+            (:func:`is_anchored_key`) — the rewrite layer's anchored
+            evaluations (Theorem 2, per-node ``fr``).  Concrete
+            ``get``/``put`` implementations maintain them via
+            :meth:`_count_get` / :meth:`_count_put`.
         spine_recomputes / survived_entries: write-path counters
             maintained by :meth:`record_spine_recompute` — how many
             spine-only document mutations this store lived through, and

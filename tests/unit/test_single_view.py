@@ -215,3 +215,61 @@ class TestPlanReuseAcrossExtensions:
         for p in documents:
             ext = probabilistic_extension(p, view)
             assert plan.evaluate(ext) == query_answer(p, q)
+
+
+class TestRestrictedOnePass:
+    """Theorem 1 over a whole extension is one pinned session pass."""
+
+    @pytest.mark.parametrize("backend", ["exact", "fast", "array"])
+    def test_tiny_copy_probability_survives(self, backend):
+        """An answer of probability 1e-20 must not round away: the copy
+        union is ``acc + p − acc·p``, never ``1 − Π(1 − p)``."""
+        from repro.pxml import mux, ordinary, pdoc
+        from repro.workloads.synthetic import personnel_query, personnel_views
+
+        p = pdoc(
+            ordinary(1, "IT-personnel",
+                     ordinary(100, "person",
+                              ordinary(2, "name", ordinary(3, "Rick")),
+                              ordinary(101, "bonus",
+                                       mux(4, (ordinary(5, "project0"),
+                                               "1e-20"))))))
+        q = personnel_query("project0")
+        view = personnel_views()[0]
+        plan = probabilistic_tp_plan(q, view, backend=backend)
+        assert plan is not None and plan.restricted
+        got = plan.evaluate(probabilistic_extension(p, view, backend=backend))
+        assert set(got) == {101}
+        if backend == "exact":
+            assert got[101] == Fraction(1, 10**20)
+        else:
+            assert got[101] == pytest.approx(1e-20, rel=1e-9)
+
+    @pytest.mark.parametrize("persons", [2, 12])
+    def test_one_traversal_and_no_subdocument_sessions(
+        self, persons, monkeypatch
+    ):
+        import repro.rewrite.plans as plans
+        from repro.prob import QuerySession
+        from repro.workloads.synthetic import (
+            personnel_pdocument,
+            personnel_query,
+            personnel_views,
+        )
+
+        p = personnel_pdocument(persons=persons, projects=3, seed=persons)
+        q = personnel_query("project0")
+        view = personnel_views()[0]
+        plan = probabilistic_tp_plan(q, view)
+        ext = probabilistic_extension(p, view)
+        session = QuerySession(ext.pdocument)
+
+        def no_session(*args, **kwargs):
+            raise AssertionError("restricted evaluate opened a session")
+
+        monkeypatch.setattr(plans, "QuerySession", no_session)
+        monkeypatch.setattr(ext, "result_subdocument", no_session)
+        answer = plan.evaluate(ext, session=session)
+        assert answer == query_answer(p, q)
+        assert len(answer) >= 1
+        assert session.stats.traversals == 1

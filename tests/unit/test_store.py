@@ -480,18 +480,29 @@ class TestAnchoredStoreBacked:
         assert node_probability(p_per, q, 5, store=store) == first
         assert store.anchored_hits > hits_before
 
-    def test_cache_stats_surface_anchored_counters(self, p_per):
-        from repro.cache import RewritingCache
+    def test_cache_stats_surface_anchored_counters(self):
+        # Theorem 1 answers from one unanchored pass; Theorem 2's
+        # α-pattern conjunctions are the cache's anchored traffic.
+        from repro.cache import AnswerSource, RewritingCache
+        from repro.pxml import ind, ordinary, pdoc
+        from repro.tp import parse_pattern
         from repro.views.view import View
 
-        cache = RewritingCache(p_per, store=InMemoryStore())
-        cache.materialize(View("v1", paper.v1_bon()))
-        cache.answer(paper.q_rbon())
+        chain = ordinary(10, "c", ind(11, (ordinary(12, "d"), "0.5")))
+        for node_id, label in zip(range(13, 18), "bcbcb"):
+            chain = ordinary(node_id, label, chain)
+        p = pdoc(ordinary(0, "a", chain))
+        q = parse_pattern("a//b/c/b/c//d")
+        cache = RewritingCache(p, store=InMemoryStore())
+        cache.materialize(View("v", parse_pattern("a//b/c/b/c")))
+        first = cache.answer(q)
+        assert first.source is AnswerSource.SINGLE_VIEW
+        assert first.answer == query_answer(p, q)
         stats = cache.stats()
         anchored = stats["anchored"]
         assert anchored["store_puts"] > 0
         assert stats["store"]["anchored_entries"] > 0
-        cache.answer(paper.q_rbon())
+        cache.answer(q)
         assert cache.stats()["anchored"]["store_hits"] > anchored["store_hits"]
 
 
