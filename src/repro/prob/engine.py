@@ -67,12 +67,12 @@ from ..probability import (
 )
 from ..pxml.pdocument import PDocument, PNode, PNodeKind
 from ..store import GATE_BLOCKED, GATE_UNPINNED, MemoStore, SubtreeKeyer
-from ..tp.embedding import evaluate as evaluate_deterministic
 from ..tp.pattern import Axis, PatternNode, TreePattern
 from .traversal import Lane, stored_postorder
 
 __all__ = [
     "EvaluationEngine",
+    "candidate_sets",
     "AnchorsLike",
     "normalize_anchors",
     "boolean_probability",
@@ -412,10 +412,10 @@ class EvaluationEngine:
     def candidate_ids(self) -> set[int]:
         """Node Ids that *some* world may select for every pattern jointly.
 
-        Read off the maximal world, a superset of every possible world.
+        Read off the maximal world, a superset of every possible world,
+        by one :func:`candidate_sets` walk for all patterns.
         """
-        world = self.p.max_world()
-        sets = [evaluate_deterministic(q, world) for q in self.patterns]
+        sets = candidate_sets(self.p, self.patterns)
         return set.intersection(*sets) if sets else set()
 
     def answer(
@@ -670,6 +670,138 @@ class EvaluationEngine:
 
 
 # ----------------------------------------------------------------------
+# Candidate discovery
+# ----------------------------------------------------------------------
+def candidate_sets(
+    p: PDocument, patterns: Sequence[TreePattern]
+) -> list[set[int]]:
+    """``[q(max world of p) for q in patterns]``, from one walk of ``p``.
+
+    A node is a candidate of ``q`` when *some* possible world may select
+    it; the maximal world (every ordinary node kept, distributional nodes
+    contracted) is a superset of every world, so the candidates are
+    ``q(p.max_world())`` — computed here without building that copy and
+    for all patterns at once, in ``O(|p| · table)`` with no recursion:
+
+    * **bottom-up**, the engine's goal rewrite on plain int masks, over
+      the goals of every pattern node *off* the main branches (numbered
+      jointly: D-bit ``1 << 2g``, A-bit ``1 << (2g + 1)``).  Distributional
+      nodes are transparent: they pass up the OR of their children.
+    * **top-down**, one bit per main-branch node (each pattern's branch
+      numbered consecutively, root → out).  A node holds bit ``k`` when
+      its label is main-branch node ``k``'s, ``k``'s predicate goals hold
+      below it, and its max-world parent (``/``) or some proper ancestor
+      (``//``) holds bit ``k - 1``.  Subtrees where no branch bit holds
+      at or above them are pruned.
+
+    Anchors play no part: an anchored evaluation's candidates are a
+    subset of these.
+    """
+    # label -> [(D|A bits, need)] for predicate goals; label -> [(branch
+    # bit, predicate need)] for main-branch nodes.
+    goal_entries: dict[str, list[tuple[int, int]]] = {}
+    branch_entries: dict[str, list[tuple[int, int]]] = {}
+    a_mask = first_bits = child_bits = desc_bits = out_mask = 0
+    outs: list[tuple[int, int]] = []
+    goal_count = branch_count = 0
+    for index, pattern in enumerate(patterns):
+        branch = pattern.main_branch()
+        on_branch = {id(u) for u in branch}
+        predicates = [
+            u for u in pattern.root.iter_subtree() if id(u) not in on_branch
+        ]
+        goal_of = {
+            id(u): goal_count + offset for offset, u in enumerate(predicates)
+        }
+        goal_count += len(predicates)
+        for u in predicates:
+            goal = goal_of[id(u)]
+            a_mask |= 1 << (2 * goal + 1)
+            goal_entries.setdefault(u.label, []).append(
+                (3 << (2 * goal), _predicate_need(u, goal_of))
+            )
+        for position, u in enumerate(branch):
+            bit = 1 << (branch_count + position)
+            branch_entries.setdefault(u.label, []).append(
+                (bit, _predicate_need(u, goal_of))
+            )
+            if position == 0:
+                first_bits |= bit
+            elif u.axis is Axis.CHILD:
+                child_bits |= bit
+            else:
+                desc_bits |= bit
+        out_bit = 1 << (branch_count + len(branch) - 1)
+        out_mask |= out_bit
+        outs.append((out_bit, index))
+        branch_count += len(branch)
+
+    root = p.root
+    below: dict[int, int] = {}  # node_id -> OR of its children's goals
+    if goal_entries:
+        # Reversed pre-order visits every child before its parent.
+        for node in reversed(list(root.iter_subtree())):
+            mask = below.get(node.node_id, 0)
+            label = node.label
+            if label is None:
+                emitted = mask
+            else:
+                emitted = mask & a_mask
+                entries = goal_entries.get(label)
+                if entries:
+                    for bits, need in entries:
+                        if mask & need == need:
+                            emitted |= bits
+            if emitted and node is not root:
+                parent_id = node.parent.node_id
+                below[parent_id] = below.get(parent_id, 0) | emitted
+
+    results: list[set[int]] = [set() for _ in patterns]
+    # (node, branch bits its position admits, branch bits held at or
+    # above its max-world parent)
+    stack = [(root, first_bits, 0)]
+    while stack:
+        node, admitted, up = stack.pop()
+        label = node.label
+        if label is None:
+            for child in node.children:
+                stack.append((child, admitted, up))
+            continue
+        here = 0
+        if admitted:
+            entries = branch_entries.get(label)
+            if entries:
+                mask = below.get(node.node_id, 0)
+                for bit, need in entries:
+                    if bit & admitted and mask & need == need:
+                        here |= bit
+                if here & out_mask:
+                    for out_bit, index in outs:
+                        if here & out_bit:
+                            results[index].add(node.node_id)
+        up |= here
+        if up:
+            admitted = ((here << 1) & child_bits) | ((up << 1) & desc_bits)
+            for child in node.children:
+                stack.append((child, admitted, up))
+    return results
+
+
+def _predicate_need(u: PatternNode, goal_of: dict) -> int:
+    """The goals ``u``'s predicate children must hold below a node.
+
+    A ``/`` child needs its D-bit, a ``//`` child its A-bit; the
+    main-branch continuation has no goal and is skipped.
+    """
+    need = 0
+    for child in u.children:
+        goal = goal_of.get(id(child))
+        if goal is not None:
+            need |= 1 << (2 * goal + (child.axis is Axis.DESC))
+    return need
+
+
+# ----------------------------------------------------------------------
 # Convenience wrappers
 # ----------------------------------------------------------------------
 def boolean_probability(
@@ -725,9 +857,9 @@ def query_answer(
 ):
     """``q(P̂)``: node Id ↦ probability, for all nodes with probability > 0.
 
-    Candidates are read off the maximal world (a superset of every world);
-    their probabilities are then all computed by **one** DP traversal of
-    the p-document.
+    Candidates are read off the maximal world (a superset of every world)
+    by :func:`candidate_sets`; their probabilities are then all computed
+    by **one** DP traversal of the p-document.
 
     Args:
         stats: optional instrumentation sink; receives ``node_visits``

@@ -61,7 +61,7 @@ p-document in place calls ``mark_mutated(node)``), the session consults
 *spine refresh*: stacked batch plans survive (their per-node key caches
 are pruned of dirty Ids and their answer memos cleared), and — when the
 mutation was probability-only, so the maximal world is unchanged —
-cached candidate sets and the world itself stay warm too.  Only a
+cached candidate sets stay warm too.  Only a
 whole-document :meth:`PDocument.mark_all_mutated` still triggers the
 historical full reset.  The structural store needs no purge either way: mutated
 subtrees change their digests and simply stop matching, while untouched
@@ -95,9 +95,8 @@ from ..store import (
     SubtreeKeyer,
     fingerprint_digest,
 )
-from ..tp.embedding import evaluate as evaluate_deterministic
 from ..tp.pattern import TreePattern
-from .engine import AnchorsLike, EvaluationEngine
+from .engine import AnchorsLike, EvaluationEngine, candidate_sets
 from .traversal import Lane, open_probe, stored_postorder
 
 __all__ = ["QuerySession", "SessionStats", "BooleanItem"]
@@ -239,7 +238,6 @@ class QuerySession:
         self.store = store
         self.stats = SessionStats()
         self._epoch = getattr(p, "mutation_epoch", 0)
-        self._world = None
         # Stacked-pass plan cache (array backend): batch id-signature ->
         # (strong query refs, prepared lanes/keyer).  Scoped to the
         # document's maximal world: spine refreshes keep it unless the
@@ -260,8 +258,9 @@ class QuerySession:
     ):
         """``[q(P̂) for q in queries]`` from one shared post-order pass.
 
-        Per-query candidates are read off the shared maximal world; all
-        queries' blocked/pinned distributions are then carried through a
+        Every query's candidates come from one walk of the document
+        (:func:`~repro.prob.engine.candidate_sets`); all queries'
+        blocked/pinned distributions are then carried through a
         single traversal of the p-document, consulting and filling the
         structural memo store.  Equals per-query
         :meth:`EvaluationEngine.answer` exactly (``exact`` backend) /
@@ -435,7 +434,6 @@ class QuerySession:
         """
         self.p.mark_all_mutated()
         self._epoch = self.p.mutation_epoch
-        self._world = None
         self._stacked.clear()
         self._candidates.clear()
         if self._owns_store:
@@ -469,7 +467,6 @@ class QuerySession:
 
     def _apply_refresh(self, dirty, sp) -> None:
         if dirty is None:
-            self._world = None
             self._stacked.clear()
             self._candidates.clear()
             self.stats.invalidations += 1
@@ -481,10 +478,9 @@ class QuerySession:
             sp.set("dirty_nodes", len(changed))
             sp.set("world_changed", world_changed)
         if world_changed:
-            # Labels or the node set moved: candidate sets, the maximal
-            # world and every stacked plan (whose lanes bake candidate /
-            # live sets in) are all suspect.
-            self._world = None
+            # Labels or the node set moved: candidate sets and every
+            # stacked plan (whose lanes bake candidate / live sets in)
+            # are suspect.
             self._candidates.clear()
             self._stacked.clear()
         else:
@@ -506,11 +502,6 @@ class QuerySession:
             stats.survived_plans += survived
         self.store.record_spine_recompute(len(self.store))
 
-    def _max_world(self):
-        if self._world is None:
-            self._world = self.p.max_world()
-        return self._world
-
     def _candidate_sets(
         self, engines: list[EvaluationEngine], queries: list[TreePattern]
     ) -> list[frozenset]:
@@ -520,8 +511,10 @@ class QuerySession:
         the query's goal table alone — but they *name node Ids*, so the
         cache key uses :meth:`PDocument.identity_digest` (Id-aware; two
         isomorphic documents with different Id assignments must not
-        share) plus the full goal-table fingerprint.  A warm store lets a
-        restarted worker skip building the maximal world entirely.
+        share) plus the full goal-table fingerprint.  Every query the
+        caches miss is computed by one :func:`~repro.prob.engine.
+        candidate_sets` walk of the document; a warm store lets a
+        restarted worker skip that walk entirely.
         """
         with trace_span(
             "session.candidates", queries=len(queries)
@@ -562,36 +555,51 @@ class QuerySession:
         wanted = [key for _, key, _ in plan if key is not None]
         if not wanted:
             return [known for _, _, known in plan]
-        # Two queries sharing a key count miss-then-hit and put once:
-        # the probe object's saves are presence-guarded (a probe plan
-        # also serves its pending saves).
         io = open_probe(self.store, lambda: (wanted, ()))
-        sets = []
-        for query, key, known in plan:
+        # Each distinct key is probed once; the misses share one walk and
+        # are saved, and only then are repeated keys probed.  Two queries
+        # sharing a key therefore count miss-then-hit and put once, as
+        # when each query probed and saved in turn (saves are
+        # presence-guarded; a probe plan also serves its pending saves).
+        found: dict = {}
+        missing: dict = {}
+        repeats = []
+        for query, key, _ in plan:
             if key is None:
-                sets.append(known)
+                continue
+            if key in found or key in missing:
+                repeats.append(key)
                 continue
             cached = io.probe(key)
             if cached is not None:
-                candidates = frozenset(cached)
+                found[key] = frozenset(cached)
             else:
-                candidates = frozenset(
-                    evaluate_deterministic(query, self._max_world())
-                )
-                # Recomputation means rebuilding the maximal world and
-                # running the deterministic embedding — O(document) — so
-                # weight by document size, not by the (often tiny)
-                # candidate count.
+                missing[key] = query
+        if missing:
+            computed = candidate_sets(self.p, list(missing.values()))
+            for key, candidates in zip(missing, computed):
+                found[key] = frozenset(candidates)
+                # Recomputation is a walk of the whole document, so weight
+                # by document size, not by the (often tiny) candidate
+                # count.
                 io.save(
                     key,
                     {node_id: 1.0 for node_id in candidates},
                     self.p.size(),
                 )
+        for key in repeats:
+            io.probe(key)
+        io.flush()
+        sets = []
+        for query, key, known in plan:
+            if key is None:
+                sets.append(known)
+                continue
+            candidates = found[key]
             if len(session_cache) > 4096:
                 session_cache.clear()
             session_cache[id(query)] = (query, candidates)
             sets.append(candidates)
-        io.flush()
         return sets
 
     # ------------------------------------------------------------------

@@ -641,17 +641,22 @@ class PDocument:
 
     def max_world(self) -> Document:
         """The document keeping *every* ordinary node (distributional nodes
-        contracted).  Useful as a superset of every possible world — e.g. for
-        candidate generation during query evaluation."""
-
-        def build(source: PNode) -> DocNode:
-            assert source.label is not None
-            doc_node = DocNode(source.node_id, source.label)
+        contracted), a superset of every possible world.  Candidate
+        generation (:func:`repro.prob.engine.candidate_sets`) evaluates
+        queries over it without building this copy; the copy serves
+        deterministic oracles.  Built iteratively, so depth is unbounded."""
+        assert self.root.label is not None
+        root = DocNode(self.root.node_id, self.root.label)
+        stack = [(self.root, root)]
+        while stack:
+            source, doc_node = stack.pop()
             for effective in self.effective_children(source):
-                doc_node.add_child(build(effective))
-            return doc_node
-
-        return Document(build(self.root))
+                assert effective.label is not None
+                child = doc_node.add_child(
+                    DocNode(effective.node_id, effective.label)
+                )
+                stack.append((effective, child))
+        return Document(root)
 
     def effective_children(self, n: PNode) -> list[PNode]:
         """Ordinary nodes reachable from ``n`` through distributional chains.

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from ..errors import RewritingError
+from ..prob.engine import candidate_sets
 from ..probability import BackendLike, get_backend
 from ..store import MemoStore
 from ..tp import ops
@@ -36,7 +37,6 @@ from .cindep import c_independent
 from .decomposition import decompose_views
 from .plans import TPIRewritePlan
 from .single_view import probabilistic_tp_plan
-from ..tp.embedding import evaluate as evaluate_deterministic
 
 __all__ = [
     "theorem3_plan",
@@ -364,8 +364,7 @@ def _member_candidates(member: _PlanMember, extensions: Extensions) -> set[int]:
         f"{doc_label(member.base.name)}/{member.base.pattern.out.label}"
     )
     qr = ops.compensation(head, ops.suffix(member.unfolded, member.base.pattern.main_branch_length()))
-    world = extension.pdocument.max_world()
-    selected = evaluate_deterministic(qr, world)
+    (selected,) = candidate_sets(extension.pdocument, [qr])
     # Selected copies resolve to original Ids through the provenance
     # table (the marker-free form of the paper's Id(n) readout).
     return extension.provenance.originals_of(selected)

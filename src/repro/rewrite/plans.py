@@ -49,10 +49,10 @@ from typing import Callable, Optional, Sequence, Union
 from ..errors import RewritingError
 from ..obs.trace import span as trace_span
 from ..probability import BackendLike, ZERO, as_fraction, get_backend
+from ..prob.engine import candidate_sets
 from ..prob.session import QuerySession
 from ..store import MemoStore
 from ..tp import ops
-from ..tp.embedding import evaluate as evaluate_deterministic
 from ..tp.pattern import Axis, PatternNode, TreePattern
 from ..views.extension import ProbabilisticViewExtension
 from ..views.view import View
@@ -515,8 +515,7 @@ class TPRewritePlan:
         original Ids through the extension's provenance table — the
         marker-free form of the paper's ``Id(n)`` readout.
         """
-        world = extension.pdocument.max_world()
-        selected = evaluate_deterministic(self.qr, world)
+        (selected,) = candidate_sets(extension.pdocument, [self.qr])
         return sorted(extension.provenance.originals_of(selected))
 
     def describe(self) -> str:

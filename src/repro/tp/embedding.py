@@ -91,7 +91,8 @@ def evaluate(q: TreePattern, d: Document) -> set[int]:
     """``q(d)``: the set of document node Ids selected by the pattern."""
     matcher = _Matcher(d)
     branch = q.main_branch()
-    if not matcher_predicates_ok(matcher, branch[0], d.root, q):
+    branch_ids = set(map(id, branch))
+    if not matcher_predicates_ok(matcher, branch[0], d.root, branch_ids):
         return set()
     current: set[int] = (
         {d.root.node_id}
@@ -108,7 +109,7 @@ def evaluate(q: TreePattern, d: Document) -> set[int]:
             for y in candidates:
                 if y.label != mb_node.label:
                     continue
-                if matcher_predicates_ok(matcher, mb_node, y, q):
+                if matcher_predicates_ok(matcher, mb_node, y, branch_ids):
                     next_nodes.add(y.node_id)
         current = next_nodes
         if not current:
@@ -117,10 +118,13 @@ def evaluate(q: TreePattern, d: Document) -> set[int]:
 
 
 def matcher_predicates_ok(
-    matcher: _Matcher, mb_node: PatternNode, x: DocNode, q: TreePattern
+    matcher: _Matcher, mb_node: PatternNode, x: DocNode, branch_ids: set
 ) -> bool:
-    """Check the predicate subtrees of a main-branch node at ``x``."""
-    branch_ids = set(map(id, q.main_branch()))
+    """Check the predicate subtrees of a main-branch node at ``x``.
+
+    ``branch_ids`` holds ``id`` of every main-branch node of the pattern,
+    computed once per :func:`evaluate`.
+    """
     for child in mb_node.children:
         if id(child) in branch_ids:
             continue  # the main-branch continuation, not a predicate

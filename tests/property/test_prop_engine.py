@@ -1,10 +1,12 @@
 """Property tests for the single-pass engine and its numeric backends.
 
-Two invariants on random p-documents and patterns:
+Three invariants on random p-documents and patterns:
 
 * the single-pass engine (all candidates in one traversal) agrees
   *exactly* with the per-candidate anchored DP (``node_probability``);
-* the ``fast`` float backend agrees with ``exact`` within ``1e-9``.
+* the ``fast`` float backend agrees with ``exact`` within ``1e-9``;
+* the one-walk candidate discovery (``candidate_sets``) equals the
+  per-query deterministic evaluation over the maximal world.
 """
 
 import random
@@ -17,7 +19,13 @@ from repro.prob import (
     node_probability,
     query_answer,
 )
-from repro.prob.engine import boolean_probability, intersection_answer
+from repro.prob.engine import (
+    boolean_probability,
+    candidate_sets,
+    intersection_answer,
+)
+from repro.tp.embedding import evaluate
+from repro.tp.parser import parse_pattern
 from repro.workloads.synthetic import random_pdocument, random_tree_pattern
 
 LABELS = ("a", "b", "c")
@@ -85,3 +93,47 @@ def test_intersection_single_pass_matches_per_candidate(seed):
         if pr > 0:
             expected[n] = pr
     assert answer == expected
+
+
+# Fixed shapes the random generator rarely or never builds: ``//``
+# chains, branching predicates, predicates under predicates, repeated
+# labels along one branch, and a root label that never matches.
+FIXED_PATTERNS = (
+    "a//b//c",
+    "a//a//a",
+    "a/b[c][//a]/b",
+    "a[b[c][.//b]]//c",
+    "a//b[.//c/a]",
+    "b//c",
+    "a",
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_candidate_sets_equal_per_query_max_world_oracle(seed):
+    rng = random.Random(seed)
+    p = random_pdocument(
+        rng, labels=LABELS, max_depth=rng.randint(1, 5), max_children=3
+    )
+    patterns = []
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if patterns and roll < 0.2:
+            patterns.append(rng.choice(patterns))  # the same object twice
+        elif roll < 0.4:
+            patterns.append(parse_pattern(rng.choice(FIXED_PATTERNS)))
+        else:
+            # A shuffled label tuple moves the root label (mismatches).
+            labels = rng.sample(LABELS, len(LABELS)) if roll < 0.6 else LABELS
+            patterns.append(
+                random_tree_pattern(
+                    rng,
+                    labels=labels,
+                    mb_length=rng.randint(1, 4),
+                    desc_probability=rng.choice((0.3, 0.8)),
+                    max_predicate_size=rng.randint(1, 3),
+                )
+            )
+    world = p.max_world()
+    assert candidate_sets(p, patterns) == [evaluate(q, world) for q in patterns]

@@ -18,6 +18,7 @@ from repro.prob.engine import (
     node_probability,
 )
 from repro.pxml import ind, mux, ordinary, pdoc
+from repro.store import InMemoryStore, SqliteStore
 from repro.tp import parse_pattern
 from repro.workloads import paper
 from repro.workloads.synthetic import batch_workload, personnel_pdocument, personnel_query
@@ -224,3 +225,90 @@ class TestVisitAccounting:
         # only re-opened when a batch member actually mentions its labels).
         assert visit_counts[-1] < 2 * visit_counts[0]
         assert all(count <= p.size() for count in visit_counts)
+
+
+def _ind_chain(levels: int):
+    """``a`` over a chain of ``levels`` ``b``s, each behind an ``ind(½)``."""
+    node = ordinary(2 * levels, "b")
+    for level in range(levels - 1, -1, -1):
+        label = "a" if level == 0 else "b"
+        node = ordinary(2 * level, label, ind(2 * level + 1, (node, "0.5")))
+    return pdoc(node)
+
+
+class TestDeepDocuments:
+    """No recursion limit on the candidate walk or the maximal world."""
+
+    LEVELS = 5000
+
+    @pytest.mark.parametrize("backend", ["fast", "array"])
+    def test_answer_many_on_deep_ind_chain(self, backend):
+        p = _ind_chain(self.LEVELS)
+        answers = QuerySession(p, backend=backend).answer_many(
+            [parse_pattern("a/b"), parse_pattern("a/b/b")]
+        )
+        assert answers == [{2: 0.5}, {4: 0.25}]
+
+    def test_engine_candidates_and_max_world_on_deep_ind_chain(self):
+        p = _ind_chain(self.LEVELS)
+        assert EvaluationEngine(p, [parse_pattern("a/b")]).candidate_ids() == {2}
+        assert p.max_world().size() == self.LEVELS + 1
+
+
+class _CandidateKeyLog:
+    """Store mixin logging hits, misses and puts on candidate-set keys."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.candidate_log = []
+
+    def _count_get(self, key, hit):
+        if key[-2:] == ("candidates", "node-ids"):
+            self.candidate_log.append("hit" if hit else "miss")
+        super()._count_get(key, hit)
+
+    def _count_put(self, key):
+        if key[-2:] == ("candidates", "node-ids"):
+            self.candidate_log.append("put")
+        super()._count_put(key)
+
+
+class _LoggedMemoryStore(_CandidateKeyLog, InMemoryStore):
+    pass
+
+
+class _LoggedSqliteStore(_CandidateKeyLog, SqliteStore):
+    pass
+
+
+class TestCandidateStoreAccounting:
+    """Queries sharing a candidates key count miss-then-hit and put once,
+    on the per-key path (in-memory) and the bulk path (SQLite)."""
+
+    @pytest.fixture(params=["memory", "sqlite"])
+    def store(self, request, tmp_path):
+        if request.param == "memory":
+            yield _LoggedMemoryStore()
+            return
+        store = _LoggedSqliteStore(tmp_path / "memo.sqlite")
+        yield store
+        store.close()
+
+    def test_str_equal_duplicates_miss_hit_put_once(self, store, p_per):
+        q = paper.q_bon()
+        twin = parse_pattern(q.xpath())
+        session = QuerySession(p_per, store=store)
+        answers = session.answer_many([q, twin])
+        assert answers[0] == answers[1] == query_answer(p_per, q)
+        log = store.candidate_log
+        assert (log.count("miss"), log.count("hit"), log.count("put")) == (1, 1, 1)
+
+    def test_same_object_twice_and_warm_restart(self, store, p_per):
+        q = paper.q_rbon()
+        QuerySession(p_per, store=store).answer_many([q, q])
+        log = store.candidate_log
+        assert (log.count("miss"), log.count("hit"), log.count("put")) == (1, 1, 1)
+        # A fresh session over the warm store skips the candidate walk.
+        del log[:]
+        QuerySession(p_per, store=store).answer_many([q, paper.q_bon()])
+        assert log == ["hit", "miss", "put"]
