@@ -507,14 +507,15 @@ class QuerySession:
     ) -> list[frozenset]:
         """Per-query candidate Ids, cached in the store per document + table.
 
-        Candidates are ``q(max_world)`` — a function of the document and
-        the query's goal table alone — but they *name node Ids*, so the
-        cache key uses :meth:`PDocument.identity_digest` (Id-aware; two
-        isomorphic documents with different Id assignments must not
-        share) plus the full goal-table fingerprint.  Every query the
-        caches miss is computed by one :func:`~repro.prob.engine.
-        candidate_sets` walk of the document; a warm store lets a
-        restarted worker skip that walk entirely.
+        Candidates are ``q(max_world)`` — a function of the maximal
+        world and the query's goal table alone — and they *name node
+        Ids*, so the cache key uses :meth:`PDocument.identity_digest`
+        (the root's world digest: Id-aware, so two isomorphic documents
+        with different Id assignments never share, and probability-free,
+        so probability-only edits keep the key) plus the full goal-table
+        fingerprint.  Every query the caches miss is computed by one
+        :func:`~repro.prob.engine.candidate_sets` walk of the document;
+        a warm store lets a restarted worker skip that walk entirely.
         """
         with trace_span(
             "session.candidates", queries=len(queries)
@@ -536,9 +537,9 @@ class QuerySession:
         plan = []
         for engine, query in zip(engines, queries):
             # World-scoped session cache first: spine refreshes keep it
-            # across probability-only mutations, where the identity
-            # digest (and so the store key) changes but candidates
-            # cannot.  The stored query ref pins id(query) against reuse.
+            # across mutations that leave the maximal world alone, and a
+            # hit skips the fingerprint.  The stored query ref pins
+            # id(query) against reuse.
             hit = session_cache.get(id(query))
             if hit is not None and hit[0] is query:
                 plan.append((query, None, hit[1]))

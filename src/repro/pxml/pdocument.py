@@ -21,13 +21,7 @@ from ..errors import PDocumentError
 from ..obs.registry import get_registry
 from ..obs.trace import span as trace_span
 from ..probability import ONE, ZERO
-from ..store.digest import (
-    compute_identity_index,
-    compute_index,
-    compute_positions,
-    identity_spine,
-    recompute_spine,
-)
+from ..store.digest import compute_indexes, compute_positions, splice_indexes
 from ..xml.document import DocNode, Document
 
 __all__ = ["PNodeKind", "PNode", "PDocument"]
@@ -69,7 +63,6 @@ class PNode:
 
     __slots__ = (
         "node_id", "kind", "label", "children", "probabilities", "parent",
-        "_digest",
     )
 
     def __init__(
@@ -86,9 +79,6 @@ class PNode:
             None if kind is PNodeKind.ORDINARY else {}
         )
         self.parent: Optional[PNode] = None
-        #: Cached ``(mutation_epoch, structural digest, subtree size)``,
-        #: maintained by :meth:`PDocument.structural_index`.
-        self._digest: Optional[tuple] = None
 
     @property
     def is_ordinary(self) -> bool:
@@ -127,6 +117,23 @@ class PNode:
             yield current
             stack.extend(current.children)
 
+    def copy_subtree(self, offset: int = 0) -> "PNode":
+        """A detached copy of this subtree, every node Id shifted by
+        ``offset``.  Built iteratively, so depth is unbounded."""
+        root = PNode(self.node_id + offset, self.kind, self.label)
+        stack = [(self, root)]
+        while stack:
+            source, duplicate = stack.pop()
+            probabilities = source.probabilities
+            for child in source.children:
+                copy = duplicate.add_child(
+                    PNode(child.node_id + offset, child.kind, child.label),
+                    None if probabilities is None
+                    else probabilities[child.node_id],
+                )
+                stack.append((child, copy))
+        return root
+
     def __repr__(self) -> str:
         if self.is_ordinary:
             return f"PNode(id={self.node_id}, label={self.label!r})"
@@ -140,20 +147,15 @@ class PDocument:
         self.root = root
         self._index: dict[int, PNode] = {}
         self._mutation_epoch = 0
-        # Node ``_digest`` stamps are valid iff their epoch tag is >= this
-        # floor: whole-document invalidation raises the floor, spine-only
-        # splices restamp just the touched nodes and leave it alone.
-        self._digest_floor = 0
         # Recent node-scoped mutations as (epoch, changed_ids,
         # world_changed) triples; epochs below _dirty_floor are unknown
         # (whole-document invalidation, or log overflow).
         self._dirty: list[tuple] = []
         self._dirty_floor = 0
-        # Epoch-tagged derived indexes, built lazily (see structural_index /
-        # label_index / identity_digest).
-        self._structural_index: Optional[tuple] = None
-        self._label_index: Optional[tuple] = None
-        self._identity_index: Optional[tuple] = None
+        # Epoch-tagged derived indexes, built lazily: (epoch, digests,
+        # sizes, worlds, labels) from one walk (see _indexes_now), and the
+        # anchor positions (see anchor_index).
+        self._indexes: Optional[tuple] = None
         self._anchor_index: Optional[tuple] = None
         for n in root.iter_subtree():
             if n.node_id in self._index:
@@ -209,12 +211,12 @@ class PDocument:
 
         The spine from ``node`` to the root is the only region whose
         cached derived state can have changed, so every populated index
-        (structural digests / sizes, label sets, anchor positions, the
-        identity index) is *spliced* in place in O(depth · fan-out)
-        instead of discarded — see :func:`repro.store.digest.
-        recompute_spine`.  The mutation is appended to the dirty log so
-        resident sessions (:meth:`dirty_since`) keep memo entries for
-        untouched sibling subtrees.
+        (structural digests / sizes, world digests, label sets, anchor
+        positions) is *spliced* in place in O(depth · fan-out) instead
+        of discarded — see :func:`repro.store.digest.splice_indexes`.
+        The mutation is appended to the dirty log so resident sessions
+        (:meth:`dirty_since`) keep memo entries for untouched sibling
+        subtrees.
 
         ``node`` may be a node that was just *attached*: any nodes of its
         subtree not yet known to the document are registered (their Ids
@@ -246,12 +248,9 @@ class PDocument:
         ``dirty_since() is None`` and reset all their caches.
         """
         self._mutation_epoch += 1
-        self._digest_floor = self._mutation_epoch
         self._dirty.clear()
         self._dirty_floor = self._mutation_epoch
-        self._structural_index = None
-        self._label_index = None
-        self._identity_index = None
+        self._indexes = None
         self._anchor_index = None
 
     def dirty_since(self, epoch: int) -> Optional[tuple]:
@@ -298,16 +297,13 @@ class PDocument:
         Returns ``(changed_ids, world_changed)``.  An index cached at any
         tag other than the pre-mutation epoch cannot be spliced (it was
         dropped earlier, or never built) and is reset for lazy full
-        recomputation; if that happens to the structural index itself the
-        change extent is unknown and the conservative spine+subtree id
-        set is reported with ``world_changed`` true.
+        recomputation; if that happens to the fused indexes the change
+        extent is unknown and the conservative spine+subtree id set is
+        reported with ``world_changed`` true.
         """
-        structural = self._structural_index
-        if structural is None or structural[0] != epoch - 1:
-            self._digest_floor = epoch
-            self._structural_index = None
-            self._label_index = None
-            self._identity_index = None
+        indexes = self._indexes
+        if indexes is None or indexes[0] != epoch - 1:
+            self._indexes = None
             self._anchor_index = None
             changed = {n.node_id for n in node.iter_subtree()}
             current: Optional[PNode] = node
@@ -315,23 +311,11 @@ class PDocument:
                 changed.add(current.node_id)
                 current = current.parent
             return frozenset(changed), True
-        _, digests, sizes, shapes = structural
-        changed, world_changed = recompute_spine(
-            node, epoch, digests, sizes, shapes
+        _, digests, sizes, worlds, labels = indexes
+        changed, world_changed = splice_indexes(
+            node, digests, sizes, worlds, labels
         )
-        self._structural_index = (epoch, digests, sizes, shapes)
-        identity = self._identity_index
-        if identity is not None and identity[0] == epoch - 1:
-            identity_spine(node, identity[1])
-            self._identity_index = (epoch, identity[1])
-        else:
-            self._identity_index = None
-        label = self._label_index
-        if label is not None and label[0] == epoch - 1:
-            self._resplice_labels(node, label[1])
-            self._label_index = (epoch, label[1])
-        else:
-            self._label_index = None
+        self._indexes = (epoch, digests, sizes, worlds, labels)
         anchors = self._anchor_index
         if anchors is not None and anchors[0] == epoch - 1:
             self._resplice_positions(node, anchors[1], digests)
@@ -339,35 +323,6 @@ class PDocument:
         else:
             self._anchor_index = None
         return frozenset(changed), world_changed
-
-    def _resplice_labels(self, node: PNode, sets: dict) -> None:
-        """Recompute subtree label sets for ``node`` and its ancestors,
-        in place, stopping as soon as an ancestor's set is unchanged."""
-        stack: list[tuple[PNode, bool]] = [(node, False)]
-        while stack:
-            current, expanded = stack.pop()
-            if not expanded:
-                stack.append((current, True))
-                stack.extend((child, False) for child in current.children)
-                continue
-            accumulated: set = set()
-            if current.label is not None:
-                accumulated.add(current.label)
-            for child in current.children:
-                accumulated |= sets[child.node_id]
-            sets[current.node_id] = frozenset(accumulated)
-        parent = node.parent
-        while parent is not None:
-            accumulated = set()
-            if parent.label is not None:
-                accumulated.add(parent.label)
-            for child in parent.children:
-                accumulated |= sets[child.node_id]
-            frozen = frozenset(accumulated)
-            if sets.get(parent.node_id) == frozen:
-                break
-            sets[parent.node_id] = frozen
-            parent = parent.parent
 
     def _resplice_positions(
         self, node: PNode, positions: dict, digests: dict
@@ -505,6 +460,22 @@ class PDocument:
     # ------------------------------------------------------------------
     # Structural identity (content-addressed memo keys)
     # ------------------------------------------------------------------
+    def _indexes_now(self) -> tuple:
+        """``(epoch, digests, sizes, worlds, labels)`` at the current epoch.
+
+        One :func:`repro.store.digest.compute_indexes` walk builds all
+        four maps; node-scoped :meth:`mark_mutated` splices them in
+        place, :meth:`mark_all_mutated` drops them.
+        """
+        cached = self._indexes
+        if cached is not None and cached[0] == self._mutation_epoch:
+            return cached
+        _DIGEST_REBUILDS.inc()
+        with trace_span("pdocument.digest_index", nodes=self.size()):
+            cached = (self._mutation_epoch,) + compute_indexes(self.root)
+        self._indexes = cached
+        return cached
+
     def structural_index(self) -> tuple[dict[int, str], dict[int, int]]:
         """Per-node structural digests and subtree sizes, cached per epoch.
 
@@ -517,24 +488,13 @@ class PDocument:
         Returns ``(digests, sizes)``, both keyed by ``node_id``.  The
         result is recomputed lazily after :meth:`mark_mutated`.
         """
-        cached = self._structural_index
-        if cached is not None and cached[0] == self._mutation_epoch:
-            return cached[1], cached[2]
-        _DIGEST_REBUILDS.inc()
-        with trace_span("pdocument.digest_index", nodes=self.size()):
-            digests, sizes, shapes = compute_index(
-                self.root, self._mutation_epoch
-            )
-        self._structural_index = (self._mutation_epoch, digests, sizes, shapes)
+        _, digests, sizes, _, _ = self._indexes_now()
         return digests, sizes
 
     def structural_digest(self, node_id: Optional[int] = None) -> str:
         """The structural digest of the subtree at ``node_id`` (root default)."""
         node = self.root if node_id is None else self.node(node_id)
-        cached = node._digest
-        if cached is not None and cached[0] >= self._digest_floor:
-            return cached[1]
-        return self.structural_index()[0][node.node_id]
+        return self._indexes_now()[1][node.node_id]
 
     @property
     def document_digest(self) -> str:
@@ -542,22 +502,19 @@ class PDocument:
         return self.structural_digest()
 
     def identity_digest(self) -> str:
-        """Digest of the Id-*aware* Merkle index, cached per epoch.
+        """The root's *world digest*, cached per epoch.
 
-        Unlike :attr:`document_digest` (which deliberately forgets node
-        Ids so isomorphic subtrees coincide), this digest changes when
-        node Ids are reassigned.  It keys derived data that *names* node
-        Ids — e.g. cached candidate sets — where two isomorphic documents
-        with different Id assignments must not share.  Computed as the
-        root entry of :func:`repro.store.digest.compute_identity_index`
-        and spliced in O(depth) by node-scoped :meth:`mark_mutated`.
+        The world digest (see :mod:`repro.store.digest`) hashes node Ids,
+        kinds, labels and zero-probability edge flags, but no other edge
+        probabilities.  Unlike :attr:`document_digest` (which deliberately
+        forgets node Ids so isomorphic subtrees coincide), it changes
+        when node Ids are reassigned; unlike it, it survives
+        probability-only edits.  It keys derived data that *names* node
+        Ids and depends only on the maximal world — cached candidate
+        sets — where two isomorphic documents with different Id
+        assignments must not share.
         """
-        cached = self._identity_index
-        if cached is not None and cached[0] == self._mutation_epoch:
-            return cached[1][self.root.node_id]
-        identities = compute_identity_index(self.root)
-        self._identity_index = (self._mutation_epoch, identities)
-        return identities[self.root.node_id]
+        return self._indexes_now()[3][self.root.node_id]
 
     def anchor_index(self) -> dict[int, tuple]:
         """``node_id -> canonical rank path``, cached per mutation epoch.
@@ -583,11 +540,8 @@ class PDocument:
 
     def subtree_size(self, node_id: int) -> int:
         """Number of nodes (ordinary and distributional) under ``node_id``."""
-        node = self.node(node_id)
-        cached = node._digest
-        if cached is not None and cached[0] >= self._digest_floor:
-            return cached[2]
-        return self.structural_index()[1][node_id]
+        self.node(node_id)  # PDocumentError on an unknown Id
+        return self._indexes_now()[2][node_id]
 
     def label_index(self) -> dict[int, frozenset]:
         """``node_id -> frozenset(ordinary labels in the subtree)``.
@@ -595,49 +549,17 @@ class PDocument:
         Label sets are interned (subtrees with equal label sets share one
         frozenset object) and the whole map is cached per mutation epoch.
         """
-        cached = self._label_index
-        if cached is not None and cached[0] == self._mutation_epoch:
-            return cached[1]
-        interned: dict[frozenset, frozenset] = {}
-        sets: dict[int, frozenset] = {}
-        stack: list[tuple[PNode, bool]] = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if not expanded:
-                stack.append((node, True))
-                stack.extend((child, False) for child in node.children)
-                continue
-            accumulated: set = set()
-            if node.label is not None:
-                accumulated.add(node.label)
-            for child in node.children:
-                accumulated |= sets[child.node_id]
-            frozen = frozenset(accumulated)
-            sets[node.node_id] = interned.setdefault(frozen, frozen)
-        self._label_index = (self._mutation_epoch, sets)
-        return sets
+        return self._indexes_now()[4]
 
     # ------------------------------------------------------------------
     # Derived structures
     # ------------------------------------------------------------------
     def subdocument(self, node_id: int) -> "PDocument":
         """``P̂_n``: the p-subdocument rooted at ``n`` (Ids preserved)."""
-
-        def copy(source: PNode) -> PNode:
-            duplicate = PNode(source.node_id, source.kind, source.label)
-            for child in source.children:
-                probability = (
-                    source.probabilities[child.node_id]
-                    if source.probabilities is not None
-                    else None
-                )
-                duplicate.add_child(copy(child), probability)
-            return duplicate
-
         n = self.node(node_id)
         if not n.is_ordinary:
             raise PDocumentError("p-subdocuments are rooted at ordinary nodes")
-        return PDocument(copy(n))
+        return PDocument(n.copy_subtree())
 
     def max_world(self) -> Document:
         """The document keeping *every* ordinary node (distributional nodes
@@ -682,24 +604,51 @@ class PDocument:
 
         Two p-documents with equal keys define identical px-spaces; with
         ``with_ids=False``, identical up to a renaming of node Ids.
+
+        The key is flat, so documents of any depth compare and hash.
+        Each subtree gets an entry ``(Id (with_ids only), kind, label,
+        edge probability (empty tuple at the root and under ordinary
+        parents, else a 1-tuple), sorted child numbers)``.  Subtrees
+        are numbered bottom-up, one height at a time, in the sorted
+        order of their distinct entries; the key lists those entries in
+        number order, so it ends with the root's.
         """
-
-        def key(n: PNode, edge_probability: Optional[Fraction]) -> tuple:
-            children = tuple(
-                sorted(
-                    key(
-                        c,
-                        n.probabilities[c.node_id]
-                        if n.probabilities is not None
-                        else None,
-                    )
-                    for c in n.children
-                )
+        order = [self.root]
+        for node in order:
+            order.extend(node.children)
+        heights: dict[int, int] = {}
+        for node in reversed(order):
+            heights[node.node_id] = 1 + max(
+                (heights[c.node_id] for c in node.children), default=-1
             )
-            identity: tuple = (n.node_id,) if with_ids else ()
-            return identity + (n.kind.value, n.label, edge_probability, children)
-
-        return key(self.root, None)
+        levels: list[list] = [
+            [] for _ in range(heights[self.root.node_id] + 1)
+        ]
+        for node in order:
+            levels[heights[node.node_id]].append(node)
+        numbers: dict[int, int] = {}
+        key: list[tuple] = []
+        for level in levels:
+            entries = {}
+            for node in level:
+                probabilities = (
+                    None if node is self.root else node.parent.probabilities
+                )
+                entries[node.node_id] = (
+                    (node.node_id,) if with_ids else ()
+                ) + (
+                    node.kind.value,
+                    node.label,
+                    () if probabilities is None
+                    else (probabilities[node.node_id],),
+                    tuple(sorted(numbers[c.node_id] for c in node.children)),
+                )
+            ranked = sorted(set(entries.values()))
+            rank = {entry: len(key) + i for i, entry in enumerate(ranked)}
+            for node_id, entry in entries.items():
+                numbers[node_id] = rank[entry]
+            key.extend(ranked)
+        return tuple(key)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PDocument):

@@ -25,12 +25,10 @@ from .api import (
     is_anchored_key,
 )
 from .digest import (
-    compute_identity_index,
-    compute_index,
+    compute_indexes,
     compute_positions,
     fingerprint_digest,
-    identity_spine,
-    recompute_spine,
+    splice_indexes,
 )
 from .keys import SubtreeKeyer
 from .memory import InMemoryStore
@@ -45,11 +43,9 @@ __all__ = [
     "SqliteStore",
     "open_store",
     "SubtreeKeyer",
-    "compute_identity_index",
-    "compute_index",
+    "compute_indexes",
     "compute_positions",
     "fingerprint_digest",
-    "identity_spine",
     "is_anchored_key",
-    "recompute_spine",
+    "splice_indexes",
 ]

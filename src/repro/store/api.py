@@ -40,10 +40,11 @@ One deliberate exception rides in the same store:
 :class:`repro.prob.session.QuerySession` caches per-query *candidate-Id
 sets* under ``(identity digest, full-table fingerprint, None,
 "candidates", "node-ids")``.  Those values name node Ids, so their first
-component is the Id-*aware*
-:meth:`~repro.pxml.pdocument.PDocument.identity_digest` (two isomorphic
-documents with different Id assignments never share them), and the
-payload is the ``{node_id: 1.0}`` indicator map.
+component is :meth:`~repro.pxml.pdocument.PDocument.identity_digest`,
+the root's Id-*aware*, probability-free world digest (two isomorphic
+documents with different Id assignments never share them;
+probability-only edits keep them), and the payload is the
+``{node_id: 1.0}`` indicator map.
 
 Every ``put`` carries a *weight* — by convention the distribution's
 support size times the subtree size, an estimate of the recomputation

@@ -1,96 +1,95 @@
-"""Canonical structural digests for p-document subtrees.
+"""Canonical Merkle digests for p-document subtrees, from one walk.
 
-The digest of a subtree is a Merkle-style hash over everything the
-goal-set dynamic program of :mod:`repro.prob.engine` reads below a node:
-the node kind, its label (for ordinary nodes), and — recursively — the
-digests of its children paired with their edge probabilities (for
-distributional nodes).  Children are hashed as a *sorted multiset*:
-p-documents are unordered and every combine step of the DP (union
-convolution, ind mixtures, mux sums) is commutative, so two subtrees
-with equal digests produce identical blocked / unpinned distributions
-for any goal table restricted to their labels.  That is the soundness
-argument behind content-addressed memo sharing (compare the
-structure-based tractability results of Amarilli et al. on treelike
-uncertain data): work is keyed by subtree *shape*, not by node identity,
-so isomorphic subtrees — within one document, between a document and its
+**Structural digests.**  The structural digest of a subtree is a
+Merkle-style hash over everything the goal-set dynamic program of
+:mod:`repro.prob.engine` reads below a node: the node kind, its label
+(for ordinary nodes), and — recursively — the digests of its children
+paired with their edge probabilities (for distributional nodes).
+Children are hashed as a *sorted multiset*: p-documents are unordered
+and every combine step of the DP (union convolution, ind mixtures, mux
+sums) is commutative, so two subtrees with equal digests produce
+identical blocked / unpinned distributions for any goal table
+restricted to their labels.  That is the soundness argument behind
+content-addressed memo sharing (compare the structure-based
+tractability results of Amarilli et al. on treelike uncertain data):
+work is keyed by subtree *shape*, not by node identity, so isomorphic
+subtrees — within one document, between a document and its
 probabilistic extensions, or across process restarts — share one
 evaluation.
 
-Digests are cached on :class:`repro.pxml.pdocument.PNode` (the
-``_digest`` slot, tagged with the owning document's ``mutation_epoch``)
-and recomputed lazily after a whole-document
-:meth:`PDocument.mark_all_mutated`; a *node-scoped*
-:meth:`PDocument.mark_mutated` instead calls :func:`recompute_spine`,
-which re-derives the mutated subtree and then walks the ancestor chain
-— O(depth) hash recomputations with an early exit as soon as an
-ancestor's digest is unchanged — splicing fresh values into the cached
-maps in place.  This module is deliberately ignorant of the pxml
-classes — it reads ``kind`` / ``label`` / ``children`` /
-``probabilities`` duck-typed, so the store package never imports the
-document layer.
+**World digests.**  The second Merkle digest is Id-*aware* and
+probability-*free*: it hashes each node's Id, kind and label with its
+children's sorted world digests, and flags zero-probability edges with
+``:0`` — edge masses otherwise never enter it.  It keys exactly what
+candidate sets depend on: they are ``q(max world)``, so they name node
+Ids and follow the maximal world's shape, but not edge probabilities
+(compare Amarilli's possibility-problem analysis, arXiv:1404.3131).
+The root's world digest is the document's identity digest
+(:meth:`repro.pxml.pdocument.PDocument.identity_digest`), under which
+candidate sets are cached — isomorphic documents with different Id
+assignments never share it.  At a spliced node it answers whether a
+mutation moved the maximal world: a probability-only edit changes every
+structural digest on its spine but no world digest, so sessions keep
+their candidate caches and stacked batch plans warm.  Its ``world:``
+payload prefix keeps it apart from every structural digest, and from
+candidate keys that store files hold under the earlier ``id:``
+identity payload.
 
-**Shape digests.**  Alongside the structural digest,
-:func:`compute_index` derives a probability-*free* *shape* digest per
-node (kind, label, sorted child shapes — no edge probabilities).  The
-shape digest answers one question cheaply during a spine splice: did
-this mutation change :meth:`PDocument.max_world` (and therefore
-candidate sets), or only probability mass?  A probability-only edit
-changes every structural digest on its spine but no shape digest, so
-sessions keep their candidate caches and stacked batch plans warm.
-
-**Identity digests.**  :func:`compute_identity_index` is the Id-*aware*
-Merkle twin of the structural index: the payload additionally hashes
-each node's Id.  Its root entry replaces the old
-``canonical_key(with_ids=True)``-based document identity digest — same
-discrimination (isomorphic documents with different Id assignments
-never collide), but per-node form makes it spliceable in O(depth) via
-:func:`identity_spine` instead of O(n log n) per mutation.
+:func:`compute_indexes` derives, in one iterative post-order walk, the
+structural digest, subtree size, world digest and interned label set of
+every node.  The results live in the owning document's epoch-tagged
+cache — there are no per-node stamps — and are rebuilt lazily after a
+whole-document :meth:`PDocument.mark_all_mutated`; a *node-scoped*
+:meth:`PDocument.mark_mutated` instead calls :func:`splice_indexes`,
+which re-derives the mutated subtree with the same walk and then
+rehashes the ancestor chain with separate early exits for the
+structural and the world side.  This module is deliberately ignorant of
+the pxml classes — it reads ``node_id`` / ``kind`` / ``label`` /
+``children`` / ``probabilities`` / ``parent`` duck-typed, so the store
+package never imports the document layer.
 
 **Canonical anchor positions.**  :func:`compute_positions` derives, from
-the same digests, a canonical *rank path* for every node: at each parent
-the children are ordered by their digest sort key (the digest alone for
-ordinary parents; ``(digest, edge probability)`` for distributional
-ones — exactly the entries the parent digest hashes), and a node's
-position is the tuple of child ranks on the path from the root.  Rank
-paths are what make *anchored* evaluations content-addressable (compare
-the isomorphism-invariant reasoning about p-documents in Amarilli's
-possibility-problem analysis, arXiv:1404.3131): two subtrees with equal
-digests admit a rank-respecting isomorphism — children of equal rank
-have equal digests and edge probabilities, recursively — so pinning a
-pattern node to "the node at rank path ``π``" means the same thing in
-both.  Ties between digest-equal siblings are broken arbitrarily (input
-order); any tie-break is sound because permuting digest-equal siblings
-is an automorphism, and it maps one admissible tie-breaking onto any
-other together with the anchored positions.
+the structural digests, a canonical *rank path* for every node: at each
+parent the children are ordered by their digest sort key (the digest
+alone for ordinary parents; ``(digest, edge probability)`` for
+distributional ones — exactly the entries the parent digest hashes),
+and a node's position is the tuple of child ranks on the path from the
+root.  Rank paths are what make *anchored* evaluations
+content-addressable: two subtrees with equal digests admit a
+rank-respecting isomorphism — children of equal rank have equal digests
+and edge probabilities, recursively — so pinning a pattern node to "the
+node at rank path ``π``" means the same thing in both.  Ties between
+digest-equal siblings are broken arbitrarily (input order); any
+tie-break is sound because permuting digest-equal siblings is an
+automorphism, and it maps one admissible tie-breaking onto any other
+together with the anchored positions.  Only anchored lanes need them,
+so they stay a separate, lazily built, top-down index.
 """
 
 from __future__ import annotations
 
-import hashlib
+from hashlib import blake2b
 
 __all__ = [
     "DIGEST_SIZE",
-    "compute_index",
-    "compute_identity_index",
+    "compute_indexes",
     "compute_positions",
     "fingerprint_digest",
-    "identity_spine",
-    "recompute_spine",
+    "splice_indexes",
 ]
 
 #: Digest width in bytes (blake2b); 128 bits make collisions negligible
 #: even for stores holding billions of subtree entries.
 DIGEST_SIZE = 16
 
-# Field / sibling separators for the hashed payload.  Labels are parsed
-# tokens and never contain control characters, so the encoding is
-# prefix-free in practice.
-_FIELD = b"\x1f"
-_SIBLING = b"\x1e"
+# Payloads are built as text and hashed as UTF-8.  Fields are separated
+# by \x1f and siblings by \x1e; labels are parsed tokens and never
+# contain control characters, so the encoding is prefix-free in
+# practice.  Sorting text sorts its UTF-8 bytes the same way.
 
 
-def _hash(payload: bytes) -> str:
-    return hashlib.blake2b(payload, digest_size=DIGEST_SIZE).hexdigest()
+def _hash(text: str) -> str:
+    return blake2b(text.encode("utf-8"), digest_size=DIGEST_SIZE).hexdigest()
 
 
 def fingerprint_digest(table: tuple) -> str:
@@ -102,202 +101,159 @@ def fingerprint_digest(table: tuple) -> str:
     across processes — so the digest is a stable cross-restart key
     component.
     """
-    return _hash(repr(table).encode("utf-8"))
+    return _hash(repr(table))
 
 
-def _structural_payload(node, digests: dict[int, str]) -> bytes:
-    """The hashed structural payload of one node, given child digests."""
+def _structural(
+    node, digests: dict, sizes: dict, hashed: dict
+) -> tuple[str, int]:
+    """One node's structural digest and subtree size, given its children's.
+
+    ``hashed`` maps payloads already hashed in this walk to their
+    digests: isomorphic subtrees (most leaves, repeated records) share
+    one payload and are hashed once.
+    """
+    children = node.children
     probabilities = node.probabilities
     if probabilities is None:  # ordinary node
-        entries = sorted(
-            digests[child.node_id].encode("ascii")
-            for child in node.children
-        )
-        return _FIELD.join(
-            (b"ordinary", node.label.encode("utf-8"), _SIBLING.join(entries))
-        )
-    # Distributional: the edge probability is part of the child entry.
-    entries = sorted(
-        b"%s:%s"
-        % (
-            digests[child.node_id].encode("ascii"),
-            str(probabilities[child.node_id]).encode("ascii"),
-        )
-        for child in node.children
-    )
-    return _FIELD.join(
-        (node.kind.value.encode("ascii"), _SIBLING.join(entries))
-    )
+        head = "ordinary\x1f%s" % node.label
+        entries = [digests[c.node_id] for c in children]
+    else:  # the edge probability is part of the child entry
+        head = node.kind.value
+        entries = [
+            "%s:%s" % (digests[c.node_id], probabilities[c.node_id])
+            for c in children
+        ]
+    entries.sort()
+    size = 1
+    for child in children:
+        size += sizes[child.node_id]
+    payload = "%s\x1f%s" % (head, "\x1e".join(entries))
+    digest = hashed.get(payload)
+    if digest is None:
+        digest = hashed[payload] = _hash(payload)
+    return digest, size
 
 
-def _shape_payload(node, shapes: dict[int, str]) -> bytes:
-    """Probability-free shape payload: kind, label, sorted child shapes."""
-    entries = sorted(
-        shapes[child.node_id].encode("ascii") for child in node.children
-    )
-    if node.probabilities is None:
-        head = b"o" + _FIELD + node.label.encode("utf-8")
-    else:
-        head = node.kind.value.encode("ascii")
-    return head + _FIELD + _SIBLING.join(entries)
-
-
-def _identity_payload(node, identities: dict[int, str]) -> bytes:
-    """Id-aware payload: the structural payload plus the node's own Id."""
+def _world(node, worlds: dict) -> str:
+    """One node's world digest, given its children's."""
+    children = node.children
     probabilities = node.probabilities
     if probabilities is None:
-        entries = sorted(
-            identities[child.node_id].encode("ascii")
-            for child in node.children
-        )
-        body = (b"ordinary", node.label.encode("utf-8"))
+        head = "world:%d\x1fordinary\x1f%s" % (node.node_id, node.label)
+        entries = [worlds[c.node_id] for c in children]
     else:
-        entries = sorted(
-            b"%s:%s"
-            % (
-                identities[child.node_id].encode("ascii"),
-                str(probabilities[child.node_id]).encode("ascii"),
-            )
-            for child in node.children
-        )
-        body = (node.kind.value.encode("ascii"),)
-    return _FIELD.join(
-        (b"id:%d" % node.node_id,) + body + (_SIBLING.join(entries),)
-    )
+        head = "world:%d\x1f%s" % (node.node_id, node.kind.value)
+        entries = [
+            worlds[c.node_id] if probabilities[c.node_id]
+            else worlds[c.node_id] + ":0"
+            for c in children
+        ]
+    entries.sort()
+    return _hash("%s\x1f%s" % (head, "\x1e".join(entries)))
 
 
-def compute_index(
-    root, epoch: int
-) -> tuple[dict[int, str], dict[int, int], dict[int, str]]:
-    """Structural digests, subtree sizes and shape digests under ``root``.
+def _labels(node, labels: dict) -> frozenset:
+    """The ordinary labels in one node's subtree, given its children's."""
+    children = node.children
+    label = node.label
+    if len(children) == 1:
+        below = labels[children[0].node_id]
+        if label is None or label in below:
+            return below
+    accumulated = set() if label is None else {label}
+    for child in children:
+        accumulated |= labels[child.node_id]
+    return frozenset(accumulated)
 
-    One iterative post-order pass; every visited node's ``_digest`` slot
-    is stamped with ``(epoch, digest, size)`` so subsequent single-node
-    lookups are O(1) until the document mutates.
 
-    Returns ``(digests, sizes, shapes)`` keyed by ``node_id``; ``shapes``
-    holds the probability-free shape digests (see the module docstring).
+def compute_indexes(root) -> tuple[dict, dict, dict, dict]:
+    """Structural digests, sizes, world digests and label sets under ``root``.
+
+    One iterative post-order pass: a parent-before-child list of the
+    subtree, processed in reverse.  Label sets are interned (subtrees
+    with equal label sets share one frozenset).  Returns ``(digests,
+    sizes, worlds, labels)``, each keyed by ``node_id``.
     """
     digests: dict[int, str] = {}
     sizes: dict[int, int] = {}
-    shapes: dict[int, str] = {}
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((child, False) for child in node.children)
-            continue
-        digest = _hash(_structural_payload(node, digests))
-        size = 1 + sum(sizes[child.node_id] for child in node.children)
+    worlds: dict[int, str] = {}
+    labels: dict[int, frozenset] = {}
+    interned: dict[frozenset, frozenset] = {}
+    hashed: dict[str, str] = {}
+    order = [root]
+    for node in order:
+        order.extend(node.children)
+    for node in reversed(order):
         node_id = node.node_id
-        digests[node_id] = digest
-        sizes[node_id] = size
-        shapes[node_id] = _hash(_shape_payload(node, shapes))
-        node._digest = (epoch, digest, size)
-    return digests, sizes, shapes
+        digests[node_id], sizes[node_id] = _structural(
+            node, digests, sizes, hashed
+        )
+        worlds[node_id] = _world(node, worlds)
+        frozen = _labels(node, labels)
+        labels[node_id] = interned.setdefault(frozen, frozen)
+    return digests, sizes, worlds, labels
 
 
-def compute_identity_index(root) -> dict[int, str]:
-    """Id-aware Merkle digests for every node under ``root``.
-
-    Same post-order shape as :func:`compute_index` but the payload hashes
-    each node's Id, so two isomorphic subtrees with different Id
-    assignments get different digests.  The root entry is the document's
-    identity digest (:meth:`repro.pxml.pdocument.PDocument.
-    identity_digest`); the per-node form exists so :func:`identity_spine`
-    can splice it in O(depth) after a localized mutation.
-    """
-    identities: dict[int, str] = {}
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((child, False) for child in node.children)
-            continue
-        identities[node.node_id] = _hash(_identity_payload(node, identities))
-    return identities
-
-
-def recompute_spine(
-    node,
-    epoch: int,
-    digests: dict[int, str],
-    sizes: dict[int, int],
-    shapes: dict[int, str],
+def splice_indexes(
+    node, digests: dict, sizes: dict, worlds: dict, labels: dict
 ) -> tuple[set, bool]:
-    """Splice fresh digests for ``node``'s subtree and its ancestor spine.
+    """Splice fresh indexes for ``node``'s subtree and its ancestor spine.
 
-    The maps (one document's :func:`compute_index` output) are updated
-    **in place**: the mutated subtree is fully re-derived (it may hold
-    new or edited nodes), then the ancestor chain is rehashed bottom-up
-    with an early exit as soon as an ancestor's digest, size and shape
-    are all unchanged — above that point no payload can differ.  Spine
-    nodes get their ``_digest`` slot restamped with ``epoch``; untouched
-    nodes keep their old stamps, which stay valid under the document's
-    ``_digest_floor`` scheme.
+    The maps (one document's :func:`compute_indexes` output) are updated
+    **in place**.  The mutated subtree is re-derived with the same walk
+    (it may hold new or edited nodes); then the ancestors are rehashed
+    bottom-up with two separate early exits.  Structural digests and
+    sizes stop at the first ancestor where both come out unchanged;
+    world digests and label sets stop at the first node whose world
+    digest is unchanged — for a probability-only edit, the mutated node
+    itself.  Above either point no payload of that side can differ.
 
-    Returns ``(changed_ids, world_changed)``: the ids whose digest
-    actually changed (untouched descendants of the mutated node — same
-    Merkle digest before and after — are *not* reported, so their memo
-    entries survive) and whether the mutation changed the document's
-    maximal world (shape digests differ at the mutated node — label or
-    child-set edits; pure probability edits keep ``world_changed``
-    false).
+    Returns ``(changed_ids, world_changed)``: the ids whose structural
+    digest actually changed (untouched descendants of the mutated node —
+    same Merkle digest before and after — are *not* reported, so their
+    memo entries survive) and whether the world digest at the mutated
+    node changed (label, Id, child-set or zero-probability edits;
+    other probability edits keep ``world_changed`` false).
     """
-    old_shape = shapes.get(node.node_id)
-    sub_digests, sub_sizes, sub_shapes = compute_index(node, epoch)
+    old_world = worlds.get(node.node_id)
+    sub_digests, sub_sizes, sub_worlds, sub_labels = compute_indexes(node)
     changed = {
         node_id
         for node_id, digest in sub_digests.items()
         if digests.get(node_id) != digest
     }
-    world_changed = sub_shapes[node.node_id] != old_shape
+    world_changed = sub_worlds[node.node_id] != old_world
     digests.update(sub_digests)
     sizes.update(sub_sizes)
-    shapes.update(sub_shapes)
+    worlds.update(sub_worlds)
+    labels.update(sub_labels)
+    structural_live, world_live = True, world_changed
     current = node.parent
-    while current is not None:
+    while current is not None and (structural_live or world_live):
         node_id = current.node_id
-        digest = _hash(_structural_payload(current, digests))
-        size = 1 + sum(sizes[child.node_id] for child in current.children)
-        shape = _hash(_shape_payload(current, shapes))
-        if (
-            digests.get(node_id) == digest
-            and sizes.get(node_id) == size
-            and shapes.get(node_id) == shape
-        ):
-            break
-        digests[node_id] = digest
-        sizes[node_id] = size
-        shapes[node_id] = shape
-        current._digest = (epoch, digest, size)
-        changed.add(node_id)
+        if structural_live:
+            digest, size = _structural(current, digests, sizes, {})
+            if digests[node_id] == digest and sizes[node_id] == size:
+                structural_live = False
+            else:
+                digests[node_id], sizes[node_id] = digest, size
+                changed.add(node_id)
+        if world_live:
+            world = _world(current, worlds)
+            if worlds[node_id] == world:
+                world_live = False
+            else:
+                worlds[node_id] = world
+                labels[node_id] = _labels(current, labels)
         current = current.parent
     return changed, world_changed
-
-
-def identity_spine(node, identities: dict[int, str]) -> None:
-    """Splice Id-aware digests for ``node``'s subtree and ancestors.
-
-    The :func:`compute_identity_index` map is updated in place, with the
-    same bottom-up early exit as :func:`recompute_spine`.
-    """
-    identities.update(compute_identity_index(node))
-    current = node.parent
-    while current is not None:
-        digest = _hash(_identity_payload(current, identities))
-        if identities.get(current.node_id) == digest:
-            break
-        identities[current.node_id] = digest
-        current = current.parent
 
 
 def compute_positions(root, digests: dict[int, str]) -> dict[int, tuple]:
     """Canonical rank path for every node under ``root``.
 
-    ``digests`` is the :func:`compute_index` digest map for the same
+    ``digests`` is the :func:`compute_indexes` digest map for the same
     (sub)tree.  Children are ranked by their digest sort key — the same
     ordering the parent digest hashes — so ranks are invariant under
     isomorphism: nodes of equal rank path in digest-equal trees

@@ -361,19 +361,7 @@ def isomorphic_twin(p: PDocument, offset: Optional[int] = None) -> PDocument:
         offset = 10
         while offset <= top:
             offset *= 10
-
-    def copy(node: PNode) -> PNode:
-        duplicate = PNode(node.node_id + offset, node.kind, node.label)
-        for child in node.children:
-            probability = (
-                node.probabilities[child.node_id]
-                if node.probabilities is not None
-                else None
-            )
-            duplicate.add_child(copy(child), probability)
-        return duplicate
-
-    return PDocument(copy(p.root))
+    return PDocument(p.root.copy_subtree(offset))
 
 
 # ----------------------------------------------------------------------

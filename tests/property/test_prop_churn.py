@@ -4,7 +4,7 @@ After a random sequence of node-scoped in-place mutations — probability
 scalings, relabelings, fresh-subtree attachments — every derived index
 spliced by ``PDocument.mark_mutated(node)`` must equal what a document
 rebuilt from scratch over the same tree computes cold: structural
-digests, subtree sizes, shape digests, canonical anchor positions,
+digests, subtree sizes, world digests, canonical anchor positions,
 label sets, the identity digest — and query answers through a resident
 :class:`QuerySession` (exactly on the ``exact`` backend; within ``1e-9``
 on the ``array`` backend).  Any unsound splice (a missed ancestor, a
@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from repro.obs.registry import get_registry
 from repro.prob import QuerySession, query_answer
 from repro.pxml.builder import ind, ordinary
 from repro.pxml.pdocument import PDocument
@@ -26,6 +27,8 @@ LABELS = ("a", "b", "c")
 TOLERANCE = 1e-9
 
 seeds = st.integers(min_value=0, max_value=10**6)
+
+_REBUILDS = get_registry().counter("repro_pdocument_digest_rebuilds_total")
 
 
 def _mutate_scoped(p: PDocument, rng: random.Random, counter) -> None:
@@ -70,7 +73,8 @@ def _assert_indexes_match_scratch(p: PDocument) -> None:
     scratch_digests, scratch_sizes = scratch.structural_index()
     assert digests == scratch_digests
     assert sizes == scratch_sizes
-    assert p._structural_index[3] == scratch._structural_index[3]  # shapes
+    # The whole world-digest map, not only its root entry.
+    assert p._indexes_now()[3] == scratch._indexes_now()[3]
     assert p.anchor_index() == scratch.anchor_index()
     assert p.label_index() == scratch.label_index()
     assert p.identity_digest() == scratch.identity_digest()
@@ -87,7 +91,11 @@ def test_spine_splice_equals_scratch_rebuild(seed):
     p.structural_index(), p.anchor_index(), p.label_index()
     p.identity_digest()
     for _ in range(rng.randint(1, 6)):
+        rebuilds = _REBUILDS.value
         _mutate_scoped(p, rng, counter)
+        p.structural_index(), p.label_index(), p.identity_digest()
+        # Node-scoped edits splice; they never rebuild the document.
+        assert _REBUILDS.value == rebuilds
         _assert_indexes_match_scratch(p)
 
 

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import PDocumentError
 from repro.pxml import PDocument, PNodeKind, det, ind, mux, ordinary, pdoc
 from repro.workloads import paper
+from repro.workloads.synthetic import isomorphic_twin
 
 
 class TestValidation:
@@ -147,3 +148,65 @@ class TestStructuralIdentity:
         closure = p.ancestral_closure([8])  # Rick: mux 11, name 4, person 2
         assert closure == frozenset({8, 11, 4, 2, 1})
         assert p.ancestral_closure([]) == frozenset()
+
+
+class TestGoldenDigests:
+    """Structural digests pinned as literals: memo-store keys are built
+    from them, so any drift would silently turn every existing store
+    file cold."""
+
+    def test_document_digest(self):
+        assert (
+            paper.p_per().document_digest
+            == "4592308b4acebc1c73088e3c6ad3ea4b"
+        )
+
+    @pytest.mark.parametrize(
+        "node_id, digest, size",
+        [
+            (5, "fec2dbe3a7e4bcb39ea1d52d0c362367", 9),  # ordinary bonus
+            (8, "f1b8b0800beb37b3a8cdec0e1ce36925", 1),  # ordinary leaf
+            (21, "161181a7b1df0dac0e34eef13369eee0", 6),  # mux
+            (53, "fa8064dc442cca956745cb61a4419888", 3),  # ind
+        ],
+    )
+    def test_subtree_digest_and_size(self, node_id, digest, size):
+        p = paper.p_per()
+        assert p.structural_digest(node_id) == digest
+        assert p.subtree_size(node_id) == size
+
+
+def _ind_chain(levels: int) -> PDocument:
+    """``a`` over a chain of ``levels`` ``b``s, each behind an ``ind(½)``."""
+    node = ordinary(2 * levels, "b")
+    for level in range(levels - 1, -1, -1):
+        label = "a" if level == 0 else "b"
+        node = ordinary(2 * level, label, ind(2 * level + 1, (node, "0.5")))
+    return pdoc(node)
+
+
+class TestDeepDocuments:
+    """No recursion limit on copies, canonical keys, equality or hashing."""
+
+    LEVELS = 5000
+
+    def test_subdocument_copies_whole_chain(self):
+        p = _ind_chain(self.LEVELS)
+        sub = p.subdocument(p.root.node_id)
+        assert len(sub.ordinary_nodes()) == self.LEVELS + 1
+        assert sub.document_digest == p.document_digest
+
+    def test_equality_and_hash(self):
+        p = _ind_chain(self.LEVELS)
+        assert p == p
+        assert p == _ind_chain(self.LEVELS)
+        assert hash(p) == hash(_ind_chain(self.LEVELS))
+        assert p != _ind_chain(self.LEVELS - 1)
+
+    def test_canonical_key_without_ids_matches_twin(self):
+        p = _ind_chain(self.LEVELS)
+        twin = isomorphic_twin(p)
+        assert twin.canonical_key(with_ids=False) == p.canonical_key(
+            with_ids=False
+        )
+        assert twin.canonical_key() != p.canonical_key()

@@ -312,3 +312,17 @@ class TestCandidateStoreAccounting:
         del log[:]
         QuerySession(p_per, store=store).answer_many([q, paper.q_bon()])
         assert log == ["hit", "miss", "put"]
+
+    def test_probability_only_edit_keeps_candidate_key(self, store, p_per):
+        # Candidate sets are keyed by the world digest, which hashes no
+        # edge probability: after a probability-only edit a fresh
+        # session still finds them in the store.
+        q = paper.q_bon()
+        QuerySession(p_per, store=store).answer_many([q])
+        node = p_per.node(21)
+        node.probabilities[24] *= Fraction(1, 2)
+        p_per.mark_mutated(node)
+        del store.candidate_log[:]
+        answers = QuerySession(p_per, store=store).answer_many([q])
+        assert answers == [query_answer(p_per, q)]
+        assert store.candidate_log == ["hit"]

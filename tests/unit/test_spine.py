@@ -150,6 +150,52 @@ class TestMarkMutated:
         assert after != before
 
 
+class TestWorldDigest:
+    """``world_changed`` and ``identity_digest()`` follow the maximal
+    world and node Ids, never plain edge probabilities."""
+
+    def edit(self, p, mutate, node_id):
+        warm_indexes(p)
+        before = p.identity_digest()
+        start = p.mutation_epoch
+        mutate(p)
+        p.mark_mutated(node_id)
+        _, world_changed = p.dirty_since(start)
+        assert_indexes_equal_scratch(p)
+        return world_changed, p.identity_digest() != before
+
+    def test_probability_only_edit_keeps_both(self):
+        def halve(p):
+            p.node(4).probabilities[5] *= Fraction(1, 2)
+
+        assert self.edit(small_doc(), halve, 4) == (False, False)
+
+    def test_zero_probability_edge_flips_both(self):
+        def zero(p):
+            p.node(4).probabilities[5] = Fraction(0)
+
+        assert self.edit(small_doc(), zero, 4) == (True, True)
+
+    def test_relabel_flips_both(self):
+        def relabel(p):
+            p.node(6).label = "z"
+
+        assert self.edit(small_doc(), relabel, 6) == (True, True)
+
+    def test_attach_flips_both(self):
+        def attach(p):
+            p.node(3).add_child(ordinary(7, "c"))
+
+        assert self.edit(small_doc(), attach, 3) == (True, True)
+
+    def test_twin_with_other_ids_differs(self):
+        p = small_doc()
+        twin = isomorphic_twin(p)
+        assert twin.document_digest == p.document_digest
+        assert twin.identity_digest() != p.identity_digest()
+        assert twin.identity_digest() not in p.structural_index()[0].values()
+
+
 class TestTwinOffset:
     def test_offset_derived_past_max_id(self):
         p = small_doc()
