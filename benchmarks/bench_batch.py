@@ -104,7 +104,7 @@ def test_batched_warm_array(benchmark, report, persons):
                 - float(d_exact.get(node_id, 0))
             ) < 1e-9
     report.append(
-        f"batch persons={persons}: one stacked (lanes × support) pass"
+        f"batch persons={persons}: one lane-group pass (rows shared by class)"
     )
 
 

@@ -270,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=sorted(BACKENDS),
         default="exact",
-        help="numeric backend: 'exact' Fractions (default) or 'fast' floats",
+        help="numeric backend: 'exact' Fractions (default), 'fast' floats, "
+        "or 'array' (numpy kernels; --batch runs the queries as one lane "
+        "group)",
     )
     p_eval.add_argument(
         "--batch",

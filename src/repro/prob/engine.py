@@ -516,9 +516,9 @@ class EvaluationEngine:
 
         ``_GRANT_ALL`` is the unpinned evaluation; ``_GRANT_NONE`` yields
         the *blocked* distribution (what :meth:`combine_pinned` computes
-        as the first half of its pair) — the stacked session pass
-        (:mod:`repro.prob.stacked`) uses the latter for lanes that hold
-        no candidate below a node.
+        as the first half of its pair).  The lane group of
+        :mod:`repro.prob.stacked` computes every blocked/unpinned row of
+        a batch with it, once per lane class.
         """
         if node.kind is PNodeKind.ORDINARY:
             combined = self._unit()

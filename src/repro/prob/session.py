@@ -495,9 +495,7 @@ class QuerySession:
                 if plan is None:
                     continue
                 plan[4].clear()
-                keyer_cache = plan[1]._cache
-                for node_id in changed:
-                    keyer_cache.pop(node_id, None)
+                plan[1].forget(changed)
                 survived += 1
             stats.survived_plans += survived
         self.store.record_spine_recompute(len(self.store))
@@ -663,7 +661,9 @@ class QuerySession:
         ]
         return self._run_pass(lanes, "session.traversal", pinned=False)
 
-    def _run_pass(self, lanes: list, name: str, **attrs) -> list:
+    def _run_pass(
+        self, lanes: list, name: str, counters=None, **attrs
+    ) -> list:
         """One :func:`stored_postorder` pass over the session's document
         and store, counted as one traversal; returns the lanes' roots.
 
@@ -671,6 +671,8 @@ class QuerySession:
         deltas of the session counters (node visits, memo and store
         hit/miss traffic, and the array backend's exact fallbacks) —
         cheap because the snapshots happen once per pass, never per node.
+        ``counters``, when given, returns further span attributes once
+        the pass is done.
         """
         sp = trace_span(
             name, lanes=sum(lane.width for lane in lanes), **attrs
@@ -701,4 +703,7 @@ class QuerySession:
             )
             sp.set("store_hits", store.hits - store_before[0])
             sp.set("store_misses", store.misses - store_before[1])
+            if counters is not None:
+                for key, value in counters().items():
+                    sp.set(key, value)
         return roots

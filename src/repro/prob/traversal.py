@@ -16,7 +16,7 @@ maps can be assembled), its gate, its keyer, and its combine callback.
 A batched session pass runs many lanes over one stack walk; a plain
 engine pass runs one.  A *lane group* is a lane standing for ``width``
 queries at once: its entries carry every query of the group (the
-stacked pass's ``(lanes × support)`` matrices), its keyer issues one
+stacked pass's per-lane rows), its keyer issues one
 combined key per subtree, and its hits, misses and neutral skips count
 ``× width`` so the counters read as if each query had run its own lane.
 

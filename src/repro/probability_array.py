@@ -30,8 +30,14 @@ that subtree upward the computation runs through the per-entry
 (array × dict) are resolved by converting the array side into the
 dict's domain, so fallback regions compose with vectorized regions.
 
+**Session batches.**  A :class:`~repro.prob.session.QuerySession` runs
+a batch of two or more queries as one lane group
+(:mod:`repro.prob.stacked`) whose entries are :class:`LaneRows` — one
+float dict per lane, not arrays.  The same width threshold applies per
+row, and rows above an escaped row combine exactly.
+
 ``numpy`` is an optional dependency (the ``[array]`` packaging extra);
-importing this module without it raises
+constructing an :class:`ArrayBackend` without it raises
 :class:`~repro.errors.MissingDependencyError`.
 """
 
@@ -49,7 +55,7 @@ __all__ = [
     "ArrayBackend",
     "ArrayDistribution",
     "ArrayOps",
-    "StackedDistribution",
+    "LaneRows",
 ]
 
 
@@ -95,58 +101,35 @@ class ArrayDistribution:
         return f"ArrayDistribution({self.to_dict()!r})"
 
 
-class StackedDistribution:
-    """A whole batch of lane distributions as one ``(lanes × width)`` pair.
+class LaneRows:
+    """A whole batch of lane distributions as one tuple of rows.
 
-    The stacked session pass (:mod:`repro.prob.stacked`) advances every
-    query lane of a batch through a subtree in a single vectorized step;
-    this is the memoized result — row ``i`` is lane ``i``'s blocked
-    distribution, right-padded with ``(mask 0, value 0.0)`` entries
-    (real entries never carry zero mass, so padding is unambiguous).
+    The lane group of :mod:`repro.prob.stacked` advances every query
+    lane of a batch through a subtree in one combine step; this is the
+    memoized result — ``rows[i]`` is lane ``i``'s blocked (or unpinned)
+    distribution as a plain ``{mask: value}`` dict.  Lanes of one *lane
+    class* (equal restricted goal table, anchor positions and gate)
+    share one row object, and neutral lanes share the unit dict.
 
-    Store-friendly like :class:`ArrayDistribution`: ``__len__`` is the
-    total (unpadded) support, used as the eviction weight, and the
-    sqlite codec round-trips the padded matrices directly.  Per-lane
-    scalar views are memoized on the instance — the same object is
-    served from the in-memory store every warm pass, so the dict
-    conversions at the batch frontier amortize across passes.
+    Values are floats, or :class:`~fractions.Fraction` in rows that
+    escaped the width threshold or were combined above such a row
+    (``exact`` is set when any row is).  Immutable by convention, like
+    every engine distribution.  ``__len__`` is the total support over
+    all lanes (shared rows count once per lane): the store's eviction
+    weight.
     """
 
-    __slots__ = ("masks", "values", "_dicts", "_support")
+    __slots__ = ("rows", "exact")
 
-    def __init__(self, masks, values) -> None:
-        self.masks = masks
-        self.values = values
-        self._dicts: list = [None] * int(masks.shape[0])
-        self._support: Optional[int] = None
-
-    @property
-    def lanes(self) -> int:
-        return int(self.masks.shape[0])
+    def __init__(self, rows: tuple, exact: bool = False) -> None:
+        self.rows = rows
+        self.exact = exact
 
     def __len__(self) -> int:
-        if self._support is None:
-            self._support = int((self.values != 0.0).sum())
-        return self._support
-
-    def row_dict(self, lane: int) -> dict:
-        """Lane ``lane`` as a plain ``{mask: float}`` dict (memoized)."""
-        cached = self._dicts[lane]
-        if cached is None:
-            cached = self._dicts[lane] = {
-                int(mask): float(value)
-                for mask, value in zip(
-                    self.masks[lane].tolist(), self.values[lane].tolist()
-                )
-                if value
-            }
-        return cached
+        return sum(map(len, self.rows))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"StackedDistribution(lanes={self.lanes}, "
-            f"width={int(self.masks.shape[1])})"
-        )
+        return f"LaneRows(lanes={len(self.rows)}, exact={self.exact})"
 
 
 class _ExactFallbackOps(ScalarOps):
@@ -215,7 +198,7 @@ class ArrayOps:
             np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.float64)
         )
         self._float_ops = ScalarOps(backend)
-        self._exact_ops = _ExactFallbackOps(_EXACT_PROXY)
+        self._exact_ops = _EXACT_OPS
 
     # -- domain dispatch ------------------------------------------------
     def _scalar_ops(self, *dists) -> ScalarOps:
@@ -418,10 +401,11 @@ class _ExactProxy:
 
 
 _EXACT_PROXY = _ExactProxy()
+#: The exact-fallback kernels (stateless, shared by every backend).
+_EXACT_OPS = _ExactFallbackOps(_EXACT_PROXY)
 
-#: int64 masks leave 62 usable bits; row-offset dedup in the stacked
-#: session kernels borrows the high bits, so cap the per-engine goal
-#: space well below the machine-word limit.
+#: int64 masks leave 62 usable bits; cap the per-engine goal space of
+#: the vector kernels well below the machine-word limit.
 _MAX_VECTOR_GOAL_BITS = 48
 
 #: Live array backends feeding the registry pull collector below; the
@@ -456,9 +440,10 @@ class ArrayBackend:
     the ``fast`` backend), but the distribution kernels returned by
     :meth:`engine_ops` operate on :class:`ArrayDistribution` packed
     arrays — and :class:`repro.prob.session.QuerySession` additionally
-    recognizes :attr:`vectorized_sessions` and runs whole query batches
-    through the stacked ``(lanes × support)`` pass of
-    :mod:`repro.prob.stacked`.
+    recognizes :attr:`vectorized_sessions` and runs every batch of two
+    or more queries as one lane group of :mod:`repro.prob.stacked`:
+    one combined store key and one :class:`LaneRows` entry per subtree,
+    each row computed once per lane class with float dict kernels.
 
     Args:
         width_threshold: support width beyond which a kernel result
@@ -470,7 +455,7 @@ class ArrayBackend:
     name = "array"
     zero = 0.0
     one = 1.0
-    #: QuerySession hook: batch whole sessions into stacked arrays.
+    #: QuerySession hook: run query batches as one lane group.
     vectorized_sessions = True
 
     def __init__(
@@ -510,13 +495,19 @@ class ArrayBackend:
         """Plain float dict kernels (shared instance).
 
         Used when the goal-mask space outgrows the int64 vector
-        representation, and by the stacked session pass for its per-lane
-        candidate-spine combines, where distributions are tiny dicts and
-        the vector ops' domain dispatch is pure overhead.
+        representation, and by the lane group of :mod:`repro.prob.stacked`
+        for every row it combines: rows are tiny dicts, where the vector
+        ops' domain dispatch is pure overhead.
         """
         if self._scalar_fallback is None:
             self._scalar_fallback = ScalarOps(self)
         return self._scalar_fallback
+
+    @staticmethod
+    def exact_ops() -> ScalarOps:
+        """The exact-fallback dict kernels (:class:`~fractions.Fraction`
+        values; float edge probabilities are lifted exactly)."""
+        return _EXACT_OPS
 
     def engine_ops(self, goal_bits: int):
         """Vector kernels — or plain float ScalarOps when the engine's

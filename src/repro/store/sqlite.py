@@ -74,6 +74,7 @@ from typing import Optional, Union
 
 from ..obs.registry import get_registry
 from ..obs.trace import get_tracer
+from ..probability_array import LaneRows
 from .api import MemoStore, StoreKey, is_anchored_key
 
 __all__ = ["SqliteStore", "open_store"]
@@ -155,32 +156,8 @@ def _decode_anchor(text: str):
     return tuple(slots)
 
 
-def _encode(distribution) -> Optional[str]:
-    """JSON payload for a distribution, or ``None`` if not serializable.
-
-    Two payload generations coexist in one table:
-
-    * **v1** — scalar dicts.  Exact values travel as ``[numerator,
-      denominator]`` pairs (faster to revive than ``"num/den"`` strings
-      — decode speed is what bounds the warm-from-disk preload), floats
-      as plain JSON numbers.
-    * **v2** — packed-array distributions from the ``array`` backend,
-      duck-typed by their aligned ``masks``/``values`` arrays: kind
-      ``"a"`` for a 1-D :class:`~repro.probability_array.ArrayDistribution`,
-      kind ``"s"`` for a 2-D lane-batched
-      :class:`~repro.probability_array.StackedDistribution`.
-    """
-    masks = getattr(distribution, "masks", None)
-    if masks is not None:
-        kind = "a" if getattr(masks, "ndim", 0) == 1 else "s"
-        return json.dumps(
-            {
-                "v": 2,
-                "k": kind,
-                "m": masks.tolist(),
-                "p": distribution.values.tolist(),
-            }
-        )
+def _encode_items(distribution: dict) -> Optional[list]:
+    """v1 ``[mask, value]`` items, or ``None`` for a foreign domain."""
     items = []
     for mask, value in distribution.items():
         if isinstance(value, Fraction):
@@ -189,6 +166,61 @@ def _encode(distribution) -> Optional[str]:
             items.append((mask, value))
         else:
             return None
+    return items
+
+
+def _decode_items(items) -> dict:
+    return {
+        int(mask): Fraction(*value) if isinstance(value, list) else float(value)
+        for mask, value in items
+    }
+
+
+def _encode(distribution) -> Optional[str]:
+    """JSON payload for a distribution, or ``None`` if not serializable.
+
+    Three payload generations coexist in one table:
+
+    * **v1** — scalar dicts.  Exact values travel as ``[numerator,
+      denominator]`` pairs (faster to revive than ``"num/den"`` strings
+      — decode speed is what bounds the warm-from-disk preload), floats
+      as plain JSON numbers.
+    * **v2** — packed-array distributions from the ``array`` backend,
+      duck-typed by their aligned ``masks``/``values`` arrays: kind
+      ``"a"`` for a 1-D :class:`~repro.probability_array.ArrayDistribution`.
+    * **v3** — a lane group's
+      :class:`~repro.probability_array.LaneRows`: each distinct row
+      object once, as v1 items (so exact rows keep their pairs), plus a
+      lane → row index.  Lanes of one class share one row, on disk as
+      in memory.
+    """
+    masks = getattr(distribution, "masks", None)
+    if masks is not None:
+        return json.dumps(
+            {
+                "v": 2,
+                "k": "a",
+                "m": masks.tolist(),
+                "p": distribution.values.tolist(),
+            }
+        )
+    if distribution.__class__ is LaneRows:
+        slots: dict = {}
+        rows = []
+        index = []
+        for row in distribution.rows:
+            slot = slots.get(id(row))
+            if slot is None:
+                items = _encode_items(row)
+                if items is None:
+                    return None
+                slot = slots[id(row)] = len(rows)
+                rows.append(items)
+            index.append(slot)
+        return json.dumps({"v": 3, "r": rows, "i": index})
+    items = _encode_items(distribution)
+    if items is None:
+        return None
     return json.dumps({"v": _PAYLOAD_VERSION, "d": items})
 
 
@@ -198,6 +230,7 @@ def _decode(payload: str):
     v2 payloads revive through :mod:`repro.probability_array`; when
     numpy is unavailable in the reading process the payload is treated
     as foreign (``ValueError`` → miss) rather than failing the query.
+    So are the retired numpy lane-group payloads (v2 kind ``"s"``).
     """
     data = json.loads(payload)
     if not isinstance(data, dict):
@@ -205,12 +238,20 @@ def _decode(payload: str):
     version = data.get("v")
     if version == 2:
         return _decode_array(data, payload)
+    if version == 3:
+        rows = [_decode_items(items) for items in data["r"]]
+        try:
+            lanes = tuple(rows[slot] for slot in data["i"])
+        except IndexError as exc:
+            raise ValueError(f"malformed lane-row payload: {payload[:40]!r}") from exc
+        # A row is all float or all Fraction: its first value tells.
+        exact = any(
+            isinstance(next(iter(row.values()), None), Fraction) for row in rows
+        )
+        return LaneRows(lanes, exact)
     if version != _PAYLOAD_VERSION:
         raise ValueError(f"unsupported memo payload version: {payload[:40]!r}")
-    return {
-        int(mask): Fraction(*value) if isinstance(value, list) else float(value)
-        for mask, value in data["d"]
-    }
+    return _decode_items(data["d"])
 
 
 def _decode_array(data: dict, payload: str):
@@ -218,21 +259,18 @@ def _decode_array(data: dict, payload: str):
     try:
         import numpy
 
-        from ..probability_array import ArrayDistribution, StackedDistribution
+        from ..probability_array import ArrayDistribution
     except ImportError as exc:
         raise ValueError(
             f"array memo payload needs numpy to decode: {exc}"
         ) from exc
-    kind = data.get("k")
     try:
         masks = numpy.asarray(data["m"], dtype=numpy.int64)
         values = numpy.asarray(data["p"], dtype=numpy.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed array memo payload: {payload[:40]!r}") from exc
-    if kind == "a" and masks.ndim == 1 and masks.shape == values.shape:
+    if data.get("k") == "a" and masks.ndim == 1 and masks.shape == values.shape:
         return ArrayDistribution(masks, values)
-    if kind == "s" and masks.ndim == 2 and masks.shape == values.shape:
-        return StackedDistribution(masks, values)
     raise ValueError(f"malformed array memo payload: {payload[:40]!r}")
 
 

@@ -3,14 +3,15 @@
 Covers the PR-6 tentpole guarantees: the ArrayOps kernels agree with the
 scalar backends at the engine level, supports past ``width_threshold``
 escape to exact per-subtree evaluation (and compose with vectorized
-regions), the stacked session pass answers whole batches through one
-``(lanes × width)`` matrix per subtree, the SQLite codec round-trips the
-versioned array payloads, and numpy stays a gracefully-optional
-dependency.
+regions), the stacked session pass answers whole batches as one lane
+group of per-lane rows shared by lane class, the SQLite codec
+round-trips the versioned array and lane-row payloads, and numpy stays
+a gracefully-optional dependency.
 """
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,12 +26,16 @@ from repro.probability import (
 from repro.probability_array import (
     ArrayBackend,
     ArrayDistribution,
-    StackedDistribution,
+    LaneRows,
     _import_numpy,
 )
-from repro.prob import QuerySession, query_answer
-from repro.prob.engine import boolean_probability, node_probability
-from repro.store import InMemoryStore, SqliteStore
+from repro.prob import EvaluationEngine, QuerySession, query_answer
+from repro.prob.engine import (
+    boolean_probability,
+    candidate_sets,
+    node_probability,
+)
+from repro.store import GATE_BLOCKED, InMemoryStore, SqliteStore, SubtreeKeyer
 from repro.workloads import paper
 from repro.workloads.synthetic import (
     batch_workload,
@@ -97,18 +102,14 @@ class TestDistributions:
         assert len(d) == 2
         assert d.to_dict() == {0: 0.25, 5: 0.75}
 
-    def test_stacked_distribution_rows(self):
-        s = StackedDistribution(
-            np.array([[0, 3], [1, 0]], dtype=np.int64),
-            np.array([[0.5, 0.5], [1.0, 0.0]], dtype=np.float64),
-        )
-        assert s.lanes == 2
-        # Support counts only nonzero mass (store eviction weight).
-        assert len(s) == 3
-        assert s.row_dict(0) == {0: 0.5, 3: 0.5}
-        assert s.row_dict(1) == {1: 1.0}
-        # Memoized: the same object comes back on a warm pass.
-        assert s.row_dict(0) is s.row_dict(0)
+    def test_lane_rows_len_counts_shared_rows_per_lane(self):
+        shared = {0: 0.5, 3: 0.5}
+        rows = LaneRows((shared, {1: 1.0}, shared))
+        # The store eviction weight: total support over all lanes, a
+        # shared row counting once per lane.
+        assert len(rows) == 5
+        assert rows.rows[0] is rows.rows[2]
+        assert not rows.exact
 
 
 class TestEngineAgreement:
@@ -252,6 +253,84 @@ class TestStackedSession:
         assert all(close(e, g) for e, g in zip(expected, got))
 
 
+class TestLaneClasses:
+    @staticmethod
+    def _is_exact(distribution) -> bool:
+        return any(isinstance(v, Fraction) for v in distribution.values())
+
+    def test_rows_above_an_escape_combine_exactly(self, monkeypatch):
+        # The exact fallback stays exact upward: every row combined from
+        # an escaped (Fraction) child row is itself a Fraction row.
+        backend = ArrayBackend(width_threshold=1)
+        p, queries = batch_workload(persons=8, projects=4, seed=8)
+        expected = [query_answer(p, q) for q in queries]
+        above = []
+        single = EvaluationEngine._combine_single_gated
+        pinned = EvaluationEngine.combine_pinned
+        is_exact = self._is_exact
+
+        def spy_single(engine, node, memo, gate):
+            row = single(engine, node, memo, gate)
+            if any(is_exact(memo[c.node_id]) for c in node.children):
+                above.append(row)
+            return row
+
+        def spy_pinned(engine, node, memo, candidate_set):
+            pair = pinned(engine, node, memo, candidate_set)
+            if any(is_exact(memo[c.node_id][0]) for c in node.children):
+                above.append(pair[0])
+            return pair
+
+        monkeypatch.setattr(
+            EvaluationEngine, "_combine_single_gated", spy_single
+        )
+        monkeypatch.setattr(EvaluationEngine, "combine_pinned", spy_pinned)
+        got = QuerySession(p, backend=backend).answer_many(queries)
+        assert backend.fallbacks > 0
+        assert above
+        assert all(is_exact(row) for row in above)
+        assert all(close(e, g) for e, g in zip(expected, got))
+
+    def test_one_blocked_combine_per_distinct_part(self, monkeypatch):
+        # A cold pass combines each node's blocked rows once per lane
+        # class: once per distinct non-neutral keyer part among the
+        # lanes without a candidate below the node.
+        p, queries = batch_workload(persons=16, projects=4, seed=3)
+        expected = [query_answer(p, q) for q in queries]
+        calls: Counter = Counter()
+        single = EvaluationEngine._combine_single_gated
+
+        def spy(engine, node, memo, gate):
+            calls[node.node_id] += 1
+            return single(engine, node, memo, gate)
+
+        monkeypatch.setattr(EvaluationEngine, "_combine_single_gated", spy)
+        session = QuerySession(p, backend="array")
+        got = session.answer_many(queries)
+        assert all(close(e, g) for e, g in zip(expected, got))
+
+        backend = session.backend
+        labels = p.label_index()
+        keyers = [
+            SubtreeKeyer(p, EvaluationEngine(p, [q], backend=backend), backend)
+            for q in queries
+        ]
+        lives = [p.ancestral_closure(cs) for cs in candidate_sets(p, queries)]
+        lane_rows = 0
+        parts_per_node = {}
+        for node_id in calls:
+            label_set = labels[node_id]
+            parts = [
+                keyer.token(node_id, label_set, GATE_BLOCKED)[0][1:4]
+                for keyer, live in zip(keyers, lives)
+                if node_id not in live and keyer.table_labels & label_set
+            ]
+            lane_rows += len(parts)
+            parts_per_node[node_id] = len(set(parts))
+        assert dict(calls) == parts_per_node
+        assert sum(calls.values()) < lane_rows  # sharing happened
+
+
 class TestSqliteArrayCodec:
     KEY = ("digest" * 10, "fp" * 20, None, None, "array")
 
@@ -269,20 +348,57 @@ class TestSqliteArrayCodec:
         assert got.to_dict() == {0: 0.25, 5: 0.75}
         reopened.close()
 
-    def test_round_trips_stacked_distribution(self, tmp_path):
+    def test_round_trips_lane_rows(self, tmp_path):
         store = SqliteStore(tmp_path / "memo.sqlite")
-        s = StackedDistribution(
-            np.array([[0, 3], [1, 0]], dtype=np.int64),
-            np.array([[0.5, 0.5], [1.0, 0.0]], dtype=np.float64),
-        )
-        store.put(self.KEY, s, weight=4)
+        shared = {0: 0.5, 3: 0.5}
+        exact = {0: Fraction(1, 3), 5: Fraction(2, 3)}
+        rows = LaneRows((shared, {1: 1.0}, shared, exact), exact=True)
+        store.put(self.KEY, rows, weight=4)
         store.close()
         reopened = SqliteStore(tmp_path / "memo.sqlite")
         got = reopened.get(self.KEY)
-        assert isinstance(got, StackedDistribution)
-        assert got.lanes == 2
-        assert got.row_dict(0) == {0: 0.5, 3: 0.5}
-        assert got.row_dict(1) == {1: 1.0}
+        assert isinstance(got, LaneRows)
+        assert got.rows == (shared, {1: 1.0}, shared, exact)
+        # The shared row is encoded once and shared again on revival.
+        assert got.rows[0] is got.rows[2]
+        assert all(isinstance(v, Fraction) for v in got.rows[3].values())
+        assert all(isinstance(v, float) for v in got.rows[1].values())
+        assert got.exact
+        assert len(got) == len(rows)
+        reopened.close()
+
+    def test_numpy_lane_group_payload_is_a_miss(self, tmp_path):
+        # A file written by the retired numpy lane group holds v2 kind
+        # "s" payloads: a reopened store treats them as foreign, so the
+        # probe misses and the batch is recombined correctly.
+        import sqlite3
+
+        path = tmp_path / "memo.sqlite"
+        p, queries = batch_workload(persons=8, projects=4, seed=8)
+        expected = [query_answer(p, q) for q in queries]
+        store = SqliteStore(path)
+        QuerySession(p, backend="array", store=store).answer_many(queries)
+        store.put(self.KEY, {0: 1.0}, weight=1)
+        store.close()
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "UPDATE memo SET payload = ?",
+            ('{"v": 2, "k": "s", "m": [[0], [0]], "p": [[1.0], [1.0]]}',),
+        )
+        conn.commit()
+        conn.close()
+        reopened = SqliteStore(path)
+        assert reopened.get(self.KEY) is None
+        assert reopened.misses == 1
+        got = QuerySession(p, backend="array", store=reopened).answer_many(
+            queries
+        )
+        assert all(close(e, g) for e, g in zip(expected, got))
+        # Nothing on disk served: the pass counts exactly as a cold one.
+        cold = SqliteStore(tmp_path / "cold.sqlite")
+        QuerySession(p, backend="array", store=cold).answer_many(queries)
+        assert (reopened.hits, reopened.misses - 1) == (cold.hits, cold.misses)
+        cold.close()
         reopened.close()
 
     def test_malformed_array_payload_is_a_miss(self, tmp_path):
