@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(BACKENDS),
         default="exact",
         help="numeric backend: 'exact' Fractions (default), 'fast' floats, "
-        "or 'array' (numpy kernels; --batch runs the queries as one lane "
+        "or 'array' (float rows; --batch runs the queries as one lane "
         "group)",
     )
     p_eval.add_argument(

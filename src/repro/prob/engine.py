@@ -580,12 +580,36 @@ class EvaluationEngine:
     def _combine_ordinary_pinned(
         self, node: PNode, memo: dict, candidate_set: frozenset
     ) -> tuple[Distribution, dict]:
-        children = node.children
-        blocked_children = [memo[child.node_id][0] for child in children]
-        # pre[i] = convolution of the first i children's blocked distributions
+        # Children whose blocked distributions are one object (store hits
+        # of one key, the lane group's interned rows) form a group: its m
+        # equal factors enter as one power by repeated squaring, and the
+        # prefix/suffix products run over the k groups, not the children.
+        # Identity, not content, keys the groups: hashing every narrow
+        # node's distribution would cost more than the grouping saves.
+        # With every group of size 1 this is the plain prefix/suffix pass.
+        convolve = self._convolve
+        index: dict = {}  # id(row) -> group
+        factors: list = []  # per group: its row, then the row ** m
+        rests: dict = {}  # group -> m, then row ** (m - 1); only m > 1
+        pinned_children: list = []  # (group, pinned map) in child order
+        for child in node.children:
+            blocked_child, child_pinned = memo[child.node_id]
+            key = id(blocked_child)
+            g = index.get(key)
+            if g is None:
+                g = index[key] = len(factors)
+                factors.append(blocked_child)
+            else:
+                rests[g] = rests.get(g, 1) + 1
+            if child_pinned:
+                pinned_children.append((g, child_pinned))
+        for g, count in rests.items():
+            rest = rests[g] = self._power(factors[g], count - 1)
+            factors[g] = convolve(rest, factors[g])
+        # pre[g] = convolution of the first g groups' factors
         pre = [self._unit()]
-        for distribution in blocked_children:
-            pre.append(self._convolve(pre[-1], distribution))
+        for factor in factors:
+            pre.append(convolve(pre[-1], factor))
         combined_all = pre[-1]
         blocked = self._rewrite(node, combined_all, _GRANT_NONE)
         pinned: dict = {}
@@ -593,23 +617,43 @@ class EvaluationEngine:
             # Pinning at the node itself: out goals may be granted here and
             # nowhere below — which is exactly the children-blocked run.
             pinned[node.node_id] = self._rewrite(node, combined_all, _GRANT_ALL)
-        if any(memo[child.node_id][1] for child in children):
-            count = len(children)
-            # suf[i] = convolution of children i.. 's blocked distributions
+        if pinned_children:
+            count = len(factors)
+            # suf[g] = convolution of groups g.. 's factors
             suf = [self._unit()] * (count + 1)
-            for i in range(count - 1, -1, -1):
-                suf[i] = self._convolve(blocked_children[i], suf[i + 1])
-            for j, child in enumerate(children):
-                child_pinned = memo[child.node_id][1]
-                if not child_pinned:
-                    continue
-                others = self._convolve(pre[j], suf[j + 1])
+            for g in range(count - 1, -1, -1):
+                suf[g] = convolve(factors[g], suf[g + 1])
+            # others[g]: every child but one of group g, once per group.
+            others_of: dict = {}
+            for g, child_pinned in pinned_children:
+                others = others_of.get(g)
+                if others is None:
+                    others = convolve(pre[g], suf[g + 1])
+                    if g in rests:
+                        others = convolve(others, rests[g])
+                    others_of[g] = others
                 for candidate, distribution in child_pinned.items():
-                    below = self._convolve(others, distribution)
+                    below = convolve(others, distribution)
                     # The pin lives strictly below, so out goals are not
                     # granted at this node: the blocked gate is exact.
                     pinned[candidate] = self._rewrite(node, below, _GRANT_NONE)
         return blocked, pinned
+
+    def _power(self, distribution: Distribution, exponent: int) -> Distribution:
+        """``distribution`` convolved with itself ``exponent`` times, by
+        repeated squaring (the unit for ``exponent == 0``)."""
+        result = None
+        while exponent:
+            if exponent & 1:
+                result = (
+                    distribution
+                    if result is None
+                    else self._convolve(result, distribution)
+                )
+            exponent >>= 1
+            if exponent:
+                distribution = self._convolve(distribution, distribution)
+        return self._unit() if result is None else result
 
     def _combine_mux_pinned(
         self, node: PNode, memo: dict
@@ -694,6 +738,10 @@ def candidate_sets(
       (``//``) holds bit ``k - 1``.  Subtrees where no branch bit holds
       at or above them are pruned.
 
+    Both walks skip subtrees whose label set (:meth:`PDocument.
+    label_index`) is disjoint from the labels the walk can react to —
+    the predicate goals' bottom-up, the main branches' top-down.
+
     Anchors play no part: an anchored evaluation's candidates are a
     subset of these.
     """
@@ -737,10 +785,21 @@ def candidate_sets(
         branch_count += len(branch)
 
     root = p.root
+    labels = p.label_index()
     below: dict[int, int] = {}  # node_id -> OR of its children's goals
     if goal_entries:
-        # Reversed pre-order visits every child before its parent.
-        for node in reversed(list(root.iter_subtree())):
+        # Reversed pre-order visits every child before its parent.  A
+        # subtree without a goal label emits nothing: it is not entered.
+        goal_labels = frozenset(goal_entries)
+        order = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            for child in node.children:
+                if not goal_labels.isdisjoint(labels[child.node_id]):
+                    stack.append(child)
+        for node in reversed(order):
             mask = below.get(node.node_id, 0)
             label = node.label
             if label is None:
@@ -757,6 +816,8 @@ def candidate_sets(
                 below[parent_id] = below.get(parent_id, 0) | emitted
 
     results: list[set[int]] = [set() for _ in patterns]
+    # A subtree without a main-branch label holds no branch bit: pruned.
+    branch_labels = frozenset(branch_entries)
     # (node, branch bits its position admits, branch bits held at or
     # above its max-world parent)
     stack = [(root, first_bits, 0)]
@@ -765,7 +826,8 @@ def candidate_sets(
         label = node.label
         if label is None:
             for child in node.children:
-                stack.append((child, admitted, up))
+                if not branch_labels.isdisjoint(labels[child.node_id]):
+                    stack.append((child, admitted, up))
             continue
         here = 0
         if admitted:
@@ -783,7 +845,8 @@ def candidate_sets(
         if up:
             admitted = ((here << 1) & child_bits) | ((up << 1) & desc_bits)
             for child in node.children:
-                stack.append((child, admitted, up))
+                if not branch_labels.isdisjoint(labels[child.node_id]):
+                    stack.append((child, admitted, up))
     return results
 
 

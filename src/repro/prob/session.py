@@ -58,10 +58,11 @@ pass-scoped probe object
 pdocument.PDocument.mutation_epoch` changes (code that mutates a
 p-document in place calls ``mark_mutated(node)``), the session consults
 :meth:`PDocument.dirty_since`.  For node-scoped mutations it performs a
-*spine refresh*: stacked batch plans survive (their per-node key caches
-are pruned of dirty Ids and their answer memos cleared), and — when the
-mutation was probability-only, so the maximal world is unchanged —
-cached candidate sets stay warm too.  Only a
+*spine refresh*.  When the mutation was probability-only, so the
+maximal world is unchanged, cached candidate sets stay warm and stacked
+batch plans survive: their per-node key caches and retained spines are
+pruned of dirty Ids and their answer memos cleared, so the next read
+recombines only the dirty path.  Only a
 whole-document :meth:`PDocument.mark_all_mutated` still triggers the
 historical full reset.  The structural store needs no purge either way: mutated
 subtrees change their digests and simply stop matching, while untouched
@@ -143,6 +144,10 @@ class SessionStats:
             full reset — only state keyed on dirty node Ids was dropped.
         survived_plans: cumulative stacked batch plans kept live across
             spine refreshes (array backend).
+        spine_hits: per-query live-spine entries reused from a stacked
+            answer plan's retained spine instead of recombined (array
+            backend; counted apart from ``memo_hits``, which the store
+            serves).
     """
 
     traversals: int = 0
@@ -157,6 +162,7 @@ class SessionStats:
     invalidations: int = 0
     spine_refreshes: int = 0
     survived_plans: int = 0
+    spine_hits: int = 0
 
     def snapshot(self) -> dict:
         return dict(self.__dict__)
@@ -485,8 +491,9 @@ class QuerySession:
             self._stacked.clear()
         else:
             # Probability-only mutation: candidates and plans survive.
-            # Plan answer memos still reflect the old masses and per-node
-            # key caches may hold dirty digests — drop just those.
+            # Plan answer memos still reflect the old masses, and per-node
+            # key caches and retained spines may hold entries of moved
+            # digests — drop just those.
             survived = 0
             for key in [k for k in self._stacked if k[0] == "bool"]:
                 del self._stacked[key]
@@ -494,8 +501,7 @@ class QuerySession:
                 plan = entry[1]
                 if plan is None:
                     continue
-                plan[4].clear()
-                plan[1].forget(changed)
+                plan.forget(changed)
                 survived += 1
             stats.survived_plans += survived
         self.store.record_spine_recompute(len(self.store))

@@ -33,7 +33,25 @@ below — over the backend's float dict kernels.  There is no numpy here.
 (the union of all lanes' live sets) need per-lane ``(blocked, pinned)``
 pairs: a live lane runs ``combine_pinned``, the other lanes share
 blocked rows by class as above.  Split entries name candidate node Ids,
-so the store never holds them; they are recombined every pass.
+so the store never holds them.
+
+**Retained spine.**  Instead, each answer plan keeps its split entries
+(:attr:`_AnswerPlan.spine`) across passes and hands them to the walk as
+the group lane's :attr:`~repro.prob.traversal.Lane.known` entries.  In
+the local models a node's entry depends only on its own subtree (and on
+the plan's candidate and live sets, fixed while the plan lives), so a
+spine refresh drops exactly the nodes whose structural digest moved
+(:meth:`_AnswerPlan.forget`) and the next read recombines only that
+dirty path.  A plan dies with the maximal world it was built for, and
+its spine with it.
+
+**Interned rows.**  Within one pass the group interns the rows it
+creates (by exactness and content), so isomorphic children of a wide
+node hand the engine one row *object*; the engine's ordinary-node
+pinned combine groups children by row identity and combines each
+distinct row once (:meth:`~repro.prob.engine.EvaluationEngine.
+_combine_ordinary_pinned`).  The exactness flag keeps a float row from
+standing in for an equal :class:`~fractions.Fraction` row.
 
 **Combined store keys.**  A subtree is memoized under ONE key instead of
 L: ``(structural digest, digest of the tagged per-lane parts, None,
@@ -296,17 +314,26 @@ class _StackedGroup:
 
     ``rows_combined`` counts the rows the group computed and
     ``rows_shared`` the lanes that took a row computed for another lane
-    of their class.
+    of their class.  Every split entry the group combines lands in
+    ``spine`` (the answer plan's retained spine, which the walk consults
+    as :attr:`~repro.prob.traversal.Lane.known`); ``interned`` is the
+    pass-scoped row intern table.
     """
 
     __slots__ = (
         "labels", "lanes", "keyer", "backend", "grant", "union_live",
         "width_threshold", "exact_ops", "unit_dict", "unit_entry",
-        "rows_combined", "rows_shared",
+        "rows_combined", "rows_shared", "spine", "interned", "stats",
+        "spine_before",
     )
 
     def __init__(
-        self, session, lanes: list, keyer: StackedKeyer, union_live=frozenset()
+        self,
+        session,
+        lanes: list,
+        keyer: StackedKeyer,
+        union_live=frozenset(),
+        spine: Optional[dict] = None,
     ) -> None:
         backend = session.backend
         self.labels = session.p.label_index()
@@ -321,6 +348,10 @@ class _StackedGroup:
         self.unit_entry = LaneRows((self.unit_dict,) * len(lanes))
         self.rows_combined = 0
         self.rows_shared = 0
+        self.spine = {} if spine is None else spine
+        self.interned: dict = {}
+        self.stats = session.stats
+        self.spine_before = session.stats.spine_hits
 
     def lane(self) -> Lane:
         """The group as one :class:`~repro.prob.traversal.Lane`."""
@@ -334,6 +365,7 @@ class _StackedGroup:
             gate=keyer.gate,
             width=len(self.lanes),
             cacheable=_storable,
+            known=self.spine,
         )
 
     def counters(self) -> dict:
@@ -341,7 +373,18 @@ class _StackedGroup:
         return {
             "rows_combined": self.rows_combined,
             "rows_shared": self.rows_shared,
+            # Live nodes resolved from the retained spine (the skeleton
+            # counts spine hits once per lane of the group).
+            "spine_reused": (self.stats.spine_hits - self.spine_before)
+            // len(self.lanes),
         }
+
+    def _intern(self, row: dict) -> dict:
+        """The pass's one object for ``row``'s content and exactness
+        (``Fraction(1, 2) == 0.5`` hash alike, so exactness is keyed)."""
+        return self.interned.setdefault(
+            (_is_exact(row), tuple(row.items())), row
+        )
 
     def combine(self, node, entries):
         node_id = node.node_id
@@ -376,14 +419,16 @@ class _StackedGroup:
             child_map = {
                 child_id: _lift(row) for child_id, row in child_map.items()
             }
-            return engine._combine_single_gated(node, child_map, self.grant)
+            return self._intern(
+                engine._combine_single_gated(node, child_map, self.grant)
+            )
         row = stacked_lane.engine._combine_single_gated(
             node, child_map, self.grant
         )
         if len(row) > self.width_threshold:
             self.backend.fallbacks += 1
             row = {mask: Fraction(value) for mask, value in row.items()}
-        return row
+        return self._intern(row)
 
     def _split_combine(self, node, forms, classes) -> _SplitRows:
         node_id = node.node_id
@@ -397,6 +442,7 @@ class _StackedGroup:
         for i, lane in enumerate(self.lanes):
             if node_id in lane.live:
                 blocked, pins = self._pinned(node, forms, i, exact_below)
+                blocked = self._intern(blocked)
                 exact = exact or _is_exact(blocked)
                 rows.append(blocked)
                 pinned.append(pins)
@@ -417,7 +463,10 @@ class _StackedGroup:
                     self.rows_shared += 1
                 rows.append(row)
             pinned.append(_EMPTY)
-        return _SplitRows(tuple(rows), tuple(pinned), exact)
+        entry = self.spine[node_id] = _SplitRows(
+            tuple(rows), tuple(pinned), exact
+        )
+        return entry
 
     def _pinned(self, node, forms, lane: int, exact_below: bool) -> tuple:
         """A live lane's ``(blocked, pinned)`` pair at a node."""
@@ -444,13 +493,47 @@ class _StackedGroup:
 # ----------------------------------------------------------------------
 # Session entry points
 # ----------------------------------------------------------------------
+class _AnswerPlan:
+    """A cached stacked ``answer_many`` batch: the lanes, the combined
+    keyer, the union live set, the per-lane targets, the answer memo
+    (empty, or the one answer list of the current epoch) and the
+    retained spine (``node_id -> split entry``, see the module
+    docstring)."""
+
+    __slots__ = ("lanes", "keyer", "union_live", "targets", "memo", "spine")
+
+    def __init__(self, lanes, keyer, union_live, targets) -> None:
+        self.lanes = lanes
+        self.keyer = keyer
+        self.union_live = union_live
+        self.targets = targets
+        self.memo: list = []
+        self.spine: dict = {}
+
+    def forget(self, changed) -> None:
+        """Spine refresh: drop the answer memo and every cached key, class
+        and split entry of the node ids in ``changed`` — the nodes whose
+        structural digest moved (probability-only edits; the maximal
+        world, and so the plan's candidate and live sets, stand)."""
+        self.memo.clear()
+        self.keyer.forget(changed)
+        spine = self.spine
+        for node_id in changed:
+            spine.pop(node_id, None)
+
+
 def _run_group(
-    session, lanes: list, keyer: StackedKeyer, union_live=frozenset()
+    session,
+    lanes: list,
+    keyer: StackedKeyer,
+    union_live=frozenset(),
+    spine: Optional[dict] = None,
 ):
     """One stacked pass: the batch runs as ONE lane group of
     :func:`~repro.prob.traversal.stored_postorder`; returns the root
-    entry."""
-    group = _StackedGroup(session, lanes, keyer, union_live)
+    entry.  ``spine`` is an answer plan's retained spine, consulted and
+    filled by the pass."""
+    group = _StackedGroup(session, lanes, keyer, union_live, spine)
     roots = session._run_pass(
         [group.lane()], "stacked.pass", counters=group.counters,
         gate=keyer.gate,
@@ -477,35 +560,41 @@ def stacked_answer_many(session, queries: list) -> Optional[list]:
     always recombines to the same per-candidate masses, so a repeated
     batch is a pure plan hit.  This is the session-local, identity-keyed
     completion of the store's structural memoization; ``invalidate()``
-    and epoch changes drop it with the rest of ``session._stacked``.
+    and world-changing epochs drop it with the rest of
+    ``session._stacked``.  After a probability-only edit the memo is
+    gone but the plan's retained spine is not: the pass recombines only
+    the split entries whose digests moved.
     """
     cache = session._stacked
     key = ("answer", tuple(map(id, queries)))
-    plan = cache.get(key)
-    if plan is None:
+    entry = cache.get(key)
+    if entry is None:
         with trace_span("stacked.plan_build", queries=len(queries)):
-            plan = _build_answer_plan(session, queries, cache, key)
-    if plan[1] is None:
+            entry = _build_answer_plan(session, queries, cache, key)
+    plan = entry[1]
+    if plan is None:
         return None
-    lanes, keyer, union_live, targets, memo = plan[1]
+    memo = plan.memo
     if memo:
         # Warm plan: the spine result is epoch-invariant — serve fresh
         # copies without a traversal.
         stats = session.stats
-        stats.memo_hits += len(lanes)
+        stats.memo_hits += len(plan.lanes)
         stats.subtree_skips += 1
         if sp := trace_span("stacked.replay", queries=len(queries)):
             with sp:
                 sp.set("answers", sum(len(a) for a in memo[0]))
         return [dict(answer) for answer in memo[0]]
-    if not union_live:
+    if not plan.union_live:
         # No candidates anywhere: every answer is empty, no pass needed.
         return [{} for _ in queries]
-    root = _run_group(session, lanes, keyer, union_live)
+    root = _run_group(
+        session, plan.lanes, plan.keyer, plan.union_live, plan.spine
+    )
     zero = session.backend.zero
     # The root is live: a split entry with every lane's pinned map.
     answers: list[dict] = []
-    for lane, target, pinned in zip(lanes, targets, root.pinned):
+    for lane, target, pinned in zip(plan.lanes, plan.targets, root.pinned):
         engine = lane.engine
         answer: dict = {}
         for node_id in sorted(lane.candidates):
@@ -557,7 +646,7 @@ def _build_answer_plan(session, queries: list, cache: dict, key: tuple):
     if len(cache) > 4096:
         cache.clear()
     entry = cache[key] = (
-        tuple(queries), (lanes, keyer, union_live, targets, []),
+        tuple(queries), _AnswerPlan(lanes, keyer, union_live, targets),
     )
     return entry
 

@@ -36,23 +36,33 @@ same pass filled the identical key at this very node (same-pass
 cross-lane sharing), but a repeated miss is answered from
 :meth:`~repro.store.MemoStore.contains` and not re-counted.
 
+**Live spine.**  A live node's entry names candidate node Ids, so the
+store never serves it: it is combined without a prior probe, and equal
+keys mean equal distributions, so its saves are presence-guarded to
+skip the redundant re-store (a disk write per node on
+:class:`~repro.store.SqliteStore`).  A lane may instead carry the live
+entries of an earlier pass in :attr:`Lane.known` — the stacked answer
+plan's *retained spine*, from which a spine refresh has dropped every
+node whose digest moved.  At the pre-check a live node found there
+resolves like a hit (counted in ``spine_hits``, not ``memo_hits``) and
+is not descended into, so a read after a one-node edit recombines only
+the dirty path.
+
 **Store I/O.**  A lane token (:meth:`repro.store.keys.SubtreeKeyer.
 token`) is a canonical content-addressed store key — unanchored, or
 anchored with canonical position encoding.  Every store call of a pass
 goes through one pass-scoped probe object (:func:`open_probe`) with
-``probe`` / ``reprobe`` / ``save`` / ``flush``.  Live-spine entries are
-recombined every pass without a prior probe; equal keys mean equal
-distributions, so saves are presence-guarded to skip the redundant
-re-store (a disk write per node on :class:`~repro.store.SqliteStore`).
+``probe`` / ``reprobe`` / ``save`` / ``flush``.
 
 The probe object is chosen by ``store.prefers_bulk`` alone.  Against an
 in-memory store it is a thin view whose ``probe`` / ``reprobe`` *are*
 the store's bound ``get`` / ``reprobe`` and whose ``flush`` is a no-op.
 Against a store that prefers bulk probing (a live
 :class:`~repro.store.SqliteStore`) it is a *probe plan* that front-loads
-the pass's store traffic: every candidate key is enumerated up front
-(for lanes, :meth:`~repro.store.SubtreeKeyer.plan_keys` over the
-epoch-cached digest indexes) and answered by ONE
+the pass's store traffic: every key the pass can reach is enumerated up
+front (for lanes, :meth:`~repro.store.SubtreeKeyer.plan_keys` over the
+nodes of a walk from the root that does not descend below a node where
+every lane is neutral or known) and answered by ONE
 :meth:`~repro.store.MemoStore.get_many` plus one
 :meth:`~repro.store.MemoStore.contains_many` for the live-spine
 save-guard set, and all saves collect into one
@@ -68,7 +78,8 @@ cross-lane sharing survives the deferral.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
 from ..obs.trace import span
 from ..store import MemoStore
@@ -79,6 +90,7 @@ __all__ = ["Lane", "open_probe", "stored_postorder"]
 _MISS = object()
 
 _EMPTY = frozenset()
+_NOTHING_KNOWN: Mapping = MappingProxyType({})
 
 
 def _whole(entry):
@@ -107,11 +119,16 @@ class Lane:
         cacheable: ``entry -> value or None`` — what the store may hold
             of a combined entry (``None``: nothing).  Default: the blocked
             half of a pinned entry, else the entry itself.
+        known: ``node_id -> entry`` for live nodes whose entry an earlier
+            pass combined and that is still valid (see module docs).  At
+            the pre-check such a node resolves like a hit; when every
+            lane resolves it, its subtree is not walked.  Empty by
+            default.
     """
 
     __slots__ = (
         "table_labels", "combine", "keyer", "live", "gate", "pinned",
-        "unit_entry", "width", "cacheable",
+        "unit_entry", "width", "cacheable", "known",
     )
 
     def __init__(
@@ -125,6 +142,7 @@ class Lane:
         pinned: bool = False,
         width: int = 1,
         cacheable: Optional[Callable] = None,
+        known: Mapping = _NOTHING_KNOWN,
     ) -> None:
         self.table_labels = table_labels
         self.combine = combine
@@ -137,6 +155,7 @@ class Lane:
         if cacheable is None:
             cacheable = itemgetter(0) if pinned else _whole
         self.cacheable = cacheable
+        self.known = known
 
 
 class _PointProbe:
@@ -238,13 +257,31 @@ def open_probe(store: MemoStore, plan_keys: Callable[[], tuple]):
     return _ProbePlan(store, snapshot, present)
 
 
-def _lane_plan_keys(lanes: Sequence[Lane], labels: dict) -> tuple:
-    """Union of every lane's :meth:`~repro.store.SubtreeKeyer.plan_keys`."""
+def _lane_plan_keys(root, lanes: Sequence[Lane], labels: dict) -> tuple:
+    """Union of every lane's :meth:`~repro.store.SubtreeKeyer.plan_keys`
+    over the nodes the pass can reach.
+
+    The walk does not descend below a node where every lane is neutral
+    (the pass short-circuits it) or known (the pass reuses its entry), so
+    a read after a one-node edit enumerates the dirty path and the
+    subtrees hanging off it, not the whole document.
+    """
+    reachable: dict = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node_id = node.node_id
+        label_set = labels[node_id]
+        for lane in lanes:
+            if lane.table_labels & label_set and node_id not in lane.known:
+                reachable[node_id] = label_set
+                stack.extend(node.children)
+                break
     probe_keys: set = set()
     guard_keys: set = set()
     for lane in lanes:
         lane_probe, lane_guard = lane.keyer.plan_keys(
-            labels, lane.live, lane.gate
+            reachable, lane.live, lane.gate
         )
         probe_keys |= lane_probe
         guard_keys |= lane_guard
@@ -271,13 +308,13 @@ def stored_postorder(
         stats: optional :class:`repro.prob.session.SessionStats`-shaped
             sink (``node_visits`` / ``memo_hits`` / ``memo_misses`` /
             ``anchored_hits`` / ``anchored_misses`` / ``neutral_skips`` /
-            ``subtree_skips`` are updated; ``traversals`` is the
-            caller's).
+            ``subtree_skips`` / ``spine_hits`` are updated;
+            ``traversals`` is the caller's).
     """
     labels = p.label_index()
     use_memo = store is not None
     if use_memo:
-        io = open_probe(store, lambda: _lane_plan_keys(lanes, labels))
+        io = open_probe(store, lambda: _lane_plan_keys(p.root, lanes, labels))
         probe, reprobe, save = io.probe, io.reprobe, io.save
     count = len(lanes)
     # Every query of every lane (group) — the unit of the hit counters.
@@ -301,14 +338,19 @@ def stored_postorder(
         node_id = node.node_id
         if not expanded:
             label_set = labels[node_id]
-            neutral = 0
+            neutral = reused = 0
             probed: list = []
             skip = True
             for i in indices:
                 lane = lanes[i]
                 if node_id in lane.live:
-                    skip = False
-                    break
+                    known = lane.known.get(node_id)
+                    if known is None:
+                        skip = False
+                        break
+                    probed.append(known)
+                    reused += lane.width
+                    continue
                 if not (lane.table_labels & label_set):
                     probed.append(lane.unit_entry)
                     neutral += lane.width
@@ -329,8 +371,9 @@ def stored_postorder(
                 for i in indices:
                     entries[i][node_id] = probed[i]
                 if stats is not None:
-                    stats.memo_hits += queries - neutral
+                    stats.memo_hits += queries - neutral - reused
                     stats.neutral_skips += neutral
+                    stats.spine_hits += reused
                     stats.subtree_skips += 1
                 continue
             if probed:

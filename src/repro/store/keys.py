@@ -122,8 +122,8 @@ class SubtreeKeyer:
         non-live subtree — the keys a :func:`~repro.prob.traversal.
         stored_postorder` pass may probe; ``guard_keys`` are the keys of
         the live-spine subtrees, whose saves are presence-guarded but
-        never probed.  ``labels`` is the document's ``label_index()``
-        mapping.
+        never probed.  ``labels`` maps every node the pass can reach to
+        its label set (a sub-map of the document's ``label_index()``).
         """
         probe: set = set()
         guard: set = set()

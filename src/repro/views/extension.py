@@ -190,11 +190,21 @@ def deterministic_extension(d: Document, view: View) -> DeterministicViewExtensi
 
 
 def _copy_doc(source, fresh, holder: int, provenance: ProvenanceTable) -> DocNode:
-    copy = DocNode(next(fresh), source.label)
-    provenance.record(source.node_id, copy.node_id, holder)
-    for child in source.children:
-        copy.add_child(_copy_doc(child, fresh, holder, provenance))
-    return copy
+    """Copy ``source``'s subtree with fresh Ids in pre-order (iterative,
+    so depth is unbounded)."""
+    top = None
+    stack = [(source, None)]
+    while stack:
+        node, parent_copy = stack.pop()
+        copy = DocNode(next(fresh), node.label)
+        provenance.record(node.node_id, copy.node_id, holder)
+        if parent_copy is None:
+            top = copy
+        else:
+            parent_copy.add_child(copy)
+        if node.children:
+            stack.extend(zip(reversed(node.children), itertools.repeat(copy)))
+    return top
 
 
 def probabilistic_extension(
@@ -257,17 +267,24 @@ def _copy_pnode(
     holder: int,
     provenance: ProvenanceTable,
 ) -> PNode:
-    copy = PNode(next(fresh), source.kind, source.label)
-    if source.is_ordinary:
-        provenance.record(source.node_id, copy.node_id, holder)
-    for child in source.children:
-        probability = (
-            source.probabilities[child.node_id]
-            if source.probabilities is not None
-            else None
-        )
-        copy.add_child(
-            _copy_pnode(child, fresh, holder, provenance),
-            probability,
-        )
-    return copy
+    """Copy ``source``'s p-subtree with fresh Ids in pre-order (iterative,
+    so depth is unbounded); distributional edges keep their
+    probabilities."""
+    top = None
+    stack = [(source, None)]
+    while stack:
+        node, parent_copy = stack.pop()
+        copy = PNode(next(fresh), node.kind, node.label)
+        if node.is_ordinary:
+            provenance.record(node.node_id, copy.node_id, holder)
+        if parent_copy is None:
+            top = copy
+        else:
+            probabilities = node.parent.probabilities
+            parent_copy.add_child(
+                copy,
+                None if probabilities is None else probabilities[node.node_id],
+            )
+        if node.children:
+            stack.extend(zip(reversed(node.children), itertools.repeat(copy)))
+    return top

@@ -7,24 +7,35 @@ rebuilt from scratch over the same tree computes cold: structural
 digests, subtree sizes, world digests, canonical anchor positions,
 label sets, the identity digest — and query answers through a resident
 :class:`QuerySession` (exactly on the ``exact`` backend; within ``1e-9``
-on the ``array`` backend).  Any unsound splice (a missed ancestor, a
-stale sibling rank, an un-restamped node) surfaces as a mismatch.
+*relative* error on the ``array`` backend).  Any unsound splice (a
+missed ancestor, a stale sibling rank, an un-restamped node) surfaces
+as a mismatch.
+
+The ``array`` session's stacked answer plan keeps its live-spine
+entries across probability-only edits and recombines only the dirty
+path; streams of such edits over a wide root of isomorphic children —
+over an in-memory and a write-behind SQLite store — must read exactly
+what a fresh evaluation of a scratch copy reads.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.registry import get_registry
 from repro.prob import QuerySession, query_answer
-from repro.pxml.builder import ind, ordinary
-from repro.pxml.pdocument import PDocument
+from repro.pxml.builder import ind, ordinary, pdoc
+from repro.pxml.pdocument import PDocument, PNode
+from repro.store import InMemoryStore, SqliteStore
+from repro.tp.parser import parse_pattern
 from repro.workloads.synthetic import random_pdocument, random_tree_pattern
 
 LABELS = ("a", "b", "c")
-TOLERANCE = 1e-9
+#: Relative error allowed between a float answer and the exact one.
+REL_TOLERANCE = 1e-9
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -61,6 +72,13 @@ def _mutate_scoped(p: PDocument, rng: random.Random, counter) -> None:
             )
         parent.add_child(attached)
         p.mark_mutated(parent)
+
+
+def _assert_close_relative(want: dict, got: dict) -> None:
+    """Same answer nodes, each probability within REL_TOLERANCE of exact."""
+    assert set(got) == set(want)
+    for node_id, exact in want.items():
+        assert abs(Fraction(got[node_id]) - exact) <= REL_TOLERANCE * exact
 
 
 def _fresh_counter(p: PDocument):
@@ -119,12 +137,83 @@ def test_resident_session_answers_match_scratch_rebuild(seed):
         expected = [query_answer(scratch, q) for q in queries]
         assert exact_session.answer_many(queries) == expected
         for want, got in zip(expected, array_session.answer_many(queries)):
-            keys = set(want) | {k for k, v in got.items() if float(v) > 1e-12}
-            for k in keys:
-                assert abs(float(got.get(k, 0.0)) - float(want.get(k, 0))) < (
-                    TOLERANCE
-                )
+            _assert_close_relative(want, got)
     # Every mutation was node-scoped: the sessions must have absorbed
     # them as spine refreshes, never as full resets.
     assert exact_session.stats.invalidations == 0
     assert exact_session.stats.spine_refreshes > 0
+
+
+def _clone(template: PNode, counter) -> PNode:
+    """An isomorphic copy of ``template`` under fresh Ids."""
+    copy = PNode(next(counter), template.kind, template.label)
+    for child in template.children:
+        probability = (
+            template.probabilities[child.node_id]
+            if template.probabilities is not None
+            else None
+        )
+        copy.add_child(_clone(child, counter), probability)
+    return copy
+
+
+def _wide_document(rng: random.Random) -> PDocument:
+    """An ordinary root over 64–96 children cloned from a few random
+    templates, so most children are isomorphic to many siblings."""
+    templates = [
+        random_pdocument(rng, labels=LABELS, max_depth=3, max_children=3).root
+        for _ in range(rng.randint(2, 4))
+    ]
+    counter = itertools.count(1)
+    root = ordinary(next(counter), "r")
+    for _ in range(rng.randint(64, 96)):
+        root.add_child(_clone(rng.choice(templates), counter))
+    return pdoc(root)
+
+
+def _scale_probability(p: PDocument, rng: random.Random) -> None:
+    """A probability-only edit: the maximal world does not move."""
+    node = rng.choice(p.distributional_nodes())
+    child = rng.choice(node.children)
+    node.probabilities[child.node_id] *= Fraction(rng.choice((1, 2, 3)), 4)
+    p.mark_mutated(node)
+
+
+@pytest.mark.parametrize("store_kind", ["memory", "sqlite"])
+@settings(max_examples=12, deadline=None)
+@given(seed=seeds)
+def test_retained_spine_reads_equal_fresh_exact_answers(
+    tmp_path_factory, store_kind, seed
+):
+    pytest.importorskip("numpy")
+    rng = random.Random(seed)
+    p = _wide_document(rng)
+    if not p.distributional_nodes():
+        return
+    queries = [parse_pattern("r/a"), parse_pattern("r//b")] + [
+        random_tree_pattern(rng, labels=LABELS, mb_length=rng.randint(1, 3))
+        for _ in range(2)
+    ]
+    for query in queries[2:]:
+        query.root.label = "r"  # anchor the random patterns at the root
+    if store_kind == "memory":
+        store = InMemoryStore()
+    else:
+        path = tmp_path_factory.mktemp("spine") / "memo.sqlite"
+        store = SqliteStore(str(path), write_behind=rng.choice((1, 16, 128)))
+    try:
+        session = QuerySession(p, backend="array", store=store)
+        session.answer_many(queries)
+        for _ in range(rng.randint(2, 8)):
+            for _ in range(rng.randint(1, 2)):
+                _scale_probability(p, rng)
+            scratch = p.subdocument(p.root.node_id)
+            expected = [query_answer(scratch, q) for q in queries]
+            for want, got in zip(expected, session.answer_many(queries)):
+                _assert_close_relative(want, got)
+        assert session.stats.invalidations == 0
+        assert session.stats.survived_plans > 0
+        assert session.stats.spine_hits > 0
+    finally:
+        if store_kind == "sqlite":
+            store.close()

@@ -6,9 +6,11 @@ Three invariants on random p-documents and patterns:
   *exactly* with the per-candidate anchored DP (``node_probability``);
 * the ``fast`` float backend agrees with ``exact`` within ``1e-9``;
 * the one-walk candidate discovery (``candidate_sets``) equals the
-  per-query deterministic evaluation over the maximal world.
+  per-query deterministic evaluation over the maximal world, also when
+  deep label-disjoint subtrees (which the walk skips) hang off it.
 """
 
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from repro.prob.engine import (
     candidate_sets,
     intersection_answer,
 )
+from repro.pxml.builder import ind, ordinary
 from repro.tp.embedding import evaluate
 from repro.tp.parser import parse_pattern
 from repro.workloads.synthetic import random_pdocument, random_tree_pattern
@@ -109,13 +112,7 @@ FIXED_PATTERNS = (
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_candidate_sets_equal_per_query_max_world_oracle(seed):
-    rng = random.Random(seed)
-    p = random_pdocument(
-        rng, labels=LABELS, max_depth=rng.randint(1, 5), max_children=3
-    )
+def _draw_patterns(rng: random.Random) -> list:
     patterns = []
     for _ in range(rng.randint(1, 4)):
         roll = rng.random()
@@ -135,5 +132,46 @@ def test_candidate_sets_equal_per_query_max_world_oracle(seed):
                     max_predicate_size=rng.randint(1, 3),
                 )
             )
+    return patterns
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_candidate_sets_equal_per_query_max_world_oracle(seed):
+    rng = random.Random(seed)
+    p = random_pdocument(
+        rng, labels=LABELS, max_depth=rng.randint(1, 5), max_children=3
+    )
+    patterns = _draw_patterns(rng)
+    world = p.max_world()
+    assert candidate_sets(p, patterns) == [evaluate(q, world) for q in patterns]
+
+
+#: Labels no pattern uses: subtrees over them alone are label-disjoint.
+FOREIGN = ("x", "y")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_candidate_sets_skip_label_disjoint_subtrees_soundly(seed):
+    # Deep chains over foreign labels hang off random nodes.  Most are
+    # label-disjoint from every pattern (the walks skip them); the others
+    # end in a pattern label, so a foreign-looking prefix must still be
+    # entered.
+    rng = random.Random(seed)
+    p = random_pdocument(
+        rng, labels=LABELS, max_depth=rng.randint(1, 4), max_children=3
+    )
+    counter = itertools.count(max(n.node_id for n in p.nodes()) + 1)
+    for _ in range(rng.randint(1, 4)):
+        parent = rng.choice(p.ordinary_nodes())
+        node = ordinary(next(counter), rng.choice(FOREIGN * 2 + LABELS))
+        for _ in range(rng.randint(5, 60)):
+            if rng.random() < 0.3:
+                node = ind(next(counter), (node, "0.5"))
+            node = ordinary(next(counter), rng.choice(FOREIGN), node)
+        parent.add_child(node)
+        p.mark_mutated(parent)
+    patterns = _draw_patterns(rng)
     world = p.max_world()
     assert candidate_sets(p, patterns) == [evaluate(q, world) for q in patterns]

@@ -30,6 +30,7 @@ from repro.probability_array import (
     _import_numpy,
 )
 from repro.prob import EvaluationEngine, QuerySession, query_answer
+from repro.prob.stacked import _StackedGroup
 from repro.prob.engine import (
     boolean_probability,
     candidate_sets,
@@ -291,6 +292,34 @@ class TestLaneClasses:
         assert all(is_exact(row) for row in above)
         assert all(close(e, g) for e, g in zip(expected, got))
 
+    def test_interned_rows_keep_their_exactness(self, monkeypatch):
+        # A narrow exact row above an escape can equal a float row of the
+        # same pass (Fraction(1, 2) == 0.5, and both hash alike): the
+        # pass's row intern table must not hand out one for the other.
+        rng = random.Random(0)
+        p = random_pdocument(rng, labels=LABELS, max_depth=4, max_children=3)
+        queries = [
+            random_tree_pattern(rng, labels=LABELS, mb_length=rng.randint(1, 3))
+            for _ in range(3)
+        ]
+        above = []
+        row = _StackedGroup._row
+        is_exact = self._is_exact
+
+        def spy(group, node, forms, lane, exact_below):
+            result = row(group, node, forms, lane, exact_below)
+            if any(is_exact(form.rows[lane]) for form in forms):
+                above.append(result)
+            return result
+
+        monkeypatch.setattr(_StackedGroup, "_row", spy)
+        backend = ArrayBackend(width_threshold=1)
+        got = QuerySession(p, backend=backend).answer_many(queries)
+        assert above
+        assert all(is_exact(result) for result in above)
+        expected = [query_answer(p, q) for q in queries]
+        assert all(close(e, g) for e, g in zip(expected, got))
+
     def test_one_blocked_combine_per_distinct_part(self, monkeypatch):
         # A cold pass combines each node's blocked rows once per lane
         # class: once per distinct non-neutral keyer part among the
@@ -329,6 +358,43 @@ class TestLaneClasses:
             parts_per_node[node_id] = len(set(parts))
         assert dict(calls) == parts_per_node
         assert sum(calls.values()) < lane_rows  # sharing happened
+
+
+    def test_wide_root_combines_once_per_distinct_row(self, monkeypatch):
+        # 1024 persons under one ordinary root: the lane group interns
+        # the persons' rows, so each live lane's root combine works per
+        # distinct row (plus one convolution per candidate), not per
+        # child — a prefix/suffix pass over the children runs 2304.
+        p, queries = batch_workload(1024, seed=1)
+        per_lane = []
+        combine = EvaluationEngine._combine_ordinary_pinned
+
+        def spy(engine, node, memo, candidate_set):
+            if node.parent is not None:
+                return combine(engine, node, memo, candidate_set)
+            calls = [0]
+            convolve = engine._convolve
+
+            def counting(left, right):
+                calls[0] += 1
+                return convolve(left, right)
+
+            engine._convolve = counting
+            try:
+                return combine(engine, node, memo, candidate_set)
+            finally:
+                engine._convolve = convolve
+                per_lane.append(calls[0])
+
+        monkeypatch.setattr(
+            EvaluationEngine, "_combine_ordinary_pinned", spy
+        )
+        session = QuerySession(p, backend="array")
+        got = session.answer_many(queries)
+        assert len(per_lane) == len(queries)
+        assert max(per_lane) <= 200
+        sizes = [len(answer) for answer in got]
+        assert min(sizes) > 0 and sum(sizes) <= 1024
 
 
 class TestSqliteArrayCodec:

@@ -18,6 +18,7 @@ from repro.probability import (
 )
 from repro.prob import (
     EvaluationEngine,
+    QuerySession,
     brute_force_boolean_probability,
     brute_force_query_answer,
     node_probability,
@@ -144,6 +145,44 @@ class TestPinnedCombinators:
         )
         q = parse_pattern("a/b")
         assert query_answer(p, q) == brute_force_query_answer(p, q)
+
+
+    def test_wide_node_combines_shared_rows_exactly(self, monkeypatch):
+        # Isomorphic children hit one store entry, so the root sees one
+        # blocked object many times: the grouped combine powers it up by
+        # repeated squaring and must still equal the per-candidate
+        # anchored DP bit for bit.
+        children = []
+        for i in range(48):
+            base = 10 * (i + 1)
+            leaf = ordinary(base + 2, "c")
+            if i % 3 == 0:  # a candidate: live, its own group
+                child = ordinary(base, "b", ind(base + 1, (leaf, "0.5")))
+            elif i % 3 == 1:
+                child = ordinary(base, "d", mux(base + 1, (leaf, "0.25")))
+            else:
+                child = ind(base, (ordinary(base + 1, "c"), "0.75"))
+            children.append(child)
+        p = pdoc(ordinary(0, "a", *children))
+        powers = []
+        power = EvaluationEngine._power
+
+        def spy(engine, distribution, exponent):
+            powers.append(exponent)
+            return power(engine, distribution, exponent)
+
+        monkeypatch.setattr(EvaluationEngine, "_power", spy)
+        queries = [parse_pattern("a/b[c]"), parse_pattern("a[d/c]/b")]
+        answers = QuerySession(p).answer_many(queries)
+        assert max(powers) >= 15  # whole groups of isomorphic siblings
+        for q, answer in zip(queries, answers):
+            expected = {
+                n: pr
+                for n in range(10, 490, 30)
+                if (pr := node_probability(p, q, n)) > 0
+            }
+            assert answer == expected
+            assert all(isinstance(pr, Fraction) for pr in answer.values())
 
 
 class TestBackends:

@@ -16,7 +16,11 @@ from repro.pxml.builder import ind, mux, ordinary, pdoc
 from repro.store import InMemoryStore
 from repro.tp.parser import parse_pattern
 from repro.workloads.paper import p_per, q_bon
-from repro.workloads.synthetic import churn_workload, isomorphic_twin
+from repro.workloads.synthetic import (
+    batch_workload,
+    churn_workload,
+    isomorphic_twin,
+)
 
 
 def small_doc():
@@ -327,3 +331,120 @@ class TestSessionSpineRefresh:
         session.answer_many(queries)
         assert session.stats.invalidations == 1
         assert session.stats.spine_refreshes == 0
+
+
+class TestRetainedSpine:
+    """The array session's answer plan keeps its live-spine entries: a
+    read after a probability edit recombines only the dirty path."""
+
+    @staticmethod
+    def edit_bonus_mux(p):
+        """Scale the first bonus mux's probability; return its spine."""
+        node = next(
+            n
+            for n in p.distributional_nodes()
+            if n.parent.label == "bonus"
+        )
+        child_id = next(iter(node.probabilities))
+        node.probabilities[child_id] *= Fraction(5, 7)
+        p.mark_mutated(node)
+        path = []
+        while node is not None:
+            path.append(node.node_id)
+            node = node.parent
+        return path
+
+    @pytest.mark.parametrize("store_kind", ["memory", "sqlite"])
+    def test_read_after_edit_visits_only_the_dirty_path(
+        self, tmp_path, store_kind
+    ):
+        pytest.importorskip("numpy")
+        from repro.store import SqliteStore
+
+        p, queries = batch_workload(persons=32, projects=4, seed=3)
+        if store_kind == "memory":
+            store = InMemoryStore()
+        else:
+            store = SqliteStore(str(tmp_path / "memo.sqlite"), write_behind=64)
+        prefetched = []
+        get_many = store.get_many
+
+        def logging_get_many(keys, record=True):
+            keys = list(keys)
+            if not record:
+                prefetched.append(len(keys))
+            return get_many(keys, record)
+
+        store.get_many = logging_get_many
+        try:
+            session = QuerySession(p, backend="array", store=store)
+            session.answer_many(queries)
+            stats = session.stats
+            assert stats.spine_hits == 0  # a cold plan has no spine yet
+            path = self.edit_bonus_mux(p)
+            visits, spine_hits = stats.node_visits, stats.spine_hits
+            del prefetched[:]
+            got = session.answer_many(queries)
+            # The edited mux (a store miss: its digest moved) and its
+            # ancestors — nothing else is combined.
+            assert stats.node_visits - visits == len(path)
+            # Every other person hangs off the root as a reused entry.
+            assert stats.spine_hits - spine_hits >= 31 * len(queries)
+            if store_kind == "sqlite":
+                # The prefetch covers the dirty person, not the document.
+                assert prefetched and max(prefetched) < 20
+            scratch = p.subdocument(p.root.node_id)
+            for q, answer in zip(queries, got):
+                want = query_answer(scratch, q)
+                assert set(answer) == set(want)
+                for node_id, exact in want.items():
+                    assert abs(Fraction(answer[node_id]) - exact) <= (
+                        1e-9 * exact
+                    )
+        finally:
+            if store_kind == "sqlite":
+                store.close()
+
+    def test_world_change_drops_the_spine(self):
+        pytest.importorskip("numpy")
+        p, queries = batch_workload(persons=8, projects=4, seed=3)
+        session = QuerySession(p, backend="array")
+        session.answer_many(queries)
+        target = next(
+            n for n in p.ordinary_nodes() if n.label and n.label.isdigit()
+        )
+        target.label = str(int(target.label) + 1)
+        p.mark_mutated(target)
+        visits = session.stats.node_visits
+        session.answer_many(queries)
+        # A fresh plan: the whole live spine is combined again.
+        assert session.stats.spine_hits == 0
+        assert session.stats.node_visits - visits > 8
+
+    def test_spine_reuse_is_observable(self):
+        pytest.importorskip("numpy")
+        from repro.obs.registry import get_registry
+        from repro.obs.trace import capture
+
+        p, queries = batch_workload(persons=8, projects=4, seed=3)
+        session = QuerySession(p, backend="array")
+        with capture() as cold:
+            session.answer_many(queries)
+        self.edit_bonus_mux(p)
+        with capture() as warm:
+            session.answer_many(queries)
+
+        def stacked_pass(spans):
+            stack = list(spans)
+            while stack:
+                span = stack.pop()
+                if span.name == "stacked.pass":
+                    return span
+                stack.extend(span.children)
+            raise AssertionError("no stacked.pass span")
+
+        assert stacked_pass(cold.spans).attrs["spine_reused"] == 0
+        # The seven clean persons hang off the recombined root.
+        assert stacked_pass(warm.spans).attrs["spine_reused"] == 7
+        series = get_registry().snapshot()
+        assert series["repro_session_spine_hits_total"] >= 7 * len(queries)

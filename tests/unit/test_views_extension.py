@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from repro.prob import boolean_probability
+from repro.pxml.builder import ind, ordinary, pdoc
 from repro.tp import Axis, PatternNode, parse_pattern
 from repro.tp.embedding import evaluate
 from repro.views import (
@@ -179,3 +180,45 @@ class TestProvenanceAnchoring:
             )
             == 0
         )
+
+
+def _deep_chain(levels: int):
+    """``a`` over ``b`` over ``levels - 1`` ``c``s, each behind an
+    ``ind(½)`` — one selected node whose subtree is the whole chain."""
+    node = ordinary(2 * levels, "c")
+    for level in range(levels - 1, -1, -1):
+        label = "a" if level == 0 else ("b" if level == 1 else "c")
+        node = ordinary(2 * level, label, ind(2 * level + 1, (node, "0.5")))
+    return pdoc(node)
+
+
+class TestDeepExtensions:
+    """Copying a result subtree has no recursion limit."""
+
+    LEVELS = 5000
+
+    def test_probabilistic_extension_of_deep_chain(self):
+        p = _deep_chain(self.LEVELS)
+        ext = probabilistic_extension(p, View("v", parse_pattern("a//b")))
+        assert ext.selection == {2: Fraction(1, 2)}
+        copied = ext.pdocument.node(ext.subtree_roots[2])
+        # root + ind bundle + the copy of b's subtree (b, then one
+        # ind + ordinary pair per level below it).
+        assert ext.pdocument.size() == 2 + 2 * (self.LEVELS - 1) + 1
+        # Pre-order fresh Ids: the copy of b is 2, its ind 3, and so on —
+        # here every copy's Id equals its original's.
+        node, expected = copied, 2
+        while True:
+            assert node.node_id == expected
+            if node.is_ordinary:
+                assert ext.provenance.copies_of(expected) == (expected,)
+            if not node.children:
+                break
+            node, expected = node.children[0], expected + 1
+        assert expected == 2 * self.LEVELS
+
+    def test_deterministic_extension_of_deep_chain(self):
+        d = _deep_chain(self.LEVELS).max_world()
+        ext = deterministic_extension(d, View("v", parse_pattern("a//b")))
+        assert ext.document.size() == 1 + self.LEVELS
+        assert ext.subtree_roots == {2: 1}
