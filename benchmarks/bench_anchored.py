@@ -46,7 +46,7 @@ Run standalone to emit the machine-readable comparison::
     PYTHONPATH=src python benchmarks/bench_anchored.py --quick   # CI smoke
 
 which writes ``BENCH_anchored.json`` at the repository root.  The full
-run asserts that the vectorized ``array`` backend is ≥ 3× faster than
+run asserts that the ``array`` backend is ≥ 3× faster than
 ``fast`` on the resident-session anchored warm path (``warm_session_s``
 backend columns), within 1e-9 of ``exact``.  Both runs also
 assert the structural-sharing bar: anchored entries hit the store on the
@@ -395,7 +395,7 @@ def _measure(setup, persons: int, repeats: int) -> dict:
     #   candidate batch ``Pr(out ↦ n)`` repeated on a *resident*
     #   session, i.e. a serving process that keeps its session between
     #   requests.  Scalar backends re-walk the candidate spine every
-    #   pass; the vectorized ``array`` backend's stacked pass memoizes
+    #   pass; the ``array`` backend's stacked pass memoizes
     #   the batch per epoch, which is where it earns its keep here.
     candidates = sorted(expected)
     items = [(q, {q.out: n}) for n in candidates]

@@ -116,7 +116,7 @@ def _backend_columns(
 ) -> dict:
     """Cold/warm ``answer_many`` timings and exactness per backend.
 
-    The warm number is what the vectorized ``array`` backend exists
+    The warm number is what the ``array`` backend exists
     for: its stacked pass memoizes the whole candidate spine per plan
     and epoch, so a repeated batch costs a plan lookup instead of a
     traversal (the scalar backends re-walk the spine every pass).

@@ -20,7 +20,6 @@ __all__ = [
     "RewritingError",
     "NoRewritingError",
     "ProbabilityError",
-    "MissingDependencyError",
     "LinearSystemError",
 ]
 
@@ -80,16 +79,6 @@ class NoRewritingError(RewritingError):
 
 class ProbabilityError(ReproError):
     """A value that must be a probability lies outside [0, 1]."""
-
-
-class MissingDependencyError(ReproError, ImportError):
-    """An optional dependency (e.g. ``numpy`` for the ``array`` backend)
-    is not installed.
-
-    Subclasses :class:`ImportError` as well, so generic import-failure
-    handlers keep working while library users can catch it as a
-    :class:`ReproError`.
-    """
 
 
 class LinearSystemError(ReproError):

@@ -277,10 +277,10 @@ class EvaluationEngine:
         for pattern in self.patterns:
             self._targets |= 1 << (2 * self._goal_index[id(pattern.root)])
         # Distribution kernels: the backend's ops object (ScalarOps for
-        # plain scalar backends, vectorized kernels for "array").  The
-        # hot per-entry kernels are re-exported as engine methods so the
-        # combine steps below read as before.
-        self._ops = distribution_ops(self.backend, 2 * len(self._pattern_nodes))
+        # plain scalar backends, float dict kernels with an exact escape
+        # for "array").  The hot per-entry kernels are re-exported as
+        # engine methods so the combine steps below read as before.
+        self._ops = distribution_ops(self.backend)
         self._unit = self._ops.unit
         self._convolve = self._ops.convolve
         self._mixture = self._ops.mixture

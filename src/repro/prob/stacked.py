@@ -27,7 +27,7 @@ caches both per node id.
 combine step — :meth:`~repro.prob.engine.EvaluationEngine.
 _combine_single_gated` for blocked/unpinned rows, :meth:`~repro.prob.
 engine.EvaluationEngine.combine_pinned` for lanes holding a candidate
-below — over the backend's float dict kernels.  There is no numpy here.
+below — over the backend's float dict kernels.
 
 **Split nodes.**  For ``answer_many`` the ancestors of candidate nodes
 (the union of all lanes' live sets) need per-lane ``(blocked, pinned)``
@@ -64,10 +64,10 @@ skeleton's probe object (:func:`repro.prob.traversal.open_probe`) serves
 the group exactly as it serves a query lane.
 
 **Exact fallback.**  A row wider than the backend's ``width_threshold``
-escapes to a :class:`~fractions.Fraction` dict (counted in
-``backend.fallbacks``).  A class whose child rows include an exact row
-combines with the backend's exact kernels, so exactness holds from the
-escaped subtree upward.
+escapes to a :class:`~fractions.Fraction` dict (the backend's one escape
+rule, :meth:`~repro.probability_array.ArrayBackend.escape`).  A class
+whose child rows include an exact row combines with the backend's exact
+kernels, so exactness holds from the escaped subtree upward.
 
 Per-lane stats are necessarily approximate here (one combined probe
 covers L lanes); the skeleton counts a group's hits/misses/skips
@@ -78,11 +78,10 @@ pass.
 from __future__ import annotations
 
 import copy
-from fractions import Fraction
 from typing import Optional
 
 from ..obs.trace import span as trace_span
-from ..probability_array import LaneRows
+from ..probability_array import LaneRows, _is_exact, _lift
 from ..store import (
     GATE_BLOCKED,
     GATE_UNPINNED,
@@ -113,19 +112,6 @@ def _bind(engine: EvaluationEngine, ops) -> EvaluationEngine:
     engine._convolve = ops.convolve
     engine._mixture = ops.mixture
     return engine
-
-
-def _is_exact(distribution: dict) -> bool:
-    for value in distribution.values():
-        return value.__class__ is Fraction
-    return False
-
-
-def _lift(distribution: dict) -> dict:
-    """``distribution`` in the exact domain (floats convert exactly)."""
-    if _is_exact(distribution):
-        return distribution
-    return {mask: Fraction(value) for mask, value in distribution.items()}
 
 
 class _SplitRows:
@@ -322,7 +308,7 @@ class _StackedGroup:
 
     __slots__ = (
         "labels", "lanes", "keyer", "backend", "grant", "union_live",
-        "width_threshold", "exact_ops", "unit_dict", "unit_entry",
+        "exact_ops", "unit_dict", "unit_entry",
         "rows_combined", "rows_shared", "spine", "interned", "stats",
         "spine_before",
     )
@@ -342,7 +328,6 @@ class _StackedGroup:
         self.backend = backend
         self.grant = _GRANT_NONE if keyer.gate == GATE_BLOCKED else _GRANT_ALL
         self.union_live = union_live
-        self.width_threshold = backend.width_threshold
         self.exact_ops = backend.exact_ops()
         self.unit_dict = {0: 1.0}
         self.unit_entry = LaneRows((self.unit_dict,) * len(lanes))
@@ -425,10 +410,7 @@ class _StackedGroup:
         row = stacked_lane.engine._combine_single_gated(
             node, child_map, self.grant
         )
-        if len(row) > self.width_threshold:
-            self.backend.fallbacks += 1
-            row = {mask: Fraction(value) for mask, value in row.items()}
-        return self._intern(row)
+        return self._intern(self.backend.escape(row))
 
     def _split_combine(self, node, forms, classes) -> _SplitRows:
         node_id = node.node_id

@@ -16,11 +16,10 @@ Probability *computation* (the dynamic program of
   with ``exact`` to within ordinary floating-point error (the property
   suite asserts 1e-9 on random instances).
 
-* ``"array"`` — goal-set distributions packed into ``numpy`` arrays;
-  vectorized convolution / mixture / projection kernels with a
-  configurable support-width threshold beyond which a subtree falls back
-  to exact per-entry arithmetic (see :mod:`repro.probability_array`).
-  Requires the optional ``numpy`` dependency (the ``[array]`` extra).
+* ``"array"`` — ``float`` dict kernels that run a session's query
+  batch as one lane group, with a configurable support-width threshold
+  beyond which a subtree falls back to exact per-entry arithmetic (see
+  :mod:`repro.probability_array`).
 
 Backends are looked up by name with :func:`get_backend`; any object
 satisfying the protocol (``zero``/``one`` constants plus ``convert`` /
@@ -28,14 +27,14 @@ satisfying the protocol (``zero``/``one`` constants plus ``convert`` /
 interval or log-space arithmetic can be plugged in without touching the
 engine.  Third-party backends register under a name with
 :func:`register_backend` (instances, or lazy factories for backends with
-optional dependencies).
+costly set-up).
 
 The *distribution kernels* of the evaluation engine — unit / convolution
 / mixture / goal-rewrite / projection over goal-set distributions — are
 grouped in an ops object the backend supplies through the optional
-``engine_ops(goal_bits)`` hook (resolved by :func:`distribution_ops`).
+``engine_ops()`` hook (resolved by :func:`distribution_ops`).
 Backends without the hook get :class:`ScalarOps`, the per-entry dict
-kernels; the ``array`` backend returns vectorized kernels instead.
+kernels; the ``array`` backend wraps them with its exact escape.
 """
 
 from __future__ import annotations
@@ -208,8 +207,8 @@ class ScalarOps:
     add-subtract / target-mass projection — with plain dict loops in the
     backend's scalar domain.  This is the default every backend gets
     from :func:`distribution_ops`; backends may return specialized ops
-    (e.g. the vectorized kernels of :mod:`repro.probability_array`)
-    through the ``engine_ops(goal_bits)`` hook instead.
+    (e.g. the escaping kernels of :mod:`repro.probability_array`)
+    through the ``engine_ops()`` hook instead.
 
     Distributions are immutable by convention: every kernel builds a
     fresh dict or returns an existing operand unmodified, so results may
@@ -361,23 +360,16 @@ class ScalarOps:
                 total = total + probability
         return total
 
-    def to_dict(self, distribution: dict) -> dict:
-        """Plain ``{mask: value}`` view (identity for scalar backends)."""
-        return distribution
 
-
-def distribution_ops(backend: NumericBackend, goal_bits: int):
+def distribution_ops(backend: NumericBackend):
     """The distribution-kernel ops for ``backend``.
 
-    Resolves the optional ``engine_ops(goal_bits)`` backend hook —
-    ``goal_bits`` is the width of the engine's interned goal-mask space,
-    which array backends use to decide whether masks fit machine
-    integers — and falls back to :class:`ScalarOps` for plain
-    scalar-protocol backends.
+    Resolves the optional ``engine_ops()`` backend hook and falls back
+    to :class:`ScalarOps` for plain scalar-protocol backends.
     """
     hook = getattr(backend, "engine_ops", None)
     if hook is not None:
-        return hook(goal_bits)
+        return hook()
     return ScalarOps(backend)
 
 
@@ -393,13 +385,13 @@ def _scalar_ops(backend: NumericBackend) -> ScalarOps:
     return ops
 
 
-ExactBackend.engine_ops = lambda self, goal_bits: _scalar_ops(self)
-FastBackend.engine_ops = lambda self, goal_bits: _scalar_ops(self)
+ExactBackend.engine_ops = _scalar_ops
+FastBackend.engine_ops = _scalar_ops
 
 
 #: The built-in backend registry, keyed by backend name.  Values are
 #: backend instances, or zero-argument factories for backends that are
-#: instantiated lazily (the ``array`` backend imports numpy on first use).
+#: instantiated lazily (the ``array`` backend's module loads on first use).
 BACKENDS: dict[str, Union[NumericBackend, Callable[[], NumericBackend]]] = {}
 
 #: A backend name or a backend instance.
@@ -419,9 +411,9 @@ def register_backend(
 
     ``backend`` is an instance (its ``name`` attribute keys the
     registry) or a zero-argument factory returning one — lazy factories
-    let backends with optional dependencies (``array`` needs numpy)
-    register unconditionally and defer the import to first use; for a
-    factory, ``name`` is required.
+    let backends with optional dependencies or costly set-up register
+    unconditionally and defer the import to first use; for a factory,
+    ``name`` is required.
     """
     if name is None:
         name = getattr(backend, "name", None)
@@ -441,7 +433,6 @@ def get_backend(backend: BackendLike) -> NumericBackend:
 
     Raises:
         ProbabilityError: for unknown names or non-backend objects.
-        MissingDependencyError: for the ``array`` backend without numpy.
     """
     if isinstance(backend, str):
         try:

@@ -29,23 +29,23 @@ def pdocument_to_text(p: PDocument) -> str:
             (0.25) [13] John
     """
     lines: list[str] = []
-
-    def emit(n: PNode, depth: int, probability) -> None:
+    # Iterative pre-order: children are pushed in reverse sorted order,
+    # so deep chains need no recursion.
+    stack: list[tuple[PNode, int, object]] = [(p.root, 0, None)]
+    while stack:
+        n, depth, probability = stack.pop()
         prefix = f"({probability}) " if probability is not None else ""
         title = n.label if n.is_ordinary else n.kind.value
         lines.append(f"{_INDENT * depth}{prefix}[{n.node_id}] {title}")
-        def child_key(c: PNode):
-            return (c.label or c.kind.value, c.node_id)
-        for child in sorted(n.children, key=child_key):
-            p_edge = (
-                n.probabilities[child.node_id]
-                if n.probabilities is not None
-                else None
-            )
-            emit(child, depth + 1, p_edge)
-
-    emit(p.root, 0, None)
+        edges = n.probabilities
+        for child in sorted(n.children, key=_child_key, reverse=True):
+            p_edge = edges[child.node_id] if edges is not None else None
+            stack.append((child, depth + 1, p_edge))
     return "\n".join(lines) + "\n"
+
+
+def _child_key(c: PNode):
+    return (c.label or c.kind.value, c.node_id)
 
 
 def pdocument_from_text(text: str) -> PDocument:

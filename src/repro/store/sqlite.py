@@ -179,31 +179,20 @@ def _decode_items(items) -> dict:
 def _encode(distribution) -> Optional[str]:
     """JSON payload for a distribution, or ``None`` if not serializable.
 
-    Three payload generations coexist in one table:
+    Two payload generations are written:
 
     * **v1** — scalar dicts.  Exact values travel as ``[numerator,
       denominator]`` pairs (faster to revive than ``"num/den"`` strings
       — decode speed is what bounds the warm-from-disk preload), floats
       as plain JSON numbers.
-    * **v2** — packed-array distributions from the ``array`` backend,
-      duck-typed by their aligned ``masks``/``values`` arrays: kind
-      ``"a"`` for a 1-D :class:`~repro.probability_array.ArrayDistribution`.
     * **v3** — a lane group's
       :class:`~repro.probability_array.LaneRows`: each distinct row
       object once, as v1 items (so exact rows keep their pairs), plus a
       lane → row index.  Lanes of one class share one row, on disk as
       in memory.
+
+    The retired v2 generation (packed arrays) is no longer written.
     """
-    masks = getattr(distribution, "masks", None)
-    if masks is not None:
-        return json.dumps(
-            {
-                "v": 2,
-                "k": "a",
-                "m": masks.tolist(),
-                "p": distribution.values.tolist(),
-            }
-        )
     if distribution.__class__ is LaneRows:
         slots: dict = {}
         rows = []
@@ -225,19 +214,12 @@ def _encode(distribution) -> Optional[str]:
 
 
 def _decode(payload: str):
-    """Inverse of :func:`_encode`; raises ``ValueError`` on foreign data.
-
-    v2 payloads revive through :mod:`repro.probability_array`; when
-    numpy is unavailable in the reading process the payload is treated
-    as foreign (``ValueError`` → miss) rather than failing the query.
-    So are the retired numpy lane-group payloads (v2 kind ``"s"``).
-    """
+    """Inverse of :func:`_encode`; raises ``ValueError`` on foreign data,
+    which includes every retired v2 payload (a miss, not a failure)."""
     data = json.loads(payload)
     if not isinstance(data, dict):
         raise ValueError(f"unsupported memo payload: {payload[:40]!r}")
     version = data.get("v")
-    if version == 2:
-        return _decode_array(data, payload)
     if version == 3:
         rows = [_decode_items(items) for items in data["r"]]
         try:
@@ -252,26 +234,6 @@ def _decode(payload: str):
     if version != _PAYLOAD_VERSION:
         raise ValueError(f"unsupported memo payload version: {payload[:40]!r}")
     return _decode_items(data["d"])
-
-
-def _decode_array(data: dict, payload: str):
-    """Revive a v2 packed-array payload (see :func:`_encode`)."""
-    try:
-        import numpy
-
-        from ..probability_array import ArrayDistribution
-    except ImportError as exc:
-        raise ValueError(
-            f"array memo payload needs numpy to decode: {exc}"
-        ) from exc
-    try:
-        masks = numpy.asarray(data["m"], dtype=numpy.int64)
-        values = numpy.asarray(data["p"], dtype=numpy.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed array memo payload: {payload[:40]!r}") from exc
-    if data.get("k") == "a" and masks.ndim == 1 and masks.shape == values.shape:
-        return ArrayDistribution(masks, values)
-    raise ValueError(f"malformed array memo payload: {payload[:40]!r}")
 
 
 class SqliteStore(MemoStore):

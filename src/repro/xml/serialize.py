@@ -28,13 +28,16 @@ def document_to_text(document: Document) -> str:
     the unordered tree semantics.
     """
     lines: list[str] = []
-
-    def emit(n: DocNode, depth: int) -> None:
+    # Iterative pre-order: children are pushed in reverse sorted order,
+    # so deep chains need no recursion.
+    stack: list[tuple[DocNode, int]] = [(document.root, 0)]
+    while stack:
+        n, depth = stack.pop()
         lines.append(f"{_INDENT * depth}[{n.node_id}] {n.label}")
-        for child in sorted(n.children, key=lambda c: (c.label, c.node_id)):
-            emit(child, depth + 1)
-
-    emit(document.root, 0)
+        for child in sorted(
+            n.children, key=lambda c: (c.label, c.node_id), reverse=True
+        ):
+            stack.append((child, depth + 1))
     return "\n".join(lines) + "\n"
 
 

@@ -13,7 +13,6 @@ between the arms.
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.prob import QuerySession, query_answer
@@ -134,7 +133,6 @@ def test_bulk_matches_perkey_on_stacked_array_pass(seed):
     # The stacked (array-backend) pass uses the same probe object; its
     # bulk plan must preserve answers within 1e-9 of exact and keep the
     # combined-key store accounting identical to per-key stacked runs.
-    pytest.importorskip("numpy")
     p, queries, rng = make_batch(seed)
     exact = [query_answer(p, q) for q in queries]
     perkey = QuerySession(p, backend="array", store=InMemoryStore())

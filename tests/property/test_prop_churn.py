@@ -185,7 +185,6 @@ def _scale_probability(p: PDocument, rng: random.Random) -> None:
 def test_retained_spine_reads_equal_fresh_exact_answers(
     tmp_path_factory, store_kind, seed
 ):
-    pytest.importorskip("numpy")
     rng = random.Random(seed)
     p = _wide_document(rng)
     if not p.distributional_nodes():

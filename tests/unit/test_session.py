@@ -18,10 +18,12 @@ from repro.prob.engine import (
     node_probability,
 )
 from repro.pxml import ind, mux, ordinary, pdoc
+from repro.pxml.serialize import pdocument_from_text, pdocument_to_text
 from repro.store import InMemoryStore, SqliteStore
 from repro.tp import parse_pattern
 from repro.workloads import paper
 from repro.workloads.synthetic import batch_workload, personnel_pdocument, personnel_query
+from repro.xml.serialize import document_to_text
 
 
 class TestAnswerMany:
@@ -253,6 +255,17 @@ class TestDeepDocuments:
         p = _ind_chain(self.LEVELS)
         assert EvaluationEngine(p, [parse_pattern("a/b")]).candidate_ids() == {2}
         assert p.max_world().size() == self.LEVELS + 1
+
+    def test_serializers_on_deep_ind_chain(self):
+        p = _ind_chain(self.LEVELS)
+        text = pdocument_to_text(p)
+        assert pdocument_to_text(pdocument_from_text(text)) == text
+        assert text.count("\n") == 2 * self.LEVELS + 1
+        world = document_to_text(p.max_world())
+        assert world.count("\n") == self.LEVELS + 1
+        assert world.splitlines()[-1] == (
+            "  " * self.LEVELS + f"[{2 * self.LEVELS}] b"
+        )
 
 
 class _CandidateKeyLog:

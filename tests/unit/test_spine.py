@@ -296,7 +296,6 @@ class TestSessionSpineRefresh:
         assert 0 < stats["survived_entries"] <= len(session.store)
 
     def test_array_plans_survive_probability_mutation(self):
-        pytest.importorskip("numpy")
         p, session, queries = self.make_session(backend="array")
         session.answer_many(queries)
         self.mutate_probability(p)
@@ -311,7 +310,6 @@ class TestSessionSpineRefresh:
         assert session.stats.survived_plans >= 1
 
     def test_world_mutation_drops_plans_without_full_reset(self):
-        pytest.importorskip("numpy")
         p, session, queries = self.make_session(backend="array")
         session.answer_many(queries)
         target = next(
@@ -358,7 +356,6 @@ class TestRetainedSpine:
     def test_read_after_edit_visits_only_the_dirty_path(
         self, tmp_path, store_kind
     ):
-        pytest.importorskip("numpy")
         from repro.store import SqliteStore
 
         p, queries = batch_workload(persons=32, projects=4, seed=3)
@@ -406,7 +403,6 @@ class TestRetainedSpine:
                 store.close()
 
     def test_world_change_drops_the_spine(self):
-        pytest.importorskip("numpy")
         p, queries = batch_workload(persons=8, projects=4, seed=3)
         session = QuerySession(p, backend="array")
         session.answer_many(queries)
@@ -422,7 +418,6 @@ class TestRetainedSpine:
         assert session.stats.node_visits - visits > 8
 
     def test_spine_reuse_is_observable(self):
-        pytest.importorskip("numpy")
         from repro.obs.registry import get_registry
         from repro.obs.trace import capture
 
