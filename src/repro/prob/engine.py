@@ -288,20 +288,6 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     # Batch-evaluation surface (used by repro.prob.session)
     # ------------------------------------------------------------------
-    def pattern_target(self, pattern: TreePattern) -> int:
-        """The root ``D``-goal bitmask of one evaluated pattern.
-
-        A goal-set distribution's mass over this target (see :meth:`mass`)
-        is ``Pr(pattern matches)`` — the per-query marginal when several
-        queries are evaluated in one session pass.
-        """
-        index = self._goal_index.get(id(pattern.root))
-        if index is None:
-            raise PatternError(
-                f"{pattern!r} is not one of this engine's evaluated patterns"
-            )
-        return 1 << (2 * index)
-
     def mass(self, distribution: Distribution, targets: Optional[int] = None):
         """Total probability of goal sets covering ``targets``.
 
@@ -369,7 +355,11 @@ class EvaluationEngine:
         """One pinned-DP combine step: ``(blocked, pinned)`` for ``node``.
 
         ``entries`` maps each child's ``node_id`` to its own
-        ``(blocked, pinned)`` pair.  Counts one node visit.
+        ``(blocked, pinned)`` pair.  Counts one node visit.  At the
+        document root (always ordinary) the second half is the answer
+        itself, ``{candidate: Pr}`` over every pattern's root goal: the
+        root readout (:meth:`_combine_ordinary_pinned`) never builds
+        the root's pinned distributions.
         """
         self.visits += 1
         if node.kind is PNodeKind.ORDINARY:
@@ -446,16 +436,8 @@ class EvaluationEngine:
         if sp:
             visits_before = self.visits
         with sp:
-            zero = self._zero
             _, pinned = self._pinned_pass(candidate_set)
-            answer: dict = {}
-            for node_id in sorted(candidate_set):
-                distribution = pinned.get(node_id)
-                if distribution is None:
-                    continue
-                probability = self.mass(distribution)
-                if probability > zero:
-                    answer[node_id] = probability
+            answer = positive_answers(pinned, self._zero)
         if sp:
             sp.set("node_visits", self.visits - visits_before)
             sp.set("answers", len(answer))
@@ -479,6 +461,20 @@ class EvaluationEngine:
             node.node_id,
             gate is not _GRANT_NONE,
             self._a_mask,
+        )
+
+    def _readout(self, node: PNode, others: Distribution, pins, gate) -> dict:
+        """``{candidate: Pr}`` for root pins sharing ``others``: the mass
+        over the root goals of ``node``'s rewrite under ``gate`` of
+        ``others ⊛ pin`` (see :meth:`ScalarOps.readout`)."""
+        return self._ops.readout(
+            others,
+            pins,
+            self._by_label.get(node.label),
+            node.node_id,
+            gate is not _GRANT_NONE,
+            self._a_mask,
+            self._targets,
         )
 
     # ------------------------------------------------------------------
@@ -558,8 +554,8 @@ class EvaluationEngine:
     ) -> tuple[Distribution, dict]:
         """One post-order traversal computing ``(blocked, pinned)`` per node.
 
-        Returns the root's pair; ``pinned`` maps each candidate Id to the
-        goal-set distribution of the run anchored at that candidate.  It
+        Returns the root's pair; ``pinned`` maps each candidate Id to its
+        probability — the root readout of the run anchored there.  It
         is a single pinned lane of the shared traversal: only *blocked*
         distributions are content-addressable (pinned maps name candidate
         node Ids — document identity), so with a store, subtrees holding
@@ -591,7 +587,7 @@ class EvaluationEngine:
         index: dict = {}  # id(row) -> group
         factors: list = []  # per group: its row, then the row ** m
         rests: dict = {}  # group -> m, then row ** (m - 1); only m > 1
-        pinned_children: list = []  # (group, pinned map) in child order
+        pins_of: dict = {}  # group -> its children's non-empty pinned maps
         for child in node.children:
             blocked_child, child_pinned = memo[child.node_id]
             key = id(blocked_child)
@@ -602,7 +598,7 @@ class EvaluationEngine:
             else:
                 rests[g] = rests.get(g, 1) + 1
             if child_pinned:
-                pinned_children.append((g, child_pinned))
+                pins_of.setdefault(g, []).append(child_pinned)
         for g, count in rests.items():
             rest = rests[g] = self._power(factors[g], count - 1)
             factors[g] = convolve(rest, factors[g])
@@ -612,31 +608,47 @@ class EvaluationEngine:
             pre.append(convolve(pre[-1], factor))
         combined_all = pre[-1]
         blocked = self._rewrite(node, combined_all, _GRANT_NONE)
+        # The root's pinned distributions are only ever read for their
+        # mass: there the readout replaces each rewrite + mass.
+        at_root = node.parent is None
         pinned: dict = {}
         if node.node_id in candidate_set:
             # Pinning at the node itself: out goals may be granted here and
             # nowhere below — which is exactly the children-blocked run.
-            pinned[node.node_id] = self._rewrite(node, combined_all, _GRANT_ALL)
-        if pinned_children:
+            if at_root:
+                pinned = self._readout(
+                    node, combined_all, [(node.node_id, self._unit())],
+                    _GRANT_ALL,
+                )
+            else:
+                pinned[node.node_id] = self._rewrite(
+                    node, combined_all, _GRANT_ALL
+                )
+        if pins_of:
             count = len(factors)
             # suf[g] = convolution of groups g.. 's factors
             suf = [self._unit()] * (count + 1)
             for g in range(count - 1, -1, -1):
                 suf[g] = convolve(factors[g], suf[g + 1])
-            # others[g]: every child but one of group g, once per group.
-            others_of: dict = {}
-            for g, child_pinned in pinned_children:
-                others = others_of.get(g)
-                if others is None:
-                    others = convolve(pre[g], suf[g + 1])
-                    if g in rests:
-                        others = convolve(others, rests[g])
-                    others_of[g] = others
-                for candidate, distribution in child_pinned.items():
-                    below = convolve(others, distribution)
-                    # The pin lives strictly below, so out goals are not
-                    # granted at this node: the blocked gate is exact.
-                    pinned[candidate] = self._rewrite(node, below, _GRANT_NONE)
+            for g, maps in pins_of.items():
+                # others: every child but one of group g.
+                others = convolve(pre[g], suf[g + 1])
+                if g in rests:
+                    others = convolve(others, rests[g])
+                # The pin lives strictly below, so out goals are not
+                # granted at this node: the blocked gate is exact.
+                if at_root:
+                    pinned.update(self._readout(
+                        node, others,
+                        [item for m in maps for item in m.items()],
+                        _GRANT_NONE,
+                    ))
+                    continue
+                for child_pinned in maps:
+                    for candidate, distribution in child_pinned.items():
+                        pinned[candidate] = self._rewrite(
+                            node, convolve(others, distribution), _GRANT_NONE
+                        )
         return blocked, pinned
 
     def _power(self, distribution: Distribution, exponent: int) -> Distribution:
@@ -711,6 +723,16 @@ class EvaluationEngine:
                         others, self._mixture(p_child, distribution)
                     )
         return blocked, pinned
+
+
+def positive_answers(readout: dict, zero) -> dict:
+    """A root readout ``{candidate: Pr}`` as an answer: the candidates of
+    positive probability, in Id order."""
+    return {
+        node_id: readout[node_id]
+        for node_id in sorted(readout)
+        if readout[node_id] > zero
+    }
 
 
 # ----------------------------------------------------------------------

@@ -62,7 +62,12 @@ p-document in place calls ``mark_mutated(node)``), the session consults
 maximal world is unchanged, cached candidate sets stay warm and stacked
 batch plans survive: their per-node key caches and retained spines are
 pruned of dirty Ids and their answer memos cleared, so the next read
-recombines only the dirty path.  Only a
+recombines only the dirty path.  When it moved the maximal world,
+candidate sets are dropped, and so is every stacked plan whose lanes'
+goal-table labels meet the labels the edits touched
+(:meth:`PDocument.dirty_labels_since`); the other plans survive as
+after a probability-only edit — no pattern node maps into a subtree
+that carries none of its query's labels.  Only a
 whole-document :meth:`PDocument.mark_all_mutated` still triggers the
 historical full reset.  The structural store needs no purge either way: mutated
 subtrees change their digests and simply stop matching, while untouched
@@ -97,7 +102,12 @@ from ..store import (
     fingerprint_digest,
 )
 from ..tp.pattern import TreePattern
-from .engine import AnchorsLike, EvaluationEngine, candidate_sets
+from .engine import (
+    AnchorsLike,
+    EvaluationEngine,
+    candidate_sets,
+    positive_answers,
+)
 from .traversal import Lane, open_probe, stored_postorder
 
 __all__ = ["QuerySession", "SessionStats", "BooleanItem"]
@@ -245,9 +255,9 @@ class QuerySession:
         self.stats = SessionStats()
         self._epoch = getattr(p, "mutation_epoch", 0)
         # Stacked-pass plan cache (array backend): batch id-signature ->
-        # (strong query refs, prepared lanes/keyer).  Scoped to the
-        # document's maximal world: spine refreshes keep it unless the
-        # mutation changed the world; see repro.prob.stacked.
+        # (strong query refs, prepared lanes/keyer).  Spine refreshes
+        # keep a plan unless the mutation changed the world in labels
+        # its lanes read; see repro.prob.stacked.
         self._stacked: dict = {}
         # Candidate-set cache for the classic pass: id(query) -> (query,
         # frozenset).  Candidates depend only on the maximal world and
@@ -312,24 +322,13 @@ class QuerySession:
             live_sets = [
                 self.p.ancestral_closure(cs) for cs in candidate_sets
             ]
-            pinned_maps = self._pinned_batch_pass(
+            readouts = self._pinned_batch_pass(
                 engines, candidate_sets, live_sets
             )
             zero = self.backend.zero
-            answers: list[dict] = []
-            for engine, query, candidates, pinned in zip(
-                engines, queries, candidate_sets, pinned_maps
-            ):
-                target = engine.pattern_target(query)
-                answer: dict = {}
-                for node_id in sorted(candidates):
-                    distribution = pinned.get(node_id)
-                    if distribution is None:
-                        continue
-                    probability = engine.mass(distribution, target)
-                    if probability > zero:
-                        answer[node_id] = probability
-                answers.append(answer)
+            answers = [
+                positive_answers(readout, zero) for readout in readouts
+            ]
             self.stats.queries += len(queries)
             if sp:
                 sp.set("candidates", sum(len(cs) for cs in candidate_sets))
@@ -465,13 +464,29 @@ class QuerySession:
         # the slice of it keyed on dirty node Ids.
         dirty_since = getattr(self.p, "dirty_since", None)
         dirty = dirty_since(self._epoch) if dirty_since is not None else None
+        touched = None
+        if dirty is not None and dirty[1]:
+            labels_since = getattr(self.p, "dirty_labels_since", None)
+            if labels_since is not None:
+                touched = labels_since(self._epoch)
         self._epoch = epoch
         with trace_span(
             "session.refresh", spine=dirty is not None
         ) as sp:
-            self._apply_refresh(dirty, sp)
+            self._apply_refresh(dirty, touched, sp)
 
-    def _apply_refresh(self, dirty, sp) -> None:
+    def _apply_refresh(self, dirty, touched, sp) -> None:
+        """Absorb the edits since the last refresh.
+
+        ``dirty`` is :meth:`PDocument.dirty_since`'s ``(changed,
+        world_changed)`` (``None``: full reset) and ``touched`` the
+        labels the world-changing edits touched (``None``: unknown).
+        A stacked plan whose lanes read none of those labels keeps its
+        candidate and live sets — no pattern node maps into a subtree
+        without its labels — and is refreshed like a probability-only
+        edit: only its answer memo and its entries of moved digests go.
+        Every other plan is dropped.
+        """
         if dirty is None:
             self._stacked.clear()
             self._candidates.clear()
@@ -480,30 +495,34 @@ class QuerySession:
         changed, world_changed = dirty
         stats = self.stats
         stats.spine_refreshes += 1
+        if world_changed:
+            # The maximal world moved: cached candidate sets are suspect.
+            self._candidates.clear()
+        kept = dropped = 0
+        stacked = self._stacked
+        for key in list(stacked):
+            if key[0] == "bool":
+                # Boolean masses: recomputed on demand.
+                del stacked[key]
+                continue
+            plan = stacked[key][1]
+            if plan is None:
+                continue
+            if world_changed and (
+                touched is None
+                or not plan.keyer.table_labels.isdisjoint(touched)
+            ):
+                del stacked[key]
+                dropped += 1
+            else:
+                plan.forget(changed)
+                kept += 1
+        stats.survived_plans += kept
         if sp:
             sp.set("dirty_nodes", len(changed))
             sp.set("world_changed", world_changed)
-        if world_changed:
-            # Labels or the node set moved: candidate sets and every
-            # stacked plan (whose lanes bake candidate / live sets in)
-            # are suspect.
-            self._candidates.clear()
-            self._stacked.clear()
-        else:
-            # Probability-only mutation: candidates and plans survive.
-            # Plan answer memos still reflect the old masses, and per-node
-            # key caches and retained spines may hold entries of moved
-            # digests — drop just those.
-            survived = 0
-            for key in [k for k in self._stacked if k[0] == "bool"]:
-                del self._stacked[key]
-            for entry in self._stacked.values():
-                plan = entry[1]
-                if plan is None:
-                    continue
-                plan.forget(changed)
-                survived += 1
-            stats.survived_plans += survived
+            sp.set("plans_kept", kept)
+            sp.set("plans_dropped", dropped)
         self.store.record_spine_recompute(len(self.store))
 
     def _candidate_sets(
@@ -619,7 +638,8 @@ class QuerySession:
         candidate_sets: list[frozenset],
         live_sets: list[frozenset],
     ) -> list[dict]:
-        """One shared post-order pass computing every query's pinned map.
+        """One shared post-order pass computing every query's root
+        readout, ``{candidate: Pr}``.
 
         Each query is one pinned :class:`~repro.prob.traversal.Lane` of
         :func:`~repro.prob.traversal.stored_postorder`: per query and

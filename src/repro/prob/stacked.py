@@ -33,7 +33,9 @@ below — over the backend's float dict kernels.
 (the union of all lanes' live sets) need per-lane ``(blocked, pinned)``
 pairs: a live lane runs ``combine_pinned``, the other lanes share
 blocked rows by class as above.  Split entries name candidate node Ids,
-so the store never holds them.
+so the store never holds them.  At the document root ``combine_pinned``
+reads each live lane's answer straight off the children (the engine's
+root readout), so the root entry's pinned half *is* the answer.
 
 **Retained spine.**  Instead, each answer plan keeps its split entries
 (:attr:`_AnswerPlan.spine`) across passes and hands them to the walk as
@@ -42,16 +44,25 @@ the local models a node's entry depends only on its own subtree (and on
 the plan's candidate and live sets, fixed while the plan lives), so a
 spine refresh drops exactly the nodes whose structural digest moved
 (:meth:`_AnswerPlan.forget`) and the next read recombines only that
-dirty path.  A plan dies with the maximal world it was built for, and
-its spine with it.
+dirty path.  The candidate and live sets are ``q(max world)`` and its
+ancestors, and no pattern node maps into a subtree that carries none of
+the query's labels (tree patterns have no wildcards).  So a plan
+survives every edit whose touched labels (:meth:`~repro.pxml.pdocument.
+PDocument.dirty_labels_since`) miss its lanes' table labels — a
+probability-only edit touches none — and dies, with its spine, with any
+other world change.
 
-**Interned rows.**  Within one pass the group interns the rows it
-creates (by exactness and content), so isomorphic children of a wide
-node hand the engine one row *object*; the engine's ordinary-node
-pinned combine groups children by row identity and combines each
-distinct row once (:meth:`~repro.prob.engine.EvaluationEngine.
-_combine_ordinary_pinned`).  The exactness flag keeps a float row from
-standing in for an equal :class:`~fractions.Fraction` row.
+**Interned rows.**  Each answer plan interns the rows its passes create
+(by exactness and content), so isomorphic children of a wide node hand
+the engine one row *object* — also when one child was recombined in a
+later pass than its siblings; the engine's ordinary-node pinned combine
+groups children by row identity and combines each distinct row once
+(:meth:`~repro.prob.engine.EvaluationEngine._combine_ordinary_pinned`).
+The exactness flag keeps a float row from standing in for an equal
+:class:`~fractions.Fraction` row.  Rows orphaned by edits are pruned:
+when the table outgrows ``_INTERN_PER_SPINE`` rows per spine entry it
+is rebuilt from the rows the spine still holds.  Boolean passes intern
+per pass.
 
 **Combined store keys.**  A subtree is memoized under ONE key instead of
 L: ``(structural digest, digest of the tagged per-lane parts, None,
@@ -88,7 +99,12 @@ from ..store import (
     SubtreeKeyer,
     fingerprint_digest,
 )
-from .engine import _GRANT_ALL, _GRANT_NONE, EvaluationEngine
+from .engine import (
+    _GRANT_ALL,
+    _GRANT_NONE,
+    EvaluationEngine,
+    positive_answers,
+)
 from .traversal import Lane
 
 __all__ = ["StackedKeyer", "stacked_answer_many", "stacked_boolean_many"]
@@ -98,6 +114,15 @@ _EMPTY: dict = {}
 #: Tag of the combined key's fingerprint part.  It names the entry form,
 #: so entries of an earlier form are never probed.
 _KEY_TAG = "lane-rows"
+#: An answer plan's row intern table is pruned once it holds more than
+#: this many rows per retained spine entry.
+_INTERN_PER_SPINE = 2
+
+
+def _row_key(row: dict) -> tuple:
+    """Intern key of a row: its exactness and content
+    (``Fraction(1, 2) == 0.5`` hash alike, so exactness is keyed)."""
+    return (_is_exact(row), tuple(row.items()))
 
 
 def _storable(entry):
@@ -303,14 +328,14 @@ class _StackedGroup:
     of their class.  Every split entry the group combines lands in
     ``spine`` (the answer plan's retained spine, which the walk consults
     as :attr:`~repro.prob.traversal.Lane.known`); ``interned`` is the
-    pass-scoped row intern table.
+    row intern table (the answer plan's, else the pass's own).
     """
 
     __slots__ = (
         "labels", "lanes", "keyer", "backend", "grant", "union_live",
         "exact_ops", "unit_dict", "unit_entry",
         "rows_combined", "rows_shared", "spine", "interned", "stats",
-        "spine_before",
+        "spine_before", "root_forms",
     )
 
     def __init__(
@@ -320,6 +345,7 @@ class _StackedGroup:
         keyer: StackedKeyer,
         union_live=frozenset(),
         spine: Optional[dict] = None,
+        interned: Optional[dict] = None,
     ) -> None:
         backend = session.backend
         self.labels = session.p.label_index()
@@ -329,14 +355,15 @@ class _StackedGroup:
         self.grant = _GRANT_NONE if keyer.gate == GATE_BLOCKED else _GRANT_ALL
         self.union_live = union_live
         self.exact_ops = backend.exact_ops()
-        self.unit_dict = {0: 1.0}
+        self.interned = {} if interned is None else interned
+        self.unit_dict = self._intern({0: 1.0})
         self.unit_entry = LaneRows((self.unit_dict,) * len(lanes))
         self.rows_combined = 0
         self.rows_shared = 0
         self.spine = {} if spine is None else spine
-        self.interned: dict = {}
         self.stats = session.stats
         self.spine_before = session.stats.spine_hits
+        self.root_forms: Optional[list] = None
 
     def lane(self) -> Lane:
         """The group as one :class:`~repro.prob.traversal.Lane`."""
@@ -362,14 +389,25 @@ class _StackedGroup:
             # counts spine hits once per lane of the group).
             "spine_reused": (self.stats.spine_hits - self.spine_before)
             // len(self.lanes),
+            "root_groups": self._root_groups(),
         }
 
-    def _intern(self, row: dict) -> dict:
-        """The pass's one object for ``row``'s content and exactness
-        (``Fraction(1, 2) == 0.5`` hash alike, so exactness is keyed)."""
-        return self.interned.setdefault(
-            (_is_exact(row), tuple(row.items())), row
+    def _root_groups(self) -> int:
+        """Distinct child rows the root readout grouped, summed over the
+        lanes live at the root (0 when the root was not combined)."""
+        forms = self.root_forms
+        if forms is None:
+            return 0
+        return sum(
+            len({id(form.rows[i]) for form in forms})
+            for i, lane in enumerate(self.lanes)
+            if lane.live
         )
+
+    def _intern(self, row: dict) -> dict:
+        """The intern table's one object for ``row``'s content and
+        exactness."""
+        return self.interned.setdefault(_row_key(row), row)
 
     def combine(self, node, entries):
         node_id = node.node_id
@@ -414,6 +452,8 @@ class _StackedGroup:
 
     def _split_combine(self, node, forms, classes) -> _SplitRows:
         node_id = node.node_id
+        if node.parent is None:
+            self.root_forms = forms
         lane_class = classes[0]
         exact_below = any(form.exact for form in forms)
         unit = self.unit_dict
@@ -477,31 +517,43 @@ class _StackedGroup:
 # ----------------------------------------------------------------------
 class _AnswerPlan:
     """A cached stacked ``answer_many`` batch: the lanes, the combined
-    keyer, the union live set, the per-lane targets, the answer memo
-    (empty, or the one answer list of the current epoch) and the
-    retained spine (``node_id -> split entry``, see the module
-    docstring)."""
+    keyer, the union live set, the answer memo (empty, or the one answer
+    list of the current epoch), the retained spine (``node_id -> split
+    entry``) and the row intern table (see the module docstring)."""
 
-    __slots__ = ("lanes", "keyer", "union_live", "targets", "memo", "spine")
+    __slots__ = ("lanes", "keyer", "union_live", "memo", "spine", "interned")
 
-    def __init__(self, lanes, keyer, union_live, targets) -> None:
+    def __init__(self, lanes, keyer, union_live) -> None:
         self.lanes = lanes
         self.keyer = keyer
         self.union_live = union_live
-        self.targets = targets
         self.memo: list = []
         self.spine: dict = {}
+        self.interned: dict = {}
 
     def forget(self, changed) -> None:
         """Spine refresh: drop the answer memo and every cached key, class
         and split entry of the node ids in ``changed`` — the nodes whose
-        structural digest moved (probability-only edits; the maximal
-        world, and so the plan's candidate and live sets, stand)."""
+        structural digest moved.  The caller has checked that the edits
+        left the plan's candidate and live sets standing."""
         self.memo.clear()
         self.keyer.forget(changed)
         spine = self.spine
         for node_id in changed:
             spine.pop(node_id, None)
+
+    def trim(self) -> None:
+        """Bound the intern table by the spine: past
+        ``_INTERN_PER_SPINE`` rows per spine entry, keep only the rows
+        the spine still holds (and none, should those alone exceed it)."""
+        limit = _INTERN_PER_SPINE * len(self.spine)
+        if len(self.interned) <= limit:
+            return
+        kept: dict = {}
+        for entry in self.spine.values():
+            for row in entry.rows:
+                kept.setdefault(_row_key(row), row)
+        self.interned = kept if len(kept) <= limit else {}
 
 
 def _run_group(
@@ -510,12 +562,13 @@ def _run_group(
     keyer: StackedKeyer,
     union_live=frozenset(),
     spine: Optional[dict] = None,
+    interned: Optional[dict] = None,
 ):
     """One stacked pass: the batch runs as ONE lane group of
     :func:`~repro.prob.traversal.stored_postorder`; returns the root
-    entry.  ``spine`` is an answer plan's retained spine, consulted and
-    filled by the pass."""
-    group = _StackedGroup(session, lanes, keyer, union_live, spine)
+    entry.  ``spine`` and ``interned`` are an answer plan's retained
+    spine and row intern table, consulted and filled by the pass."""
+    group = _StackedGroup(session, lanes, keyer, union_live, spine, interned)
     roots = session._run_pass(
         [group.lane()], "stacked.pass", counters=group.counters,
         gate=keyer.gate,
@@ -542,10 +595,11 @@ def stacked_answer_many(session, queries: list) -> Optional[list]:
     always recombines to the same per-candidate masses, so a repeated
     batch is a pure plan hit.  This is the session-local, identity-keyed
     completion of the store's structural memoization; ``invalidate()``
-    and world-changing epochs drop it with the rest of
-    ``session._stacked``.  After a probability-only edit the memo is
-    gone but the plan's retained spine is not: the pass recombines only
-    the split entries whose digests moved.
+    drops it with the rest of ``session._stacked``, and so does an edit
+    that touches one of the plan's table labels.  After any other edit
+    the memo is gone but the plan's retained spine is not: the pass
+    recombines only the split entries whose digests moved, and the root
+    entry holds every lane's answer (the engine's root readout).
     """
     cache = session._stacked
     key = ("answer", tuple(map(id, queries)))
@@ -571,22 +625,14 @@ def stacked_answer_many(session, queries: list) -> Optional[list]:
         # No candidates anywhere: every answer is empty, no pass needed.
         return [{} for _ in queries]
     root = _run_group(
-        session, plan.lanes, plan.keyer, plan.union_live, plan.spine
+        session, plan.lanes, plan.keyer, plan.union_live, plan.spine,
+        plan.interned,
     )
+    plan.trim()
     zero = session.backend.zero
-    # The root is live: a split entry with every lane's pinned map.
-    answers: list[dict] = []
-    for lane, target, pinned in zip(plan.lanes, plan.targets, root.pinned):
-        engine = lane.engine
-        answer: dict = {}
-        for node_id in sorted(lane.candidates):
-            distribution = pinned.get(node_id)
-            if distribution is None:
-                continue
-            probability = engine.mass(distribution, target)
-            if probability > zero:
-                answer[node_id] = probability
-        answers.append(answer)
+    # The root is live: a split entry whose pinned half holds every
+    # lane's readout ``{candidate: Pr}``.
+    answers = [positive_answers(readout, zero) for readout in root.pinned]
     memo.append(answers)
     return [dict(answer) for answer in answers]
 
@@ -622,13 +668,10 @@ def _build_answer_plan(session, queries: list, cache: dict, key: tuple):
     keyer = StackedKeyer(
         session.p, [lane.keyer for lane in lanes], GATE_BLOCKED
     )
-    targets = [
-        engine.pattern_target(q) for engine, q in zip(engines, queries)
-    ]
     if len(cache) > 4096:
         cache.clear()
     entry = cache[key] = (
-        tuple(queries), _AnswerPlan(lanes, keyer, union_live, targets),
+        tuple(queries), _AnswerPlan(lanes, keyer, union_live),
     )
     return entry
 

@@ -60,6 +60,7 @@ __all__ = [
     "register_backend",
     "ScalarOps",
     "distribution_ops",
+    "emission",
 ]
 
 #: The internal representation of probabilities.
@@ -204,11 +205,12 @@ class ScalarOps:
     A *distribution* maps interned goal bitmasks to backend scalars.
     :class:`ScalarOps` implements the evaluation engine's kernel surface
     — unit / convolve / mixture / mux-mixture / goal rewrite / scaled
-    add-subtract / target-mass projection — with plain dict loops in the
-    backend's scalar domain.  This is the default every backend gets
-    from :func:`distribution_ops`; backends may return specialized ops
-    (e.g. the escaping kernels of :mod:`repro.probability_array`)
-    through the ``engine_ops()`` hook instead.
+    add-subtract / target-mass projection / root readout — with plain
+    dict loops in the backend's scalar domain.  This is the default
+    every backend gets from :func:`distribution_ops`; backends may
+    return specialized ops (e.g. the escaping kernels of
+    :mod:`repro.probability_array`) through the ``engine_ops()`` hook
+    instead.
 
     Distributions are immutable by convention: every kernel builds a
     fresh dict or returns an existing operand unmodified, so results may
@@ -311,17 +313,49 @@ class ScalarOps:
         for mask, probability in distribution.items():
             emitted = emit_cache.get(mask)
             if emitted is None:
-                emitted = mask & a_mask  # A goals propagate upward
-                if entries:
-                    for d_bit, a_bit, need, anchor, is_out in entries:
-                        if anchor is not None and node_id not in anchor:
-                            continue
-                        if is_out and not grant_out:
-                            continue
-                        if mask & need == need:
-                            emitted |= d_bit | a_bit
-                emit_cache[mask] = emitted
+                emitted = emit_cache[mask] = emission(
+                    mask, entries, node_id, grant_out, a_mask
+                )
             result[emitted] = get(emitted, zero) + probability
+        return result
+
+    def readout(
+        self, others: dict, pins, entries, node_id: int, grant_out: bool,
+        a_mask: int, targets: int,
+    ) -> dict:
+        """``{candidate: Pr}`` at an ordinary root, without building the
+        root's pinned distributions.
+
+        ``pins`` yields ``(candidate, pin)`` pairs whose pins combine
+        with the same ``others`` (the convolution of every other child).
+        A candidate's probability is the mass over ``targets`` of the
+        rewrite (see :meth:`rewrite`) of ``others ⊛ pin``.  That equals
+        ``Σ_b pin[b] · w[b]`` with one weight per pin mask ``b``:
+        ``w[b] = Σ_a others[a] · [emission(a | b) covers targets]`` —
+        computed once per distinct ``b`` and shared by every pin.
+        """
+        zero = self.zero
+        covers: dict[int, bool] = {}
+        weights: dict = {}
+        result: dict = {}
+        for candidate, pin in pins:
+            total = zero
+            for pin_mask, probability in pin.items():
+                weight = weights.get(pin_mask)
+                if weight is None:
+                    weight = zero
+                    for mask, value in others.items():
+                        union = mask | pin_mask
+                        covered = covers.get(union)
+                        if covered is None:
+                            covered = covers[union] = emission(
+                                union, entries, node_id, grant_out, a_mask
+                            ) & targets == targets
+                        if covered:
+                            weight = weight + value
+                    weights[pin_mask] = weight
+                total = total + probability * weight
+            result[candidate] = total
         return result
 
     def scale_subtract(self, base: dict, probability, distribution: dict) -> dict:
@@ -359,6 +393,29 @@ class ScalarOps:
             if mask & targets == targets:
                 total = total + probability
         return total
+
+
+def emission(
+    mask: int, entries, node_id: int, grant_out: bool, a_mask: int
+) -> int:
+    """The goal set an ordinary node emits for the child goal set ``mask``.
+
+    ``A`` goals in ``a_mask`` propagate upward; each applicable entry of
+    ``entries`` (see :meth:`ScalarOps.rewrite`) adds its ``D`` and
+    ``A`` bits when ``mask`` holds the goals it needs below.  The one
+    emission rule of :meth:`ScalarOps.rewrite` and
+    :meth:`ScalarOps.readout`.
+    """
+    emitted = mask & a_mask
+    if entries:
+        for d_bit, a_bit, need, anchor, is_out in entries:
+            if anchor is not None and node_id not in anchor:
+                continue
+            if is_out and not grant_out:
+                continue
+            if mask & need == need:
+                emitted |= d_bit | a_bit
+    return emitted
 
 
 def distribution_ops(backend: NumericBackend):

@@ -202,6 +202,21 @@ class _EngineOps:
         ops = _EXACT_OPS if _is_exact(distribution) else self._float
         return ops.mass(distribution, targets)
 
+    def readout(self, others: dict, pins, *goals) -> dict:
+        # Per operand pair (others, pin), as ``mass(rewrite(others ⊛
+        # pin))`` would dispatch: a Fraction side makes it exact.
+        if _is_exact(others):
+            return _EXACT_OPS.readout(
+                others, [(c, _lift(pin)) for c, pin in pins], *goals
+            )
+        floats, exact = [], []
+        for item in pins:
+            (exact if _is_exact(item[1]) else floats).append(item)
+        result = self._float.readout(others, floats, *goals)
+        if exact:
+            result.update(_EXACT_OPS.readout(_lift(others), exact, *goals))
+        return result
+
 
 #: Live array backends feeding the registry pull collector below; the
 #: per-instance ``fallbacks`` counter stays a plain int slot on the hot

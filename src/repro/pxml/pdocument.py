@@ -148,8 +148,10 @@ class PDocument:
         self._index: dict[int, PNode] = {}
         self._mutation_epoch = 0
         # Recent node-scoped mutations as (epoch, changed_ids,
-        # world_changed) triples; epochs below _dirty_floor are unknown
-        # (whole-document invalidation, or log overflow).
+        # world_changed, touched labels) entries; the labels are empty
+        # for probability-only edits and None when unknown (an unspliced
+        # edit).  Epochs below _dirty_floor are unknown (whole-document
+        # invalidation, or log overflow).
         self._dirty: list[tuple] = []
         self._dirty_floor = 0
         # Epoch-tagged derived indexes, built lazily: (epoch, digests,
@@ -216,7 +218,9 @@ class PDocument:
         of discarded — see :func:`repro.store.digest.splice_indexes`.
         The mutation is appended to the dirty log so resident sessions
         (:meth:`dirty_since`) keep memo entries for untouched sibling
-        subtrees.
+        subtrees, and — for an edit that moves the maximal world — with
+        the labels it touched (:meth:`dirty_labels_since`), so plans of
+        queries that read none of them survive it.
 
         ``node`` may be a node that was just *attached*: any nodes of its
         subtree not yet known to the document are registered (their Ids
@@ -231,11 +235,13 @@ class PDocument:
         epoch = self._mutation_epoch
         _SPINE_SPLICES.inc()
         with trace_span("pdocument.spine_splice", node=node.node_id) as sp:
-            changed, world_changed = self._splice_indexes(node, epoch)
+            changed, world_changed, touched = self._splice_indexes(
+                node, epoch
+            )
             if sp:
                 sp.set("changed", len(changed))
                 sp.set("world_changed", world_changed)
-        self._dirty.append((epoch, changed, world_changed))
+        self._dirty.append((epoch, changed, world_changed, touched))
         if len(self._dirty) > _DIRTY_LOG_LIMIT:
             dropped = self._dirty.pop(0)
             self._dirty_floor = dropped[0]
@@ -266,11 +272,33 @@ class PDocument:
             return None
         changed: set = set()
         world_changed = False
-        for entry_epoch, entry_changed, entry_world in self._dirty:
+        for entry_epoch, entry_changed, entry_world, _ in self._dirty:
             if entry_epoch > epoch:
                 changed.update(entry_changed)
                 world_changed = world_changed or entry_world
         return frozenset(changed), world_changed
+
+    def dirty_labels_since(self, epoch: int) -> Optional[frozenset]:
+        """The labels the world-changing edits since ``epoch`` touched.
+
+        Each such edit contributes the ordinary labels of its mutated
+        subtree before and after the edit; probability-only edits
+        contribute none.  ``None`` means unknown: a whole-document
+        invalidation or log truncation intervened (as for
+        :meth:`dirty_since`), or an edit ran before any index existed
+        to splice.  A query with no goal-table label in the result
+        has the same candidates as at ``epoch`` — no pattern node can
+        map into a subtree that carries none of its labels.
+        """
+        if epoch < self._dirty_floor:
+            return None
+        labels: set = set()
+        for entry_epoch, _, _, touched in self._dirty:
+            if entry_epoch > epoch:
+                if touched is None:
+                    return None
+                labels |= touched
+        return frozenset(labels)
 
     def _register_subtree(self, node: PNode) -> None:
         """Register freshly attached nodes under ``node``; reject clashes
@@ -294,12 +322,14 @@ class PDocument:
     def _splice_indexes(self, node: PNode, epoch: int) -> tuple:
         """Splice every populated index along the spine of ``node``.
 
-        Returns ``(changed_ids, world_changed)``.  An index cached at any
-        tag other than the pre-mutation epoch cannot be spliced (it was
-        dropped earlier, or never built) and is reset for lazy full
+        Returns ``(changed_ids, world_changed, touched_labels)``, the
+        labels empty for a probability-only edit.  An index cached at
+        any tag other than the pre-mutation epoch cannot be spliced (it
+        was dropped earlier, or never built) and is reset for lazy full
         recomputation; if that happens to the fused indexes the change
         extent is unknown and the conservative spine+subtree id set is
-        reported with ``world_changed`` true.
+        reported with ``world_changed`` true and unknown (``None``)
+        labels.
         """
         indexes = self._indexes
         if indexes is None or indexes[0] != epoch - 1:
@@ -310,9 +340,9 @@ class PDocument:
             while current is not None:
                 changed.add(current.node_id)
                 current = current.parent
-            return frozenset(changed), True
+            return frozenset(changed), True, None
         _, digests, sizes, worlds, labels = indexes
-        changed, world_changed = splice_indexes(
+        changed, world_changed, touched = splice_indexes(
             node, digests, sizes, worlds, labels
         )
         self._indexes = (epoch, digests, sizes, worlds, labels)
@@ -322,7 +352,11 @@ class PDocument:
             self._anchor_index = (epoch, anchors[1])
         else:
             self._anchor_index = None
-        return frozenset(changed), world_changed
+        return (
+            frozenset(changed),
+            world_changed,
+            touched if world_changed else frozenset(),
+        )
 
     def _resplice_positions(
         self, node: PNode, positions: dict, digests: dict

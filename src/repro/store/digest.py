@@ -30,7 +30,9 @@ candidate sets are cached — isomorphic documents with different Id
 assignments never share it.  At a spliced node it answers whether a
 mutation moved the maximal world: a probability-only edit changes every
 structural digest on its spine but no world digest, so sessions keep
-their candidate caches and stacked batch plans warm.  Its ``world:``
+their candidate caches and stacked batch plans warm.  An edit that does
+move it also reports the labels its subtree held before and after, so
+sessions keep the plans of queries that read none of them.  Its ``world:``
 payload prefix keeps it apart from every structural digest, and from
 candidate keys that store files hold under the earlier ``id:``
 identity payload.
@@ -197,7 +199,7 @@ def compute_indexes(root) -> tuple[dict, dict, dict, dict]:
 
 def splice_indexes(
     node, digests: dict, sizes: dict, worlds: dict, labels: dict
-) -> tuple[set, bool]:
+) -> tuple[set, bool, frozenset]:
     """Splice fresh indexes for ``node``'s subtree and its ancestor spine.
 
     The maps (one document's :func:`compute_indexes` output) are updated
@@ -209,14 +211,17 @@ def splice_indexes(
     digest is unchanged — for a probability-only edit, the mutated node
     itself.  Above either point no payload of that side can differ.
 
-    Returns ``(changed_ids, world_changed)``: the ids whose structural
-    digest actually changed (untouched descendants of the mutated node —
-    same Merkle digest before and after — are *not* reported, so their
-    memo entries survive) and whether the world digest at the mutated
-    node changed (label, Id, child-set or zero-probability edits;
-    other probability edits keep ``world_changed`` false).
+    Returns ``(changed_ids, world_changed, touched_labels)``: the ids
+    whose structural digest actually changed (untouched descendants of
+    the mutated node — same Merkle digest before and after — are *not*
+    reported, so their memo entries survive), whether the world digest
+    at the mutated node changed (label, Id, child-set or
+    zero-probability edits; other probability edits keep
+    ``world_changed`` false), and the mutated subtree's label set
+    before the edit united with its label set after it.
     """
     old_world = worlds.get(node.node_id)
+    old_labels = labels.get(node.node_id, frozenset())
     sub_digests, sub_sizes, sub_worlds, sub_labels = compute_indexes(node)
     changed = {
         node_id
@@ -247,7 +252,7 @@ def splice_indexes(
                 worlds[node_id] = world
                 labels[node_id] = _labels(current, labels)
         current = current.parent
-    return changed, world_changed
+    return changed, world_changed, old_labels | sub_labels[node.node_id]
 
 
 def compute_positions(root, digests: dict[int, str]) -> dict[int, tuple]:

@@ -127,16 +127,14 @@ class Document:
         return Document(copy_subtree(self.node(node_id)))
 
     def map_nodes(self, fn: Callable[[DocNode], tuple[int, str]]) -> "Document":
-        """Structure-preserving copy; ``fn`` supplies ``(new_id, new_label)``."""
+        """Structure-preserving copy; ``fn`` supplies ``(new_id, new_label)``.
 
-        def rec(source: DocNode) -> DocNode:
-            new_id, new_label = fn(source)
-            copy = DocNode(new_id, new_label)
-            for child in source.children:
-                copy.add_child(rec(child))
-            return copy
+        Built iteratively, so depth is unbounded."""
 
-        return Document(rec(self.root))
+        def mapped(source: DocNode) -> DocNode:
+            return DocNode(*fn(source))
+
+        return Document(_copy_tree(self.root, mapped))
 
     # ------------------------------------------------------------------
     # Comparison
@@ -148,15 +146,44 @@ class Document:
         identical trees over identical node Ids — the notion of world
         equality used by the px-space semantics.  With ``with_ids=False``
         comparison is by shape and labels only (isomorphism).
+
+        The key is flat, so documents of any depth compare and hash.
+        Each subtree gets an entry ``(Id (with_ids only), label, sorted
+        child numbers)``.  Subtrees are numbered bottom-up, one height
+        at a time, in the sorted order of their distinct entries; the
+        key lists those entries in number order, so it ends with the
+        root's.
         """
-
-        def key(n: DocNode) -> tuple:
-            children = tuple(sorted(key(c) for c in n.children))
-            if with_ids:
-                return (n.node_id, n.label, children)
-            return (n.label, children)
-
-        return key(self.root)
+        order = [self.root]
+        for node in order:
+            order.extend(node.children)
+        heights: dict[int, int] = {}
+        for node in reversed(order):
+            heights[node.node_id] = 1 + max(
+                (heights[c.node_id] for c in node.children), default=-1
+            )
+        levels: list[list] = [
+            [] for _ in range(heights[self.root.node_id] + 1)
+        ]
+        for node in order:
+            levels[heights[node.node_id]].append(node)
+        numbers: dict[int, int] = {}
+        key: list[tuple] = []
+        for level in levels:
+            entries = {}
+            for node in level:
+                entries[node.node_id] = (
+                    (node.node_id,) if with_ids else ()
+                ) + (
+                    node.label,
+                    tuple(sorted(numbers[c.node_id] for c in node.children)),
+                )
+            ranked = sorted(set(entries.values()))
+            rank = {entry: len(key) + i for i, entry in enumerate(ranked)}
+            for node_id, entry in entries.items():
+                numbers[node_id] = rank[entry]
+            key.extend(ranked)
+        return tuple(key)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Document):
@@ -172,7 +199,17 @@ class Document:
 
 def copy_subtree(source: DocNode) -> DocNode:
     """Deep-copy a subtree, preserving node Ids and labels."""
-    copy = DocNode(source.node_id, source.label)
-    for child in source.children:
-        copy.add_child(copy_subtree(child))
-    return copy
+    return _copy_tree(source, lambda node: DocNode(node.node_id, node.label))
+
+
+def _copy_tree(source: DocNode, duplicate: Callable[[DocNode], DocNode]) -> DocNode:
+    """Copy ``source``'s subtree, node by node through ``duplicate``,
+    with an explicit stack (no recursion, so depth is unbounded).
+    Children keep their order."""
+    root = duplicate(source)
+    stack = [(source, root)]
+    while stack:
+        original, copy = stack.pop()
+        for child in original.children:
+            stack.append((child, copy.add_child(duplicate(child))))
+    return root

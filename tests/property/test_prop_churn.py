@@ -16,6 +16,15 @@ entries across probability-only edits and recombines only the dirty
 path; streams of such edits over a wide root of isomorphic children —
 over an in-memory and a write-behind SQLite store — must read exactly
 what a fresh evaluation of a scratch copy reads.
+
+Edits that move the maximal world — relabels, leaf attaches,
+zero-probability flips — keep a plan only when the labels they touch
+miss every lane's goal table.  Mixed streams of such edits must keep
+the resident session equal to fresh exact evaluation, drop exactly the
+plans whose labels an edit touched, and keep each plan's row intern
+table bounded by its spine.  The root readout that ends every pinned
+pass must equal possible-world enumeration, for a query selecting the
+root and for a two-pattern answer too.
 """
 
 import itertools
@@ -26,9 +35,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.registry import get_registry
-from repro.prob import QuerySession, query_answer
+from repro.prob import EvaluationEngine, QuerySession, query_answer
+from repro.prob.bruteforce import (
+    brute_force_intersection_node_probability,
+    brute_force_query_answer,
+)
+from repro.prob.stacked import _INTERN_PER_SPINE
 from repro.pxml.builder import ind, ordinary, pdoc
-from repro.pxml.pdocument import PDocument, PNode
+from repro.pxml.pdocument import PDocument, PNode, PNodeKind
 from repro.store import InMemoryStore, SqliteStore
 from repro.tp.parser import parse_pattern
 from repro.workloads.synthetic import random_pdocument, random_tree_pattern
@@ -216,3 +230,146 @@ def test_retained_spine_reads_equal_fresh_exact_answers(
     finally:
         if store_kind == "sqlite":
             store.close()
+
+
+#: Labels of the mixed-stream documents: queries read only the first
+#: two, so edits among the others leave every plan standing.
+MIXED_LABELS = ("a", "b", "c", "x")
+QUERY_LABELS = ("a", "b")
+
+
+def _mixed_document(rng: random.Random) -> PDocument:
+    """An ``a`` root over 8–24 children cloned from a few random
+    templates over :data:`MIXED_LABELS`."""
+    templates = [
+        random_pdocument(
+            rng, labels=MIXED_LABELS, max_depth=3, max_children=3
+        ).root
+        for _ in range(rng.randint(2, 3))
+    ]
+    counter = itertools.count(1)
+    root = ordinary(next(counter), "a")
+    for _ in range(rng.randint(8, 24)):
+        root.add_child(_clone(rng.choice(templates), counter))
+    return pdoc(root)
+
+
+def _flip_zero(p: PDocument, rng: random.Random) -> None:
+    """Send an edge probability to zero, or a zero one back up."""
+    node = rng.choice(p.distributional_nodes())
+    child = rng.choice(node.children)
+    probabilities = node.probabilities
+    if probabilities[child.node_id]:
+        probabilities[child.node_id] = Fraction(0)
+    elif node.kind is PNodeKind.IND:
+        probabilities[child.node_id] = Fraction(1, 2)
+    else:
+        probabilities[child.node_id] = (1 - sum(probabilities.values())) / 2
+    p.mark_mutated(node)
+
+
+def _mixed_edit(p: PDocument, rng: random.Random, counter) -> None:
+    """One edit of a mixed stream: a probability scaling, a zero flip,
+    a relabel (to or from a query label, or neither), or a leaf attach
+    (marked at the leaf or at its parent)."""
+    roll = rng.random()
+    if roll < 0.5 and p.distributional_nodes():
+        if roll < 0.25:
+            _scale_probability(p, rng)
+        else:
+            _flip_zero(p, rng)
+        return
+    below_root = [n for n in p.ordinary_nodes() if n is not p.root]
+    if roll < 0.75:
+        node = rng.choice(below_root)
+        node.label = rng.choice(MIXED_LABELS)
+        p.mark_mutated(node)
+        return
+    parent = rng.choice(below_root)
+    leaf = parent.add_child(ordinary(next(counter), rng.choice(MIXED_LABELS)))
+    p.mark_mutated(leaf if rng.random() < 0.5 else parent)
+
+
+@pytest.mark.parametrize("backend", ["exact", "array"])
+@settings(max_examples=15, deadline=None)
+@given(seed=seeds)
+def test_mixed_edit_streams_keep_exactly_the_untouched_plans(backend, seed):
+    rng = random.Random(seed)
+    p = _mixed_document(rng)
+    counter = _fresh_counter(p)
+    queries = [
+        random_tree_pattern(
+            rng, labels=QUERY_LABELS, mb_length=rng.randint(1, 3)
+        )
+        for _ in range(rng.randint(2, 3))
+    ]
+    table = frozenset(u.label for q in queries for u in q.root.iter_subtree())
+    session = QuerySession(p, backend=backend)
+    session.answer_many(queries)
+    plan_key = ("answer", tuple(map(id, queries)))
+
+    def plan():
+        entry = session._stacked.get(plan_key)
+        return None if entry is None else entry[1]
+
+    kept = 0
+    for _ in range(rng.randint(4, 10)):
+        before, epoch = plan(), p.mutation_epoch
+        for _ in range(rng.randint(1, 2)):
+            _mixed_edit(p, rng, counter)
+        _, world_changed = p.dirty_since(epoch)
+        touched = p.dirty_labels_since(epoch)
+        got = session.answer_many(queries)
+        scratch = p.subdocument(p.root.node_id)
+        expected = [query_answer(scratch, q) for q in queries]
+        if backend == "exact":
+            assert got == expected
+            continue
+        for want, answer in zip(expected, got):
+            _assert_close_relative(want, answer)
+        touches = world_changed and (
+            touched is None or not touched.isdisjoint(table)
+        )
+        after = plan()
+        assert (after is before) is not touches
+        kept += after is before
+        assert len(after.interned) <= _INTERN_PER_SPINE * len(after.spine)
+    assert session.stats.invalidations == 0
+    if backend == "array":
+        assert session.stats.survived_plans == kept
+
+
+def _positive(answer: dict) -> dict:
+    return {node_id: pr for node_id, pr in answer.items() if pr > 0}
+
+
+@pytest.mark.parametrize("backend", ["exact", "array"])
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds)
+def test_root_readout_equals_possible_worlds(backend, seed):
+    rng = random.Random(seed)
+    p = random_pdocument(rng, labels=LABELS, max_depth=3, max_children=2)
+    queries = [parse_pattern(p.root.label)] + [
+        random_tree_pattern(rng, labels=LABELS, mb_length=rng.randint(1, 3))
+        for _ in range(2)
+    ]
+    wanted = [_positive(brute_force_query_answer(p, q)) for q in queries]
+    # The single-node pattern selects the root with certainty.
+    assert wanted[0] == {p.root.node_id: 1}
+    q1, q2 = queries[1], random_tree_pattern(
+        rng, labels=LABELS, mb_length=queries[1].main_branch_length()
+    )
+    joint = _positive({
+        n.node_id: brute_force_intersection_node_probability(
+            p, [q1, q2], n.node_id
+        )
+        for n in p.ordinary_nodes()
+    })
+    got = [query_answer(p, q, backend=backend) for q in queries]
+    got += QuerySession(p, backend=backend).answer_many(queries)
+    got.append(EvaluationEngine(p, [q1, q2], backend=backend).answer())
+    for want, answer in zip(wanted + wanted + [joint], got):
+        if backend == "exact":
+            assert answer == want
+        else:
+            _assert_close_relative(want, answer)

@@ -407,28 +407,51 @@ class TestLaneClasses:
     def test_wide_root_combines_once_per_distinct_row(self, monkeypatch):
         # 1024 persons under one ordinary root: the lane group interns
         # the persons' rows, so each live lane's root combine works per
-        # distinct row (plus one convolution per candidate), not per
-        # child — a prefix/suffix pass over the children runs 2304.
+        # distinct row — its convolutions, and one readout per row group
+        # holding candidates, with no per-candidate convolution or
+        # rewrite — not per child: a prefix/suffix pass over the
+        # children runs 2304 convolutions.
         p, queries = batch_workload(1024, seed=1)
         per_lane = []
         combine = EvaluationEngine._combine_ordinary_pinned
+
+        class Counting:
+            """The engine's ops, counting root kernels."""
+
+            def __init__(self, ops):
+                self.ops = ops
+                self.readouts = self.rewrites = 0
+
+            def readout(self, *args):
+                self.readouts += 1
+                return self.ops.readout(*args)
+
+            def rewrite(self, *args):
+                self.rewrites += 1
+                return self.ops.rewrite(*args)
+
+            def __getattr__(self, name):
+                return getattr(self.ops, name)
 
         def spy(engine, node, memo, candidate_set):
             if node.parent is not None:
                 return combine(engine, node, memo, candidate_set)
             calls = [0]
-            convolve = engine._convolve
+            convolve, ops = engine._convolve, engine._ops
+            counting = engine._ops = Counting(ops)
 
-            def counting(left, right):
+            def counted(left, right):
                 calls[0] += 1
                 return convolve(left, right)
 
-            engine._convolve = counting
+            engine._convolve = counted
             try:
                 return combine(engine, node, memo, candidate_set)
             finally:
-                engine._convolve = convolve
-                per_lane.append(calls[0])
+                engine._convolve, engine._ops = convolve, ops
+                assert counting.rewrites == 1  # the blocked row only
+                assert counting.readouts > 0
+                per_lane.append(calls[0] + counting.readouts)
 
         monkeypatch.setattr(
             EvaluationEngine, "_combine_ordinary_pinned", spy

@@ -34,6 +34,25 @@ def small_doc():
     )
 
 
+def find_span(spans, name):
+    """The first span called ``name`` in the span trees ``spans``."""
+    stack = list(spans)
+    while stack:
+        span = stack.pop()
+        if span.name == name:
+            return span
+        stack.extend(span.children)
+    raise AssertionError(f"no {name} span")
+
+
+def assert_relatively_close(got, want, rel=1e-9):
+    """Float answers equal exact ones within ``rel`` relative error."""
+    for answer, exact in zip(got, want):
+        assert set(answer) == set(exact)
+        for node_id, value in exact.items():
+            assert abs(Fraction(answer[node_id]) - value) <= rel * value
+
+
 def warm_indexes(p):
     p.structural_index()
     p.label_index()
@@ -200,6 +219,48 @@ class TestWorldDigest:
         assert twin.identity_digest() not in p.structural_index()[0].values()
 
 
+class TestDirtyLabels:
+    """``dirty_labels_since`` reports the labels world-changing edits
+    touched: the mutated subtree's labels before and after."""
+
+    def test_relabel_reports_old_and_new_subtree_labels(self):
+        p = small_doc()
+        warm_indexes(p)
+        start = p.mutation_epoch
+        p.node(2).label = "z"  # subtree {a, b} becomes {z, b}
+        p.mark_mutated(2)
+        assert p.dirty_labels_since(start) == {"a", "b", "z"}
+
+    def test_probability_only_edit_touches_nothing(self):
+        p = small_doc()
+        warm_indexes(p)
+        start = p.mutation_epoch
+        p.node(4).probabilities[5] *= Fraction(1, 2)
+        p.mark_mutated(4)
+        assert p.dirty_labels_since(start) == frozenset()
+
+    def test_entries_merge_and_attach_counts_the_leaf(self):
+        p = small_doc()
+        warm_indexes(p)
+        start = p.mutation_epoch
+        leaf = p.node(3).add_child(ordinary(7, "d"))
+        p.mark_mutated(leaf)
+        p.node(4).probabilities[5] = Fraction(0)
+        p.mark_mutated(4)
+        assert p.dirty_labels_since(start) == {"d", "a", "c"}
+        assert p.dirty_labels_since(p.mutation_epoch - 1) == {"a", "c"}
+
+    def test_unknown_extent_is_none(self):
+        p = small_doc()  # no index to splice: the conservative path
+        start = p.mutation_epoch
+        p.node(6).label = "q"
+        p.mark_mutated(6)
+        assert p.dirty_labels_since(start) is None
+        warm_indexes(p)
+        p.mark_all_mutated()
+        assert p.dirty_labels_since(start) is None
+
+
 class TestTwinOffset:
     def test_offset_derived_past_max_id(self):
         p = small_doc()
@@ -310,17 +371,34 @@ class TestSessionSpineRefresh:
         assert session.stats.survived_plans >= 1
 
     def test_world_mutation_drops_plans_without_full_reset(self):
+        # Relabel a goal-table label of the batch: the plan's candidate
+        # and live sets are suspect, so it is rebuilt.
         p, session, queries = self.make_session(backend="array")
         session.answer_many(queries)
-        target = next(
-            n for n in p.ordinary_nodes() if n.label and n.label.isdigit()
-        )
-        target.label = str(int(target.label) + 1)
+        target = next(n for n in p.ordinary_nodes() if n.label == "laptop")
+        target.label = "desktop"
         p.mark_mutated(target)
         session.answer_many(queries)
         assert session.stats.spine_refreshes == 1
         assert session.stats.survived_plans == 0
         assert session.stats.invalidations == 0
+
+    def test_untouched_label_world_mutation_keeps_plans(self):
+        # Attach a digit-labelled leaf: digits are in no query's goal
+        # table, so the world moves but no lane's candidates can, and
+        # the plan survives.
+        p = p_per()
+        session = QuerySession(p, backend="array")
+        queries = [q_bon(), parse_pattern("IT-personnel//person")]
+        session.answer_many(queries)
+        target = next(n for n in p.ordinary_nodes() if n.label == "laptop")
+        target.add_child(ordinary(9001, "17"))
+        p.mark_mutated(target.children[-1])
+        got = session.answer_many(queries)
+        assert session.stats.spine_refreshes == 1
+        assert session.stats.survived_plans >= 1
+        assert session.stats.spine_hits > 0
+        assert_relatively_close(got, [query_answer(p, q) for q in queries])
 
     def test_mark_all_mutated_forces_full_reset(self):
         p, session, queries = self.make_session()
@@ -403,6 +481,22 @@ class TestRetainedSpine:
                 store.close()
 
     def test_world_change_drops_the_spine(self):
+        # Relabel ``Rick``, a goal-table label of every query.
+        p, queries = batch_workload(persons=8, projects=4, seed=3)
+        session = QuerySession(p, backend="array")
+        session.answer_many(queries)
+        target = next(n for n in p.ordinary_nodes() if n.label == "Rick")
+        target.label = "Rich"
+        p.mark_mutated(target)
+        visits = session.stats.node_visits
+        session.answer_many(queries)
+        # A fresh plan: the whole live spine is combined again.
+        assert session.stats.spine_hits == 0
+        assert session.stats.node_visits - visits > 8
+
+    def test_digit_bump_keeps_the_spine(self):
+        # Bump a bonus amount: no query reads digit labels, so the plan
+        # and its spine survive and only the dirty path is recombined.
         p, queries = batch_workload(persons=8, projects=4, seed=3)
         session = QuerySession(p, backend="array")
         session.answer_many(queries)
@@ -412,10 +506,11 @@ class TestRetainedSpine:
         target.label = str(int(target.label) + 1)
         p.mark_mutated(target)
         visits = session.stats.node_visits
-        session.answer_many(queries)
-        # A fresh plan: the whole live spine is combined again.
-        assert session.stats.spine_hits == 0
-        assert session.stats.node_visits - visits > 8
+        got = session.answer_many(queries)
+        assert session.stats.survived_plans >= 1
+        assert session.stats.spine_hits > 0
+        assert session.stats.node_visits - visits < 8
+        assert_relatively_close(got, [query_answer(p, q) for q in queries])
 
     def test_spine_reuse_is_observable(self):
         from repro.obs.registry import get_registry
@@ -430,16 +525,40 @@ class TestRetainedSpine:
             session.answer_many(queries)
 
         def stacked_pass(spans):
-            stack = list(spans)
-            while stack:
-                span = stack.pop()
-                if span.name == "stacked.pass":
-                    return span
-                stack.extend(span.children)
-            raise AssertionError("no stacked.pass span")
+            return find_span(spans, "stacked.pass")
 
         assert stacked_pass(cold.spans).attrs["spine_reused"] == 0
         # The seven clean persons hang off the recombined root.
         assert stacked_pass(warm.spans).attrs["spine_reused"] == 7
         series = get_registry().snapshot()
         assert series["repro_session_spine_hits_total"] >= 7 * len(queries)
+
+    def test_plan_survival_and_root_groups_are_observable(self):
+        from repro.obs.trace import capture
+
+        p, queries = batch_workload(persons=8, projects=4, seed=3)
+        session = QuerySession(p, backend="array")
+        with capture() as cold:
+            session.answer_many(queries)
+        # Eight persons, four projects: each lane's root readout groups
+        # the persons' rows, fewer groups than children.
+        groups = find_span(cold.spans, "stacked.pass").attrs["root_groups"]
+        assert 0 < groups <= 8 * len(queries)
+        amount = next(
+            n for n in p.ordinary_nodes() if n.label and n.label.isdigit()
+        )
+        amount.label = str(int(amount.label) + 1)
+        p.mark_mutated(amount)
+        with capture() as kept:
+            session.answer_many(queries)
+        refresh = find_span(kept.spans, "session.refresh").attrs
+        assert refresh["world_changed"] is True
+        assert (refresh["plans_kept"], refresh["plans_dropped"]) == (1, 0)
+        assert find_span(kept.spans, "stacked.pass").attrs["root_groups"] > 0
+        rick = next(n for n in p.ordinary_nodes() if n.label == "Rick")
+        rick.label = "Rich"
+        p.mark_mutated(rick)
+        with capture() as dropped:
+            session.answer_many(queries)
+        refresh = find_span(dropped.spans, "session.refresh").attrs
+        assert (refresh["plans_kept"], refresh["plans_dropped"]) == (0, 1)

@@ -91,3 +91,56 @@ class TestEquality:
         d1 = doc(node(1, "a", node(2, "b")))
         d2 = doc(node(7, "a", node(5, "b")))
         assert d1.canonical_key(with_ids=False) == d2.canonical_key(with_ids=False)
+
+
+def _chain(levels: int, offset: int = 0) -> Document:
+    """``a`` over a chain of ``levels`` ``b``s, built bottom-up."""
+    current = DocNode(offset + levels, "b")
+    for level in range(levels - 1, -1, -1):
+        parent = DocNode(offset + level, "a" if level == 0 else "b")
+        parent.add_child(current)
+        current = parent
+    return Document(current)
+
+
+class TestDeepDocuments:
+    """No recursion limit on copies, mapping, canonical keys or hashing."""
+
+    LEVELS = 5000
+
+    def test_subdocument_copies_whole_chain(self):
+        d = _chain(self.LEVELS)
+        sub = d.subdocument(d.root.node_id)
+        assert sub.size() == self.LEVELS + 1
+        assert sub == d
+
+    def test_map_nodes_keeps_the_chain(self):
+        mapped = _chain(self.LEVELS).map_nodes(
+            lambda n: (n.node_id + 1, n.label.upper())
+        )
+        assert mapped.size() == self.LEVELS + 1
+        assert mapped.node(self.LEVELS + 1).depth() == self.LEVELS + 1
+        assert mapped.canonical_key(with_ids=False) == _chain(
+            self.LEVELS
+        ).map_nodes(lambda n: (n.node_id, n.label.upper())).canonical_key(
+            with_ids=False
+        )
+
+    def test_equality_and_hash(self):
+        d = _chain(self.LEVELS)
+        assert d == _chain(self.LEVELS)
+        assert hash(d) == hash(_chain(self.LEVELS))
+        assert d != _chain(self.LEVELS - 1)
+        shifted = _chain(self.LEVELS, offset=10)
+        assert shifted != d
+        assert shifted.canonical_key(with_ids=False) == d.canonical_key(
+            with_ids=False
+        )
+
+    def test_canonical_key_is_order_insensitive_on_branches(self):
+        d1 = doc(node(1, "a", node(2, "b", node(4, "d")), node(3, "b")))
+        d2 = doc(node(1, "a", node(3, "b"), node(2, "b", node(4, "d"))))
+        assert d1 == d2
+        assert d1.canonical_key(with_ids=False) != doc(
+            node(1, "a", node(2, "b"), node(3, "b", node(4, "c")))
+        ).canonical_key(with_ids=False)
