@@ -114,13 +114,10 @@ def test_batched_warm_array(benchmark, report, persons):
 def _backend_columns(
     p, queries, exact: list[dict], backends: list[str], repeats: int
 ) -> dict:
-    """Cold/warm ``answer_many`` timings and exactness per backend.
-
-    The warm number is what the ``array`` backend exists
-    for: its stacked pass memoizes the whole candidate spine per plan
-    and epoch, so a repeated batch costs a plan lookup instead of a
-    traversal (the scalar backends re-walk the spine every pass).
-    """
+    """Cold/warm ``answer_many`` timings and exactness per float
+    backend.  A warm batch is a plan replay: the session memoizes every
+    batch plan's answers per epoch, so a repeat costs a plan lookup
+    instead of a traversal."""
     columns = {}
     for name in backends:
         got = batched_answers(p, queries, backend=name)
@@ -140,21 +137,14 @@ def _backend_columns(
     return columns
 
 
-def run(
-    sizes: list[int],
-    repeats: int = 3,
-    backends: list[str] = ("fast", "array"),
-) -> dict:
-    backends = list(backends)
+def run(sizes: list[int], repeats: int = 3) -> dict:
+    backends = ["array"]
     results = []
-    max_abs_error = 0.0
     for persons in sizes:
         p, queries = _setup(persons)
         exact = sequential_answers(p, queries)
         batched = batched_answers(p, queries)
         assert batched == exact
-        fast = batched_answers(p, queries, backend="fast")
-        max_abs_error = max(max_abs_error, _max_abs_error(exact, fast))
         warm_session = QuerySession(p)
         warm_session.answer_many(queries)
         timings = {
@@ -190,19 +180,12 @@ def run(
         "strategies": ["sequential", "batched_cold", "batched_warm"],
         "backends": backends,
         "repeats": repeats,
-        "fast_vs_exact_max_abs_error": max_abs_error,
         "results": results,
-    }
-    if {"fast", "array"} <= set(backends):
-        largest = results[-1]["backends"]
-        report["array_vs_fast_warm_speedup"] = (
-            largest["fast"]["batched_warm_s"]
-            / largest["array"]["batched_warm_s"]
-        )
-        report["array_vs_exact_max_abs_error"] = max(
+        "array_vs_exact_max_abs_error": max(
             row["backends"]["array"]["max_abs_error_vs_exact"]
             for row in results
-        )
+        ),
+    }
     return report
 
 
@@ -218,15 +201,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=["fast", "array", "all"],
+        choices=["array", "all"],
         default="all",
-        help="which non-exact backends to compare ('array' keeps 'fast' "
-        "as its warm-speedup reference)",
+        help="the float backend compared with exact: 'array', the only "
+        "one ('all' is the same)",
     )
     args = parser.parse_args(argv)
     sizes = SIZES if args.quick else FULL_SIZES
-    backends = ["fast"] if args.backend == "fast" else ["fast", "array"]
-    report = run(sizes, repeats=1 if args.quick else 3, backends=backends)
+    report = run(sizes, repeats=1 if args.quick else 3)
     write_report(args.output, report)
     largest = report["results"][-1]
     print(f"wrote {args.output}")
@@ -234,15 +216,8 @@ def main(argv: list[str] | None = None) -> int:
         f"persons={largest['persons']}: "
         f"batched vs sequential ×{largest['speedup_batched_vs_sequential']:.1f} "
         f"cold / ×{largest['speedup_warm_vs_sequential']:.1f} warm, "
-        f"max |fast − exact| = {report['fast_vs_exact_max_abs_error']:.2e}"
+        f"max |array − exact| = {report['array_vs_exact_max_abs_error']:.2e}"
     )
-    if "array_vs_fast_warm_speedup" in report:
-        print(
-            f"persons={largest['persons']}: array vs fast warm "
-            f"×{report['array_vs_fast_warm_speedup']:.1f}, "
-            f"max |array − exact| = "
-            f"{report['array_vs_exact_max_abs_error']:.2e}"
-        )
     if largest["speedup_batched_vs_sequential"] <= 1.0:
         print("FAIL: batched evaluation not faster than sequential",
               file=sys.stderr)
@@ -251,15 +226,10 @@ def main(argv: list[str] | None = None) -> int:
         print("FAIL: batched speedup below the 3x acceptance bar",
               file=sys.stderr)
         return 1
-    if "array_vs_fast_warm_speedup" in report:
-        if report["array_vs_exact_max_abs_error"] > 1e-9:
-            print("FAIL: array backend outside the 1e-9 exactness bar",
-                  file=sys.stderr)
-            return 1
-        if not args.quick and report["array_vs_fast_warm_speedup"] < 3.0:
-            print("FAIL: array warm speedup below the 3x acceptance bar",
-                  file=sys.stderr)
-            return 1
+    if report["array_vs_exact_max_abs_error"] > 1e-9:
+        print("FAIL: array backend outside the 1e-9 exactness bar",
+              file=sys.stderr)
+        return 1
     return 0
 
 

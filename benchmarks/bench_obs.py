@@ -1,8 +1,11 @@
 """Telemetry-overhead micro-benchmark: the disabled path must be free.
 
 The ISSUE-8 guard: with tracing *disabled* (the default), the telemetry
-layer may cost at most **2%** on the warm ``bench_batch`` hot path.  Two
-measurements establish it:
+layer may cost at most **2%** on a warm batch pass: a fresh session
+answering the ``bench_batch`` queries over a warm shared store.  (A
+repeat on one session is a plan replay that runs no pass: two spans
+around a dict copy of the memoized answers.)  Two measurements
+establish it:
 
 * ``disabled_overhead_fraction`` — the *measured* cost of the no-op
   span fast path on the real workload: the per-call cost of a disabled
@@ -40,6 +43,7 @@ from repro.obs import (
     tracing_enabled,
 )
 from repro.prob import QuerySession
+from repro.store import InMemoryStore
 from repro.workloads.synthetic import batch_workload
 
 PERSONS = 32
@@ -64,7 +68,7 @@ def _null_span_cost_s(calls: int = 200_000) -> float:
     assert not tracing_enabled()
     start = time.perf_counter()
     for index in range(calls):
-        sp = span("bench.null", queries=index, backend="fast")
+        sp = span("bench.null", queries=index, backend="array")
         if sp:  # pragma: no cover - disabled, never taken
             sp.set("unreachable", True)
         with sp:
@@ -74,17 +78,23 @@ def _null_span_cost_s(calls: int = 200_000) -> float:
 
 def run(persons: int, repeats: int = 5) -> dict:
     p, queries = batch_workload(persons=persons, projects=PROJECTS, seed=persons)
-    session = QuerySession(p, backend="fast")
-    baseline = session.answer_many(queries)  # warm the memo, untimed
+    store = InMemoryStore()
+
+    def warm_batch():
+        return QuerySession(p, backend="array", store=store).answer_many(
+            queries
+        )
+
+    baseline = warm_batch()  # warm the store, untimed
 
     disable_tracing()
-    warm_disabled_s = best_of(repeats, session.answer_many, queries)
+    warm_disabled_s = best_of(repeats, warm_batch)
 
     enable_tracing()
     try:
-        traced = session.answer_many(queries)
+        traced = warm_batch()
         spans_per_batch = _count_spans(take_spans())
-        warm_enabled_s = best_of(repeats, session.answer_many, queries)
+        warm_enabled_s = best_of(repeats, warm_batch)
     finally:
         disable_tracing()
     assert traced == baseline  # tracing never changes answers
@@ -94,7 +104,8 @@ def run(persons: int, repeats: int = 5) -> dict:
     return {
         "benchmark": "bench_obs",
         "workload": "workloads/synthetic batch_workload "
-        f"({PROJECTS} per-project queries, warm fast-backend session)",
+        f"({PROJECTS} per-project queries, fresh array-backend session "
+        "over a warm store)",
         "persons": persons,
         "queries": len(queries),
         "repeats": repeats,

@@ -9,7 +9,7 @@ Tractability", VLDB 2012 (PVLDB 5(11):1148-1159):
   equivalence, minimization, interleavings and extended skeletons;
 * probabilistic query evaluation (PTime in data complexity) through a
   single-pass engine with pluggable numeric backends — ``exact``
-  Fractions (default) or ``fast`` floats (see
+  Fractions (default) or ``array`` floats (see
   :class:`repro.prob.EvaluationEngine`);
 * workload sessions (:class:`repro.prob.QuerySession`): batches of
   queries evaluated in one shared traversal with cross-query subtree
@@ -60,7 +60,6 @@ from .probability import (
     prob_str,
     NumericBackend,
     ExactBackend,
-    FastBackend,
     BACKENDS,
     get_backend,
 )
@@ -130,7 +129,7 @@ __all__ = [
     "UnsatisfiableIntersectionError", "UnknownViewError", "RewritingError",
     "NoRewritingError", "ProbabilityError", "LinearSystemError",
     "as_probability", "as_fraction", "prob_str",
-    "NumericBackend", "ExactBackend", "FastBackend", "BACKENDS", "get_backend",
+    "NumericBackend", "ExactBackend", "BACKENDS", "get_backend",
     "Document", "DocNode", "doc", "node",
     "PDocument", "PNode", "PNodeKind", "pdoc", "ordinary", "mux", "ind",
     "det", "enumerate_worlds", "sample_world",

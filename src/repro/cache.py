@@ -18,7 +18,7 @@ evaluations share the session's structural subtree memo (one
 ``store=SqliteStore(path)``), and
 :meth:`RewritingCache.answer_many` evaluates a whole workload batch of
 direct-path queries in a single shared traversal.  Rewriting plans are
-built with the cache's numeric backend, so ``backend="fast"`` flows into
+built with the cache's numeric backend, so ``backend="array"`` flows into
 the plans' numerators, denominators and α-pattern evaluations too.
 
 Every answer records which strategy produced it, and :meth:`RewritingCache.
@@ -64,7 +64,7 @@ class CachedAnswer:
     """An answer together with its provenance.
 
     Probability values are in the cache backend's domain —
-    :class:`Fraction` for ``exact``, ``float`` for ``fast``.
+    :class:`Fraction` for ``exact``, ``float`` for ``array``.
     """
 
     answer: dict[int, Union[Fraction, float]]
@@ -84,7 +84,7 @@ class RewritingCache:
         backend: numeric backend (name or instance) used whenever the
             cache evaluates probabilities — materializing extensions,
             rewriting-plan probability functions, and direct evaluation.
-            ``"exact"`` (default) keeps everything bit-exact; ``"fast"``
+            ``"exact"`` (default) keeps everything bit-exact; ``"array"``
             trades exactness for float throughput.
         store: optional :class:`repro.store.MemoStore` backing the
             cache's session — view materialization and direct answers

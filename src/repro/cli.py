@@ -270,9 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=sorted(BACKENDS),
         default="exact",
-        help="numeric backend: 'exact' Fractions (default), 'fast' floats, "
-        "or 'array' (float rows; --batch runs the queries as one lane "
-        "group)",
+        help="numeric backend: 'exact' Fractions (default) or 'array' "
+        "floats (rows escape to exact past the width threshold)",
     )
     p_eval.add_argument(
         "--batch",

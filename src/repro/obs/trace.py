@@ -24,10 +24,10 @@ layers call:
 Spans are truthy only when real, so call sites guard their delta
 bookkeeping with ``if sp:`` and pay nothing when disabled::
 
-    sp = span("session.traversal", lanes=len(lanes))
+    sp = span("stacked.pass", lanes=lane.width)
     before = self.stats.snapshot() if sp else None
     with sp:
-        roots = stored_postorder(...)
+        root = stored_postorder(...)
     if sp:
         sp.set("node_visits", self.stats.node_visits - before["node_visits"])
 

@@ -5,7 +5,7 @@ that is polynomial in the size of the p-document (data complexity) for
 fixed queries — matching the tractability statement of [22] that the paper
 builds on — supports both TP and TP∩ queries plus node anchors, computes
 *all* candidate answers in one traversal, and is parameterized by a
-numeric backend (``exact`` Fractions or ``fast`` floats).
+numeric backend (``exact`` Fractions or ``array`` floats).
 ``session`` is the workload layer on top of the engine: a
 :class:`QuerySession` evaluates *batches* of queries in one shared
 post-order pass with a cross-query memo of per-subtree distributions,

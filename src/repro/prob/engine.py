@@ -14,7 +14,7 @@ union-convolution at ordinary and ``ind`` nodes, probability mixtures at
 
 **Pluggable numeric backends.**  All arithmetic goes through a
 :class:`repro.probability.NumericBackend` — ``exact`` (:class:`Fraction`,
-default, keeps the paper's worked examples bit-exact) or ``fast``
+default, keeps the paper's worked examples bit-exact) or ``array``
 (``float``, for throughput).  Backend values only ever meet ``+``, ``-``,
 ``*`` and truthiness, so further backends (intervals, log-space) drop in.
 
@@ -46,10 +46,11 @@ distinct goal sets.
 
 The engine is also the building block of the *workload session* layer
 (:mod:`repro.prob.session`): :class:`QuerySession` drives one shared
-post-order traversal for a whole batch of queries, calling back into
-:meth:`EvaluationEngine.combine_pinned` / :meth:`combine_unpinned` per
-query and per p-document node, and reuses per-subtree distributions
-across queries through :meth:`goal_table_fingerprint`.
+post-order traversal for a whole batch of queries (one lane group,
+:mod:`repro.prob.stacked`), calling back into each query engine's
+:meth:`EvaluationEngine.combine_pinned` / :meth:`_combine_single_gated`
+once per lane class and p-document node, and reuses per-subtree
+distributions across queries through :meth:`goal_table_fingerprint`.
 """
 
 from __future__ import annotations
@@ -500,7 +501,7 @@ class EvaluationEngine:
             keyer=self._keyer(),
             gate=GATE_UNPINNED,
         )
-        return stored_postorder(self.p, [lane], self.store)[0]
+        return stored_postorder(self.p, lane, self.store)
 
     def _combine_single(self, node: PNode, memo: dict) -> Distribution:
         return self._combine_single_gated(node, memo, _GRANT_ALL)
@@ -571,7 +572,7 @@ class EvaluationEngine:
             gate=GATE_BLOCKED,
             pinned=True,
         )
-        return stored_postorder(self.p, [lane], self.store)[0]
+        return stored_postorder(self.p, lane, self.store)
 
     def _combine_ordinary_pinned(
         self, node: PNode, memo: dict, candidate_set: frozenset

@@ -10,16 +10,16 @@ Amarilli–Monet–Senellart on probabilistic graphs).  A
 
 **One post-order pass per batch.**  :meth:`QuerySession.answer_many`
 walks the p-document once for the whole batch.  Each query owns its own
-goal-bit range in the joint goal table (a private
-:class:`~repro.prob.engine.EvaluationEngine` numbering); the session
-calls every query's blocked/pinned combine step per p-document node, so
-the traversal (stack management, node dispatch, per-node bookkeeping) is
-paid once regardless of the batch size.  Distributions are kept as
-*per-query projections* of the joint mask space — ranges are disjoint,
-so projections lose nothing, and the supports of independent queries add
-instead of multiplying (a literal joint distribution over ``k``
-independent queries' goals has support ``∏ sᵢ``; the projections have
-``Σ sᵢ``).
+goal-bit range (a private :class:`~repro.prob.engine.EvaluationEngine`
+numbering), and the batch runs as ONE lane group of the one
+store-consulting walk (:mod:`repro.prob.stacked`), on either backend
+and for any batch width, so the traversal (stack management, node
+dispatch, per-node bookkeeping) is paid once regardless of the batch
+size.  Distributions are kept as *per-query rows* — the supports of
+independent queries add instead of multiplying (a literal joint
+distribution over ``k`` independent queries' goals has support
+``∏ sᵢ``; the rows have ``Σ sᵢ``) — and queries whose restricted goal
+tables agree on a subtree share one row there.
 
 **Structural cross-query memoization.**  Per-subtree *blocked*
 distributions (the candidate-free evaluations of the single-pass answer
@@ -46,11 +46,7 @@ anchor_index`), so the rewrite layer's anchored traffic (Theorem 2)
 shares entries across extensions, subdocuments, restarts and isomorphic
 twin documents.
 
-The session's classic passes are multi-lane instances of the one
-store-consulting skeleton, :func:`repro.prob.traversal.stored_postorder`,
-and its stacked ``array`` passes are one lane group of it
-(:mod:`repro.prob.stacked`); every store call goes through its
-pass-scoped probe object
+Every store call of a pass goes through its pass-scoped probe object
 (:func:`repro.prob.traversal.open_probe`), chosen by the store's
 ``prefers_bulk`` alone.
 
@@ -59,11 +55,10 @@ pdocument.PDocument.mutation_epoch` changes (code that mutates a
 p-document in place calls ``mark_mutated(node)``), the session consults
 :meth:`PDocument.dirty_since`.  For node-scoped mutations it performs a
 *spine refresh*.  When the mutation was probability-only, so the
-maximal world is unchanged, cached candidate sets stay warm and stacked
-batch plans survive: their per-node key caches and retained spines are
-pruned of dirty Ids and their answer memos cleared, so the next read
-recombines only the dirty path.  When it moved the maximal world,
-candidate sets are dropped, and so is every stacked plan whose lanes'
+maximal world is unchanged, batch plans survive: their per-node key
+caches and retained spines are pruned of dirty Ids and their answer
+memos cleared, so the next read recombines only the dirty path.  When
+it moved the maximal world, every plan whose lanes'
 goal-table labels meet the labels the edits touched
 (:meth:`PDocument.dirty_labels_since`); the other plans survive as
 after a probability-only edit — no pattern node maps into a subtree
@@ -86,27 +81,19 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence, Union
 
 from ..obs.registry import Sample, get_registry
 from ..obs.trace import capture as trace_capture, span as trace_span
 from ..probability import BackendLike, NumericBackend, get_backend
 from ..pxml.pdocument import PDocument
-from ..store import (
-    GATE_BLOCKED,
-    GATE_UNPINNED,
-    InMemoryStore,
-    MemoStore,
-    SubtreeKeyer,
-    fingerprint_digest,
-)
+from ..store import InMemoryStore, MemoStore, SubtreeKeyer, fingerprint_digest
 from ..tp.pattern import TreePattern
-from .engine import (
-    AnchorsLike,
-    EvaluationEngine,
-    candidate_sets,
-    positive_answers,
+from .engine import AnchorsLike, EvaluationEngine, candidate_sets
+from .stacked import (
+    stacked_answer_many,
+    stacked_boolean_key,
+    stacked_boolean_many,
 )
 from .traversal import Lane, open_probe, stored_postorder
 
@@ -118,13 +105,6 @@ BooleanItem = Union[
     TreePattern,
     tuple,
 ]
-
-# Gate tags for memo keys: blocked (output D-goals suppressed) vs unpinned
-# (output D-goals granted).  A subtree whose label set contains no output
-# label is gate-insensitive and shares one entry (gate None).
-_BLOCKED = GATE_BLOCKED
-_UNPINNED = GATE_UNPINNED
-
 
 @dataclass
 class SessionStats:
@@ -152,12 +132,11 @@ class SessionStats:
             mutation epochs, manual ``invalidate()`` calls).
         spine_refreshes: node-scoped mutation epochs absorbed without a
             full reset — only state keyed on dirty node Ids was dropped.
-        survived_plans: cumulative stacked batch plans kept live across
-            spine refreshes (array backend).
-        spine_hits: per-query live-spine entries reused from a stacked
-            answer plan's retained spine instead of recombined (array
-            backend; counted apart from ``memo_hits``, which the store
-            serves).
+        survived_plans: cumulative batch plans kept live across spine
+            refreshes.
+        spine_hits: per-query live-spine entries reused from an answer
+            plan's retained spine instead of recombined (counted apart
+            from ``memo_hits``, which the store serves).
     """
 
     traversals: int = 0
@@ -254,15 +233,11 @@ class QuerySession:
         self.store = store
         self.stats = SessionStats()
         self._epoch = getattr(p, "mutation_epoch", 0)
-        # Stacked-pass plan cache (array backend): batch id-signature ->
-        # (strong query refs, prepared lanes/keyer).  Spine refreshes
-        # keep a plan unless the mutation changed the world in labels
-        # its lanes read; see repro.prob.stacked.
+        # Batch plan cache: batch id-signature -> (strong query refs,
+        # prepared lanes/keyer), and Boolean batch memos.  Spine
+        # refreshes keep a plan unless the mutation changed the world in
+        # labels its lanes read; see repro.prob.stacked.
         self._stacked: dict = {}
-        # Candidate-set cache for the classic pass: id(query) -> (query,
-        # frozenset).  Candidates depend only on the maximal world and
-        # the query, so probability-only mutations keep them warm.
-        self._candidates: dict = {}
         _LIVE_SESSIONS.add(self)
         weakref.finalize(self, _retire_session_stats, self.stats)
 
@@ -276,11 +251,11 @@ class QuerySession:
 
         Every query's candidates come from one walk of the document
         (:func:`~repro.prob.engine.candidate_sets`); all queries'
-        blocked/pinned distributions are then carried through a
-        single traversal of the p-document, consulting and filling the
-        structural memo store.  Equals per-query
+        blocked/pinned distributions are then carried through a single
+        traversal of the p-document as one lane group, consulting and
+        filling the structural memo store.  Equals per-query
         :meth:`EvaluationEngine.answer` exactly (``exact`` backend) /
-        within floating-point error (``fast``).
+        within floating-point error (``array``).
 
         With ``profile=True`` the call is traced (tracing is enabled for
         its duration if it was off) and returns ``(answers, profiles)``
@@ -305,33 +280,9 @@ class QuerySession:
         )
         with sp:
             self._refresh()
-            if getattr(self.backend, "vectorized_sessions", False):
-                from .stacked import stacked_answer_many
-
-                answers = stacked_answer_many(self, queries)
-                if answers is not None:
-                    self.stats.queries += len(queries)
-                    if sp:
-                        sp.set("answers", sum(len(a) for a in answers))
-                    return answers
-            engines = [
-                EvaluationEngine(self.p, [q], backend=self.backend)
-                for q in queries
-            ]
-            candidate_sets = self._candidate_sets(engines, queries)
-            live_sets = [
-                self.p.ancestral_closure(cs) for cs in candidate_sets
-            ]
-            readouts = self._pinned_batch_pass(
-                engines, candidate_sets, live_sets
-            )
-            zero = self.backend.zero
-            answers = [
-                positive_answers(readout, zero) for readout in readouts
-            ]
+            answers = stacked_answer_many(self, queries)
             self.stats.queries += len(queries)
             if sp:
-                sp.set("candidates", sum(len(cs) for cs in candidate_sets))
                 sp.set("answers", sum(len(a) for a in answers))
             return answers
 
@@ -369,50 +320,35 @@ class QuerySession:
 
     def _boolean_many(self, normalized, sp) -> list:
         self._refresh()
-        vectorized = getattr(self.backend, "vectorized_sessions", False)
-        key = None
-        if vectorized:
-            from .stacked import stacked_boolean_key
-
-            # Boolean masses depend only on the document, the patterns
-            # and the anchor bindings — never on store state — so within
-            # an epoch a repeated batch is a pure memo hit, served before
-            # the engines are even built.  ``_refresh``/``invalidate``
-            # drop the memo with the rest of ``_stacked``.
-            key = stacked_boolean_key(normalized)
-            if key is not None:
-                hit = self._stacked.get(key)
-                if hit is not None:
-                    self.stats.memo_hits += len(normalized)
-                    self.stats.subtree_skips += 1
-                    self.stats.queries += len(normalized)
-                    if sp:
-                        sp.set("stacked_memo_hit", True)
-                    return list(hit[1])
+        # Boolean masses depend only on the document, the patterns and
+        # the anchor bindings — never on store state — so within an
+        # epoch a repeated batch is a pure memo hit, served before the
+        # engines are even built.  ``_refresh``/``invalidate`` drop the
+        # memo with the rest of ``_stacked``.
+        key = stacked_boolean_key(normalized)
+        if key is not None:
+            hit = self._stacked.get(key)
+            if hit is not None:
+                self.stats.memo_hits += len(normalized)
+                self.stats.subtree_skips += 1
+                self.stats.queries += len(normalized)
+                if sp:
+                    sp.set("stacked_memo_hit", True)
+                return list(hit[1])
         engines = [
             EvaluationEngine(self.p, patterns, anchors, self.backend)
             for patterns, anchors in normalized
         ]
-        if vectorized:
-            from .stacked import stacked_boolean_many
-
-            masses = stacked_boolean_many(self, engines, normalized)
-            if masses is not None:
-                if key is not None:
-                    if len(self._stacked) > 4096:
-                        self._stacked.clear()
-                    # ``normalized`` rides along to pin the ids the key
-                    # was built from (patterns and anchor pattern-nodes),
-                    # so a recycled id can never alias a stored key.
-                    self._stacked[key] = (normalized, masses)
-                self.stats.queries += len(engines)
-                return masses
-        distributions = self._unpinned_batch_pass(engines)
+        masses = stacked_boolean_many(self, engines)
+        if key is not None:
+            if len(self._stacked) > 4096:
+                self._stacked.clear()
+            # ``normalized`` rides along to pin the ids the key was
+            # built from (patterns and anchor pattern-nodes), so a
+            # recycled id can never alias a stored key.
+            self._stacked[key] = (normalized, masses)
         self.stats.queries += len(engines)
-        return [
-            engine.mass(distribution)
-            for engine, distribution in zip(engines, distributions)
-        ]
+        return list(masses)
 
     def boolean_probability(
         self, q: TreePattern, anchors: Optional[AnchorsLike] = None
@@ -440,7 +376,6 @@ class QuerySession:
         self.p.mark_all_mutated()
         self._epoch = self.p.mutation_epoch
         self._stacked.clear()
-        self._candidates.clear()
         if self._owns_store:
             self.store.clear()
         self.stats.invalidations += 1
@@ -481,7 +416,7 @@ class QuerySession:
         ``dirty`` is :meth:`PDocument.dirty_since`'s ``(changed,
         world_changed)`` (``None``: full reset) and ``touched`` the
         labels the world-changing edits touched (``None``: unknown).
-        A stacked plan whose lanes read none of those labels keeps its
+        A batch plan whose lanes read none of those labels keeps its
         candidate and live sets — no pattern node maps into a subtree
         without its labels — and is refreshed like a probability-only
         edit: only its answer memo and its entries of moved digests go.
@@ -489,15 +424,11 @@ class QuerySession:
         """
         if dirty is None:
             self._stacked.clear()
-            self._candidates.clear()
             self.stats.invalidations += 1
             return
         changed, world_changed = dirty
         stats = self.stats
         stats.spine_refreshes += 1
-        if world_changed:
-            # The maximal world moved: cached candidate sets are suspect.
-            self._candidates.clear()
         kept = dropped = 0
         stacked = self._stacked
         for key in list(stacked):
@@ -506,8 +437,6 @@ class QuerySession:
                 del stacked[key]
                 continue
             plan = stacked[key][1]
-            if plan is None:
-                continue
             if world_changed and (
                 touched is None
                 or not plan.keyer.table_labels.isdisjoint(touched)
@@ -536,9 +465,10 @@ class QuerySession:
         (the root's world digest: Id-aware, so two isomorphic documents
         with different Id assignments never share, and probability-free,
         so probability-only edits keep the key) plus the full goal-table
-        fingerprint.  Every query the caches miss is computed by one
+        fingerprint.  Every query the store misses is computed by one
         :func:`~repro.prob.engine.candidate_sets` walk of the document;
         a warm store lets a restarted worker skip that walk entirely.
+        Within a session, the batch plan keeps its candidate sets.
         """
         with trace_span(
             "session.candidates", queries=len(queries)
@@ -551,35 +481,21 @@ class QuerySession:
     def _candidate_sets_inner(
         self, engines: list[EvaluationEngine], queries: list[TreePattern]
     ) -> list[frozenset]:
-        session_cache = self._candidates
         document_key = self.p.identity_digest()
-        # Resolve per-query store keys first, so a bulk-preferring store
-        # answers every cache-missing key in one round trip instead of
-        # one point read per query.  ``key is None`` marks a
-        # session-cache hit.
-        plan = []
-        for engine, query in zip(engines, queries):
-            # World-scoped session cache first: spine refreshes keep it
-            # across mutations that leave the maximal world alone, and a
-            # hit skips the fingerprint.  The stored query ref pins
-            # id(query) against reuse.
-            hit = session_cache.get(id(query))
-            if hit is not None and hit[0] is query:
-                plan.append((query, None, hit[1]))
-                continue
+        keys = []
+        for engine in engines:
             table, _, _ = engine.goal_table_fingerprint(engine.table_labels)
-            key = (
-                document_key,
-                fingerprint_digest(table),
-                None,
-                "candidates",
-                "node-ids",
+            keys.append(
+                (
+                    document_key,
+                    fingerprint_digest(table),
+                    None,
+                    "candidates",
+                    "node-ids",
+                )
             )
-            plan.append((query, key, None))
-        wanted = [key for _, key, _ in plan if key is not None]
-        if not wanted:
-            return [known for _, _, known in plan]
-        io = open_probe(self.store, lambda: (wanted, ()))
+        # One bulk probe for every key when the store prefers it.
+        io = open_probe(self.store, lambda: (keys, ()))
         # Each distinct key is probed once; the misses share one walk and
         # are saved, and only then are repeated keys probed.  Two queries
         # sharing a key therefore count miss-then-hit and put once, as
@@ -588,9 +504,7 @@ class QuerySession:
         found: dict = {}
         missing: dict = {}
         repeats = []
-        for query, key, _ in plan:
-            if key is None:
-                continue
+        for query, key in zip(queries, keys):
             if key in found or key in missing:
                 repeats.append(key)
                 continue
@@ -614,84 +528,15 @@ class QuerySession:
         for key in repeats:
             io.probe(key)
         io.flush()
-        sets = []
-        for query, key, known in plan:
-            if key is None:
-                sets.append(known)
-                continue
-            candidates = found[key]
-            if len(session_cache) > 4096:
-                session_cache.clear()
-            session_cache[id(query)] = (query, candidates)
-            sets.append(candidates)
-        return sets
+        return [found[key] for key in keys]
 
-    # ------------------------------------------------------------------
-    # Shared passes: lanes over the one store-consulting skeleton
-    # ------------------------------------------------------------------
     def _keyer(self, engine: EvaluationEngine) -> SubtreeKeyer:
         return SubtreeKeyer(self.p, engine, self.backend)
 
-    def _pinned_batch_pass(
-        self,
-        engines: list[EvaluationEngine],
-        candidate_sets: list[frozenset],
-        live_sets: list[frozenset],
-    ) -> list[dict]:
-        """One shared post-order pass computing every query's root
-        readout, ``{candidate: Pr}``.
-
-        Each query is one pinned :class:`~repro.prob.traversal.Lane` of
-        :func:`~repro.prob.traversal.stored_postorder`: per query and
-        node the pass either short-circuits a *neutral* subtree (no
-        goal-table label below ⇒ the distribution is the unit ``{∅: 1}``),
-        reuses a memoized blocked distribution (counted as a hit), or
-        calls the query's :meth:`EvaluationEngine.combine_pinned`.  When
-        *every* query of the batch is neutral or hits the memo at a
-        subtree root, the subtree is not traversed at all.
-        """
-        lanes = [
-            Lane(
-                table_labels=engine.table_labels,
-                combine=partial(engine.combine_pinned, candidate_set=candidates),
-                unit=engine._unit(),
-                keyer=self._keyer(engine),
-                live=live,
-                gate=_BLOCKED,
-                pinned=True,
-            )
-            for engine, candidates, live in zip(
-                engines, candidate_sets, live_sets
-            )
-        ]
-        roots = self._run_pass(lanes, "session.traversal", pinned=True)
-        return [root[1] for root in roots]
-
-    def _unpinned_batch_pass(
-        self, engines: list[EvaluationEngine]
-    ) -> list[dict]:
-        """Shared pass for Boolean batches (unpinned distributions).
-
-        Same skeleton as :meth:`_pinned_batch_pass` — one unpinned lane
-        per item, without the pinned (per-candidate) machinery.
-        """
-        lanes = [
-            Lane(
-                table_labels=engine.table_labels,
-                combine=engine.combine_unpinned,
-                unit=engine._unit(),
-                keyer=self._keyer(engine),
-                gate=_UNPINNED,
-            )
-            for engine in engines
-        ]
-        return self._run_pass(lanes, "session.traversal", pinned=False)
-
-    def _run_pass(
-        self, lanes: list, name: str, counters=None, **attrs
-    ) -> list:
-        """One :func:`stored_postorder` pass over the session's document
-        and store, counted as one traversal; returns the lanes' roots.
+    def _run_pass(self, lane: Lane, name: str, counters=None, **attrs):
+        """One :func:`stored_postorder` pass of ``lane`` over the
+        session's document and store, counted as one traversal; returns
+        the lane's root entry.
 
         Traced, the pass runs under span ``name`` recording per-pass
         deltas of the session counters (node visits, memo and store
@@ -700,9 +545,7 @@ class QuerySession:
         ``counters``, when given, returns further span attributes once
         the pass is done.
         """
-        sp = trace_span(
-            name, lanes=sum(lane.width for lane in lanes), **attrs
-        )
+        sp = trace_span(name, lanes=lane.width, **attrs)
         store = self.store
         backend = self.backend
         if sp:
@@ -710,7 +553,7 @@ class QuerySession:
             store_before = (store.hits, store.misses)
             fallbacks_before = getattr(backend, "fallbacks", None)
         with sp:
-            roots = stored_postorder(self.p, lanes, store, self.stats)
+            root = stored_postorder(self.p, lane, store, self.stats)
         self.stats.traversals += 1
         if sp:
             if fallbacks_before is not None:
@@ -732,4 +575,4 @@ class QuerySession:
             if counters is not None:
                 for key, value in counters().items():
                     sp.set(key, value)
-        return roots
+        return root

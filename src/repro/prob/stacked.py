@@ -1,16 +1,15 @@
-"""Stacked session passes: a whole query batch as one lane group.
+"""Session passes: a whole query batch as one lane group.
 
-The classic shared pass (:func:`repro.prob.traversal.stored_postorder`)
-walks the p-document once per batch but still probes one store key per
-lane (query) at every node.  With the ``array`` backend a batch of two
-or more queries instead runs as ONE *lane group* (``width = L``) of that
-same walk: every subtree's blocked/unpinned distributions for all ``L``
-lanes form one :class:`~repro.probability_array.LaneRows` entry — a
-tuple of per-lane ``{mask: float}`` dicts — memoized under a single
-combined store key.  Probing, saving, neutral skips, the bulk probe
-plan and the session counters all live in the skeleton; this module
-supplies only the group's combine step, its combined keyer and the
-session entry points.
+Every :class:`~repro.prob.session.QuerySession` batch — ``answer_many``
+and ``boolean_many``, on either backend, of any width including 1 —
+runs as ONE *lane group* (``width = L``) of the one store-consulting
+walk, :func:`repro.prob.traversal.stored_postorder`: every subtree's
+blocked/unpinned distributions for all ``L`` lanes (queries) form one
+:class:`~repro.probability_array.LaneRows` entry — a tuple of per-lane
+``{mask: value}`` dicts — memoized under a single combined store key.
+Probing, saving, neutral skips, the bulk probe plan and the session
+counters all live in the skeleton; this module supplies only the
+group's combine step, its combined keyer and the session entry points.
 
 **Lane classes.**  At each node the lanes fall into *classes*: lanes
 whose keyer parts agree — the restricted goal-table fingerprint, the
@@ -27,7 +26,9 @@ caches both per node id.
 combine step — :meth:`~repro.prob.engine.EvaluationEngine.
 _combine_single_gated` for blocked/unpinned rows, :meth:`~repro.prob.
 engine.EvaluationEngine.combine_pinned` for lanes holding a candidate
-below — over the backend's float dict kernels.
+below — over the backend's row kernels (``scalar_ops()``: exact
+:class:`~fractions.Fraction` kernels on ``exact``, float dict kernels
+on ``array``).
 
 **Split nodes.**  For ``answer_many`` the ancestors of candidate nodes
 (the union of all lanes' live sets) need per-lane ``(blocked, pinned)``
@@ -53,45 +54,56 @@ probability-only edit touches none — and dies, with its spine, with any
 other world change.
 
 **Interned rows.**  Each answer plan interns the rows its passes create
-(by exactness and content), so isomorphic children of a wide node hand
-the engine one row *object* — also when one child was recombined in a
-later pass than its siblings; the engine's ordinary-node pinned combine
-groups children by row identity and combines each distinct row once
-(:meth:`~repro.prob.engine.EvaluationEngine._combine_ordinary_pinned`).
-The exactness flag keeps a float row from standing in for an equal
-:class:`~fractions.Fraction` row.  Rows orphaned by edits are pruned:
-when the table outgrows ``_INTERN_PER_SPINE`` rows per spine entry it
-is rebuilt from the rows the spine still holds.  Boolean passes intern
-per pass.
+at live nodes and their children — the rows a live ordinary node's
+pinned combine reads — by content, so isomorphic children of a wide
+node hand the engine one row *object*, also when one child was
+recombined in a later pass than its siblings; the engine's
+ordinary-node pinned combine groups children by row identity and
+combines each distinct row once (:meth:`~repro.prob.engine.
+EvaluationEngine._combine_ordinary_pinned`).  Exact rows key by their
+integer ratios, which hash without a :class:`~fractions.Fraction` call;
+on ``array`` the key also holds the row's exactness, so a float row
+never stands in for an equal ``Fraction`` row.  Rows orphaned by edits
+are pruned: when the table outgrows ``_INTERN_PER_SPINE`` rows per
+spine entry it is rebuilt from the rows the spine still holds.
+Boolean passes have no live nodes and intern nothing.
 
 **Combined store keys.**  A subtree is memoized under ONE key instead of
-L: ``(structural digest, digest of the tagged per-lane parts, None,
-None, backend)``.  The per-lane gate is folded *inside* the parts
+L: ``(structural digest, digest of the tagged per-lane parts, anchor
+mark, None, backend)``.  The per-lane gate is folded *inside* the parts
 (collapsing to ``None`` for gate-insensitive lanes), so a blocked
 pinned-pass entry and an unpinned Boolean-pass entry share whenever
-every lane is insensitive.  The keyer has the :class:`~repro.store.
-SubtreeKeyer` shape (``token`` / ``weight`` / ``plan_keys``), so the
-skeleton's probe object (:func:`repro.prob.traversal.open_probe`) serves
-the group exactly as it serves a query lane.
+every lane is insensitive.  The per-lane anchor positions live in the
+parts too; the key's anchor component only marks a group with an
+anchored lane (:data:`_ANCHORED`), so stores count its traffic as
+anchored (:func:`repro.store.api.is_anchored_key`).  The keyer has the
+:class:`~repro.store.SubtreeKeyer` shape (``token`` / ``weight`` /
+``plan_keys``), so the skeleton's probe object
+(:func:`repro.prob.traversal.open_probe`) serves the group exactly as
+it serves an engine's lane.
 
-**Exact fallback.**  A row wider than the backend's ``width_threshold``
-escapes to a :class:`~fractions.Fraction` dict (the backend's one escape
-rule, :meth:`~repro.probability_array.ArrayBackend.escape`).  A class
-whose child rows include an exact row combines with the backend's exact
-kernels, so exactness holds from the escaped subtree upward.
+**Exact fallback.**  On ``array``, a row wider than the backend's
+``width_threshold`` escapes to a :class:`~fractions.Fraction` dict (the
+backend's one escape rule, :meth:`~repro.probability_array.
+ArrayBackend.escape`) — a live lane's blocked row and pinned
+distributions as well as a class row.  A class whose child rows include
+an exact row combines with the backend's exact kernels, so exactness
+holds from the escaped subtree upward.  On ``exact`` the row kernels
+*are* the exact kernels, and the group skips this dispatch altogether.
 
 Per-lane stats are necessarily approximate here (one combined probe
 covers L lanes); the skeleton counts a group's hits/misses/skips
-``× L`` so cumulative session counters stay comparable with the classic
-pass.
+``× L`` so cumulative session counters read per query.
 """
 
 from __future__ import annotations
 
 import copy
+from fractions import Fraction
 from typing import Optional
 
 from ..obs.trace import span as trace_span
+from ..probability import ScalarOps
 from ..probability_array import LaneRows, _is_exact, _lift
 from ..store import (
     GATE_BLOCKED,
@@ -114,15 +126,42 @@ _EMPTY: dict = {}
 #: Tag of the combined key's fingerprint part.  It names the entry form,
 #: so entries of an earlier form are never probed.
 _KEY_TAG = "lane-rows"
+#: Anchor component of a combined key with an anchored lane: one slot
+#: pinned to nothing.  The positions themselves are in the parts digest;
+#: the mark makes the key anchored for the stores' counters and
+#: round-trips through the SQLite anchor codec.
+_ANCHORED = ((),)
+_ratio = Fraction.as_integer_ratio
 #: An answer plan's row intern table is pruned once it holds more than
 #: this many rows per retained spine entry.
 _INTERN_PER_SPINE = 2
 
 
+def _exact_row_key(row: dict) -> tuple:
+    """Intern key of a :class:`~fractions.Fraction` row: its masks and
+    integer ratios, hashed and compared without a ``Fraction`` call."""
+    return tuple(zip(row, map(_ratio, row.values())))
+
+
 def _row_key(row: dict) -> tuple:
-    """Intern key of a row: its exactness and content
-    (``Fraction(1, 2) == 0.5`` hash alike, so exactness is keyed)."""
+    """Intern key of a row that may be float or exact: its exactness
+    and content (``Fraction(1, 2) == 0.5`` hash alike)."""
     return (_is_exact(row), tuple(row.items()))
+
+
+def _identity(row: dict) -> dict:
+    return row
+
+
+def _kernels(backend) -> tuple:
+    """``(row kernels, exact kernels, escape)`` of ``backend``'s lane
+    group; a backend without the hooks runs :class:`~repro.probability.
+    ScalarOps` rows that never escape."""
+    hook = getattr(backend, "scalar_ops", None)
+    if hook is None:
+        ops = ScalarOps(backend)
+        return ops, ops, _identity
+    return hook(), backend.exact_ops(), backend.escape
 
 
 def _storable(entry):
@@ -252,7 +291,13 @@ class StackedKeyer:
             node_id, label_set
         )
         entry = self._cache[node_id] = (
-            (self.digests[node_id], parts, None, None, backend_name),
+            (
+                self.digests[node_id],
+                parts,
+                _ANCHORED if anchored else None,
+                None,
+                backend_name,
+            ),
             anchored,
         )
         return entry
@@ -332,35 +377,34 @@ class _StackedGroup:
     """
 
     __slots__ = (
-        "labels", "lanes", "keyer", "backend", "grant", "union_live",
-        "exact_ops", "unit_dict", "unit_entry",
-        "rows_combined", "rows_shared", "spine", "interned", "stats",
-        "spine_before", "root_forms",
+        "labels", "lanes", "keyer", "grant", "union_live",
+        "exact_ops", "escape", "mixed", "row_key", "unit_dict",
+        "unit_entry", "rows_combined", "rows_shared", "spine", "interned",
+        "stats", "spine_before", "root_forms",
     )
 
     def __init__(
-        self,
-        session,
-        lanes: list,
-        keyer: StackedKeyer,
-        union_live=frozenset(),
-        spine: Optional[dict] = None,
-        interned: Optional[dict] = None,
+        self, session, lanes: list, keyer: StackedKeyer, plan=None
     ) -> None:
         backend = session.backend
         self.labels = session.p.label_index()
         self.lanes = lanes
         self.keyer = keyer
-        self.backend = backend
         self.grant = _GRANT_NONE if keyer.gate == GATE_BLOCKED else _GRANT_ALL
-        self.union_live = union_live
-        self.exact_ops = backend.exact_ops()
-        self.interned = {} if interned is None else interned
-        self.unit_dict = self._intern({0: 1.0})
+        self.union_live = frozenset() if plan is None else plan.union_live
+        scalar, self.exact_ops, self.escape = _kernels(backend)
+        #: Float rows that may escape to exact ones (``array``); on
+        #: ``exact`` every row is exact and nothing is dispatched.
+        self.mixed = scalar is not self.exact_ops
+        self.row_key = (
+            _exact_row_key if backend.one.__class__ is Fraction else _row_key
+        )
+        self.interned = {} if plan is None else plan.interned
+        self.unit_dict = self._intern({0: backend.one})
         self.unit_entry = LaneRows((self.unit_dict,) * len(lanes))
         self.rows_combined = 0
         self.rows_shared = 0
-        self.spine = {} if spine is None else spine
+        self.spine = {} if plan is None else plan.spine
         self.stats = session.stats
         self.spine_before = session.stats.spine_hits
         self.root_forms: Optional[list] = None
@@ -405,9 +449,14 @@ class _StackedGroup:
         )
 
     def _intern(self, row: dict) -> dict:
-        """The intern table's one object for ``row``'s content and
-        exactness."""
-        return self.interned.setdefault(_row_key(row), row)
+        """The intern table's one object for ``row``'s content (and, on
+        ``array``, exactness)."""
+        return self.interned.setdefault(self.row_key(row), row)
+
+    def _exact_below(self, forms) -> bool:
+        """Whether a child entry holds an escaped (exact) row, so some
+        class may need the exact kernels (never on ``exact``)."""
+        return self.mixed and any(form.exact for form in forms)
 
     def combine(self, node, entries):
         node_id = node.node_id
@@ -416,17 +465,21 @@ class _StackedGroup:
         if node_id in self.union_live:
             return self._split_combine(node, forms, classes)
         lane_class, representatives, shared = classes[:3]
-        exact_below = any(form.exact for form in forms)
+        exact_below = self._exact_below(forms)
         class_rows = [
             self._row(node, forms, lane, exact_below)
             for lane in representatives
         ]
+        parent = node.parent
+        if parent is not None and parent.node_id in self.union_live:
+            # Only a live parent groups its children's rows by identity.
+            class_rows = list(map(self._intern, class_rows))
         self.rows_combined += len(class_rows)
         self.rows_shared += shared
         unit = self.unit_dict
         return LaneRows(
             tuple(unit if c < 0 else class_rows[c] for c in lane_class),
-            any(map(_is_exact, class_rows)),
+            self.mixed and any(map(_is_exact, class_rows)),
         )
 
     def _row(self, node, forms, lane: int, exact_below: bool) -> dict:
@@ -442,20 +495,19 @@ class _StackedGroup:
             child_map = {
                 child_id: _lift(row) for child_id, row in child_map.items()
             }
-            return self._intern(
-                engine._combine_single_gated(node, child_map, self.grant)
-            )
+            return engine._combine_single_gated(node, child_map, self.grant)
         row = stacked_lane.engine._combine_single_gated(
             node, child_map, self.grant
         )
-        return self._intern(self.backend.escape(row))
+        return self.escape(row)
 
     def _split_combine(self, node, forms, classes) -> _SplitRows:
         node_id = node.node_id
         if node.parent is None:
             self.root_forms = forms
         lane_class = classes[0]
-        exact_below = any(form.exact for form in forms)
+        exact_below = self._exact_below(forms)
+        mixed = self.mixed
         unit = self.unit_dict
         class_rows: dict = {}
         rows = []
@@ -463,9 +515,11 @@ class _StackedGroup:
         exact = False
         for i, lane in enumerate(self.lanes):
             if node_id in lane.live:
-                blocked, pins = self._pinned(node, forms, i, exact_below)
+                blocked, pins, pair_exact = self._pinned(
+                    node, forms, i, exact_below
+                )
                 blocked = self._intern(blocked)
-                exact = exact or _is_exact(blocked)
+                exact = exact or pair_exact
                 rows.append(blocked)
                 pinned.append(pins)
                 self.rows_combined += 1
@@ -476,10 +530,10 @@ class _StackedGroup:
             else:
                 row = class_rows.get(cls)
                 if row is None:
-                    row = class_rows[cls] = self._row(
-                        node, forms, i, exact_below
+                    row = class_rows[cls] = self._intern(
+                        self._row(node, forms, i, exact_below)
                     )
-                    exact = exact or _is_exact(row)
+                    exact = exact or (mixed and _is_exact(row))
                     self.rows_combined += 1
                 else:
                     self.rows_shared += 1
@@ -491,15 +545,18 @@ class _StackedGroup:
         return entry
 
     def _pinned(self, node, forms, lane: int, exact_below: bool) -> tuple:
-        """A live lane's ``(blocked, pinned)`` pair at a node."""
+        """A live lane's ``(blocked, pinned, exact)`` at a node: exact
+        when a child's row or pin is, its distributions escaping when
+        too wide; ``exact`` tells whether any of them is exact."""
         child_map = {}
         for child, form in zip(node.children, forms):
             pins = form.pinned[lane] if form.__class__ is _SplitRows else _EMPTY
             child_map[child.node_id] = (form.rows[lane], pins)
         stacked_lane = self.lanes[lane]
-        engine = stacked_lane.engine
+        candidates = stacked_lane.candidates
         if exact_below and any(
-            _is_exact(blocked) for blocked, _ in child_map.values()
+            _is_exact(blocked) or any(map(_is_exact, pins.values()))
+            for blocked, pins in child_map.values()
         ):
             engine = stacked_lane.exact_engine(self.exact_ops)
             child_map = {
@@ -509,7 +566,26 @@ class _StackedGroup:
                 )
                 for child_id, (blocked, pins) in child_map.items()
             }
-        return engine.combine_pinned(node, child_map, stacked_lane.candidates)
+            blocked, pins = engine.combine_pinned(node, child_map, candidates)
+            return blocked, pins, True
+        blocked, pins = stacked_lane.engine.combine_pinned(
+            node, child_map, candidates
+        )
+        if not self.mixed:
+            return blocked, pins, False
+        escape = self.escape
+        escaped = escape(blocked)
+        exact = escaped is not blocked
+        if node.parent is not None:  # the root's pins are its readout
+            wide = {}
+            for n, d in pins.items():
+                e = escape(d)
+                if e is not d:
+                    wide[n] = e
+            if wide:
+                pins = {**pins, **wide}
+                exact = True
+        return escaped, pins, exact
 
 
 # ----------------------------------------------------------------------
@@ -542,50 +618,48 @@ class _AnswerPlan:
         for node_id in changed:
             spine.pop(node_id, None)
 
-    def trim(self) -> None:
+    def trim(self, row_key) -> None:
         """Bound the intern table by the spine: past
         ``_INTERN_PER_SPINE`` rows per spine entry, keep only the rows
-        the spine still holds (and none, should those alone exceed it)."""
+        the spine still holds (and none, should those alone exceed it).
+        ``row_key`` is the intern key of the plan's passes."""
         limit = _INTERN_PER_SPINE * len(self.spine)
         if len(self.interned) <= limit:
             return
         kept: dict = {}
         for entry in self.spine.values():
             for row in entry.rows:
-                kept.setdefault(_row_key(row), row)
+                kept.setdefault(row_key(row), row)
         self.interned = kept if len(kept) <= limit else {}
 
 
 def _run_group(
-    session,
-    lanes: list,
-    keyer: StackedKeyer,
-    union_live=frozenset(),
-    spine: Optional[dict] = None,
-    interned: Optional[dict] = None,
+    session, lanes: list, keyer: StackedKeyer, plan: Optional[_AnswerPlan] = None
 ):
-    """One stacked pass: the batch runs as ONE lane group of
+    """One pass: the batch runs as ONE lane group of
     :func:`~repro.prob.traversal.stored_postorder`; returns the root
-    entry.  ``spine`` and ``interned`` are an answer plan's retained
-    spine and row intern table, consulted and filled by the pass."""
-    group = _StackedGroup(session, lanes, keyer, union_live, spine, interned)
-    roots = session._run_pass(
-        [group.lane()], "stacked.pass", counters=group.counters,
+    entry.  An answer ``plan`` supplies the union live set, and its
+    retained spine and row intern table are consulted and filled by the
+    pass."""
+    group = _StackedGroup(session, lanes, keyer, plan)
+    root = session._run_pass(
+        group.lane(), "stacked.pass", counters=group.counters,
         gate=keyer.gate,
     )
-    return roots[0]
+    if plan is not None:
+        plan.trim(group.row_key)
+    return root
 
 
 def _row_engines(session, engines: list) -> None:
-    """Bind every lane engine to the backend's float dict kernels."""
-    scalar = session.backend.scalar_ops()
+    """Bind every lane engine to the backend's row kernels."""
+    scalar = _kernels(session.backend)[0]
     for engine in engines:
         _bind(engine, scalar)
 
 
-def stacked_answer_many(session, queries: list) -> Optional[list]:
-    """Lane-group ``answer_many``; ``None`` when the batch must take the
-    classic per-lane pass (a single query).  Caches the batch plan
+def stacked_answer_many(session, queries: list) -> list:
+    """``answer_many`` as one lane group.  Caches the batch plan
     (engines, candidate and live sets, combined keyer) on the session
     per document epoch.
 
@@ -608,8 +682,6 @@ def stacked_answer_many(session, queries: list) -> Optional[list]:
         with trace_span("stacked.plan_build", queries=len(queries)):
             entry = _build_answer_plan(session, queries, cache, key)
     plan = entry[1]
-    if plan is None:
-        return None
     memo = plan.memo
     if memo:
         # Warm plan: the spine result is epoch-invariant — serve fresh
@@ -624,11 +696,7 @@ def stacked_answer_many(session, queries: list) -> Optional[list]:
     if not plan.union_live:
         # No candidates anywhere: every answer is empty, no pass needed.
         return [{} for _ in queries]
-    root = _run_group(
-        session, plan.lanes, plan.keyer, plan.union_live, plan.spine,
-        plan.interned,
-    )
-    plan.trim()
+    root = _run_group(session, plan.lanes, plan.keyer, plan)
     zero = session.backend.zero
     # The root is live: a split entry whose pinned half holds every
     # lane's readout ``{candidate: Pr}``.
@@ -638,22 +706,16 @@ def stacked_answer_many(session, queries: list) -> Optional[list]:
 
 
 def _build_answer_plan(session, queries: list, cache: dict, key: tuple):
-    """Build (and cache) the stacked batch plan entry for ``queries``.
-
-    Returns the cache entry ``(strong query refs, plan-or-None)``; a
-    ``None`` plan records that this batch must take the classic pass.
-    """
+    """Build (and cache) the batch plan entry ``(strong query refs,
+    plan)`` for ``queries``."""
     engines = [
         EvaluationEngine(session.p, [q], backend=session.backend)
         for q in queries
     ]
-    if len(engines) < 2:
-        entry = cache[key] = (tuple(queries), None)
-        return entry
     _row_engines(session, engines)
     candidate_sets = session._candidate_sets(engines, queries)
     live_sets = [session.p.ancestral_closure(cs) for cs in candidate_sets]
-    union_live = frozenset().union(*live_sets) if live_sets else frozenset()
+    union_live = frozenset().union(*live_sets)
     lanes = [
         _StackedLane(
             engine,
@@ -709,20 +771,13 @@ def stacked_boolean_key(normalized: list) -> Optional[tuple]:
         return None
 
 
-def stacked_boolean_many(
-    session, engines: list, normalized: list
-) -> Optional[list]:
-    """Lane-group ``boolean_many`` over already-built engines; ``None``
-    when the batch must take the classic per-lane pass (a single item).
-    """
-    if len(engines) < 2:
-        return None
+def stacked_boolean_many(session, engines: list) -> list:
+    """``boolean_many`` over already-built engines as one lane group:
+    one backend probability per engine."""
     _row_engines(session, engines)
     lanes = [_StackedLane(engine, session._keyer(engine)) for engine in engines]
     keyer = StackedKeyer(
         session.p, [lane.keyer for lane in lanes], GATE_UNPINNED
     )
     root = _run_group(session, lanes, keyer)
-    return [
-        float(lane.engine.mass(row)) for lane, row in zip(lanes, root.rows)
-    ]
+    return [lane.engine.mass(row) for lane, row in zip(lanes, root.rows)]

@@ -10,16 +10,13 @@ float such as ``0.1`` is interpreted as the decimal literal ``1/10`` (via
 Probability *computation* (the dynamic program of
 :mod:`repro.prob.engine`) is parameterized by a :class:`NumericBackend`:
 
-* ``"exact"`` — :class:`Fraction` arithmetic, the default; keeps every
-  paper example bit-exact;
-* ``"fast"`` — IEEE ``float`` arithmetic for throughput; results agree
-  with ``exact`` to within ordinary floating-point error (the property
-  suite asserts 1e-9 on random instances).
-
-* ``"array"`` — ``float`` dict kernels that run a session's query
-  batch as one lane group, with a configurable support-width threshold
-  beyond which a subtree falls back to exact per-entry arithmetic (see
-  :mod:`repro.probability_array`).
+* ``"exact"`` — :class:`Fraction` arithmetic, the default and the
+  oracle; keeps every paper example bit-exact;
+* ``"array"`` — IEEE ``float`` dict kernels for throughput, with a
+  configurable support-width threshold beyond which a subtree falls
+  back to exact per-entry arithmetic (see
+  :mod:`repro.probability_array`); results agree with ``exact`` within
+  1e-9 relative on the property suite's random instances.
 
 Backends are looked up by name with :func:`get_backend`; any object
 satisfying the protocol (``zero``/``one`` constants plus ``convert`` /
@@ -35,6 +32,12 @@ grouped in an ops object the backend supplies through the optional
 ``engine_ops()`` hook (resolved by :func:`distribution_ops`).
 Backends without the hook get :class:`ScalarOps`, the per-entry dict
 kernels; the ``array`` backend wraps them with its exact escape.
+
+A :class:`~repro.prob.session.QuerySession` runs every batch as one
+lane group (:mod:`repro.prob.stacked`), which reads three more hooks:
+``scalar_ops()`` (the row kernels), ``exact_ops()`` (the kernels of
+escaped rows) and ``escape(row)`` (the width rule).  Backends without
+them get :class:`ScalarOps` for both and no escape.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ __all__ = [
     "NumericBackend",
     "BackendLike",
     "ExactBackend",
-    "FastBackend",
     "BACKENDS",
     "get_backend",
     "register_backend",
@@ -114,7 +116,7 @@ def prob_str(value: Union[Fraction, float], digits: int = 6) -> str:
 
     For exact values, shows the exact decimal when it terminates within
     ``digits`` digits, otherwise the fraction followed by a float
-    approximation.  ``float`` values (the ``fast`` backend's output) are
+    approximation.  ``float`` values (the ``array`` backend's output) are
     rendered with ``digits`` significant digits.
 
     >>> prob_str(Fraction(189, 400))
@@ -167,33 +169,20 @@ class ExactBackend:
     def to_fraction(value: Fraction) -> Fraction:
         return value
 
+    def engine_ops(self) -> "ScalarOps":
+        """The exact dict kernels (shared instance)."""
+        return _EXACT_OPS
+
+    # The lane group's hooks: its row kernels are the exact kernels, so
+    # no row ever escapes or needs lifting.
+    scalar_ops = exact_ops = engine_ops
+
+    @staticmethod
+    def escape(row: dict) -> dict:
+        return row
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "ExactBackend()"
-
-
-class FastBackend:
-    """IEEE ``float`` arithmetic — for throughput over exactness."""
-
-    name = "fast"
-    zero = 0.0
-    one = 1.0
-
-    @staticmethod
-    def convert(value: ProbabilityLike) -> float:
-        return float(value)
-
-    @staticmethod
-    def to_fraction(value: float) -> Fraction:
-        # ``Fraction(float)`` is the exact binary expansion — correct but
-        # with astronomical denominators (0.1 -> 3602879701896397 /
-        # 36028797018963968).  Snap to the nearest small-denominator
-        # fraction instead: 1e12 resolves far below the float error the
-        # fast backend already tolerates, so the projection is lossless
-        # at the backend's own precision while staying human-readable.
-        return Fraction(value).limit_denominator(10**12)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "FastBackend()"
 
 
 # ----------------------------------------------------------------------
@@ -430,20 +419,8 @@ def distribution_ops(backend: NumericBackend):
     return ScalarOps(backend)
 
 
-# Cached ScalarOps: one per backend instance, engines share them.
-def _scalar_ops(backend: NumericBackend) -> ScalarOps:
-    ops = getattr(backend, "_cached_scalar_ops", None)
-    if ops is None:
-        ops = ScalarOps(backend)
-        try:
-            backend._cached_scalar_ops = ops
-        except AttributeError:  # slotted/frozen backends: rebuild per call
-            pass
-    return ops
-
-
-ExactBackend.engine_ops = _scalar_ops
-FastBackend.engine_ops = _scalar_ops
+#: The exact backend's kernels (stateless, shared by every instance).
+_EXACT_OPS = ScalarOps(ExactBackend)
 
 
 #: The built-in backend registry, keyed by backend name.  Values are
@@ -485,7 +462,7 @@ def register_backend(
 
 
 def get_backend(backend: BackendLike) -> NumericBackend:
-    """Resolve a backend name (``"exact"``, ``"fast"``, ``"array"``) or
+    """Resolve a backend name (``"exact"``, ``"array"``) or
     pass through an object already satisfying :class:`NumericBackend`.
 
     Raises:
@@ -516,5 +493,4 @@ def _array_backend_factory() -> NumericBackend:
 
 
 register_backend(ExactBackend())
-register_backend(FastBackend())
 register_backend(_array_backend_factory, "array")

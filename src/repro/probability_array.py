@@ -1,15 +1,16 @@
 """The ``array`` numeric backend: float dict kernels with an exact escape.
 
-Scalar values are plain floats, as in the ``fast`` backend, and every
-goal-set distribution is a ``{mask: float}`` dict computed by the
-per-entry :class:`~repro.probability.ScalarOps` kernels.  What the
-backend adds is batching and a width guard:
+Scalar values are plain floats, and every goal-set distribution is a
+``{mask: float}`` dict computed by the per-entry
+:class:`~repro.probability.ScalarOps` kernels.  What the backend adds
+is a width guard:
 
 **Session batches.**  A :class:`~repro.prob.session.QuerySession` runs
-a batch of two or more queries as one lane group
-(:mod:`repro.prob.stacked`) whose entries are :class:`LaneRows` — one
-float dict per lane, shared by lane class.  Single-query passes run the
-engine over :meth:`ArrayBackend.engine_ops`.
+every batch as one lane group (:mod:`repro.prob.stacked`) whose entries
+are :class:`LaneRows` — one dict per lane, shared by lane class —
+combined by :meth:`ArrayBackend.scalar_ops`.  Engine passes
+(``query_answer``, :class:`~repro.prob.engine.EvaluationEngine`) run
+over :meth:`ArrayBackend.engine_ops`.
 
 **Exact fallback.**  Supports normally stay tiny (the goal-set DP
 collapses masks aggressively), but adversarial documents can blow them
@@ -244,14 +245,13 @@ get_registry().register_collector(_collect_backend_samples)
 
 
 class ArrayBackend:
-    """Float backend for batched sessions (``"array"``).
+    """The float backend (``"array"``).
 
-    Scalar values are plain floats (``convert``/``to_fraction`` mirror
-    the ``fast`` backend).  :class:`repro.prob.session.QuerySession`
-    recognizes :attr:`vectorized_sessions` and runs every batch of two
-    or more queries as one lane group of :mod:`repro.prob.stacked`:
-    one combined store key and one :class:`LaneRows` entry per subtree,
-    each row computed once per lane class with float dict kernels.
+    Scalar values are plain floats.  A
+    :class:`repro.prob.session.QuerySession` runs every batch as one
+    lane group of :mod:`repro.prob.stacked`: one combined store key and
+    one :class:`LaneRows` entry per subtree, each row computed once per
+    lane class with float dict kernels.
 
     Args:
         width_threshold: support width beyond which a float result
@@ -261,8 +261,6 @@ class ArrayBackend:
     name = "array"
     zero = 0.0
     one = 1.0
-    #: QuerySession hook: run query batches as one lane group.
-    vectorized_sessions = True
 
     def __init__(self, width_threshold: int = 4096) -> None:
         self.width_threshold = int(width_threshold)
@@ -287,6 +285,10 @@ class ArrayBackend:
     def to_fraction(value) -> Fraction:
         if isinstance(value, Fraction):
             return value
+        # ``Fraction(float)`` is the exact binary expansion (0.1 ->
+        # 3602879701896397 / 36028797018963968).  Snap to the nearest
+        # small-denominator fraction instead: 1e12 resolves far below
+        # the float error the backend already tolerates.
         return Fraction(float(value)).limit_denominator(10**12)
 
     def escape(self, row: dict) -> dict:
@@ -302,8 +304,8 @@ class ArrayBackend:
         """Plain float dict kernels (shared instance).
 
         The lane group of :mod:`repro.prob.stacked` binds every lane to
-        them: rows are tiny dicts, where the engine ops' per-operand
-        dispatch is pure overhead.
+        them and dispatches escaped rows itself: rows are tiny dicts,
+        where the engine ops' per-operand dispatch is pure overhead.
         """
         if self._scalar_ops is None:
             self._scalar_ops = ScalarOps(self)

@@ -248,7 +248,7 @@ def c_independent_empirical(
     alphabet; for each ordinary node the defining equation is verified
     through a batched query session in the chosen backend — *exactly* on
     ``"exact"`` (the default), within ``tolerance`` on approximate
-    backends such as ``"fast"``.  Returns ``False`` as soon as a
+    backends such as ``"array"``.  Returns ``False`` as soon as a
     counterexample p-document is found.
 
     A ``True`` result is evidence, not proof — the sampler may miss a

@@ -15,7 +15,7 @@ rewriting.  Two plan shapes exist:
   linear system (Theorem 5) are both instances.
 
 Both plan shapes carry a caller-chosen numeric ``backend`` (``"exact"``
-Fractions by default, ``"fast"`` floats for throughput) and route their
+Fractions by default, ``"array"`` floats for throughput) and route their
 inner evaluations through a :class:`repro.prob.session.QuerySession` over
 the extension p-document.  A restricted plan's ``evaluate()`` is **one**
 pinned pass, ``answer_many([q_r, doc(v)/v_(k)])``: the first lane gives
@@ -77,7 +77,7 @@ class TPRewritePlan:
         restricted: Definition 5 (Theorem 1 applies); otherwise Theorem 2.
         u: the maximal prefix-suffix length of ``v``'s last token.
         backend: numeric backend the probability function computes in
-            (``"exact"`` keeps Theorem 1/2's quotients bit-exact; ``"fast"``
+            (``"exact"`` keeps Theorem 1/2's quotients bit-exact; ``"array"``
             trades exactness for float throughput).
         store: optional :class:`repro.store.MemoStore` threaded into every
             session and engine the plan spawns over extension documents

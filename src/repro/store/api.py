@@ -25,11 +25,11 @@ Keys are 5-tuples
 * ``gate`` — :data:`GATE_BLOCKED` / :data:`GATE_UNPINNED`, or ``None``
   when the restriction holds no output-node entry and the two evaluations
   coincide;
-* ``backend`` — the numeric backend name (``"exact"`` / ``"fast"``):
+* ``backend`` — the numeric backend name (``"exact"`` / ``"array"``):
   distributions live in the backend's value domain and must not mix.
 
 Equal keys imply equal distributions (bit-identical on the ``exact``
-backend; up to summation order on ``fast``), so entries may be shared
+backend; up to summation order on ``array``), so entries may be shared
 across queries with equal restricted tables, across isomorphic subtrees
 of one document or of a document and its probabilistic extensions, and —
 through :class:`repro.store.sqlite.SqliteStore` — across process
@@ -53,8 +53,8 @@ cost the entry saves — which cost-aware eviction policies
 memory pressure.
 
 **The bulk protocol.**  Store-consulting traversals
-(:func:`repro.prob.traversal.stored_postorder` and the stacked pass of
-:mod:`repro.prob.stacked`) can compute a whole pass's candidate key set
+(:func:`repro.prob.traversal.stored_postorder`, for an engine's lane
+and a session's lane group alike) can compute a whole pass's key set
 *before* touching any probability — the same structural-tractability
 bet the paper's rewritings rest on — and ship it as one request instead
 of one round trip per node:
@@ -304,19 +304,6 @@ class MemoStore(ABC):
         to equal distributions, so re-storing a present entry is wasted
         work (for persistent stores, a wasted disk write per node).
         """
-
-    def reprobe(self, key: StoreKey) -> Optional[dict]:
-        """Second-chance ``get``: a hit counts, a miss does not.
-
-        Traversals use this for re-probes of keys that already missed
-        once in the same pass (the miss was counted then); re-counting
-        the repeat would inflate the miss rate.  The default falls back
-        to the historical ``contains``-then-``get`` pair; concrete
-        stores override it with a single probe.
-        """
-        if not self.contains(key):
-            return None
-        return self.get(key)
 
     # ------------------------------------------------------------------
     # Bulk protocol (see the module docstring).  The defaults fall back

@@ -92,15 +92,6 @@ class InMemoryStore(MemoStore):
     def contains(self, key: StoreKey) -> bool:
         return key in self._entries
 
-    def reprobe(self, key: StoreKey) -> Optional[dict]:
-        """Single-probe second chance: one dict lookup, hit-only counting."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self._count_get(key, hit=True)
-        self._touch(entry, key)
-        return entry[_VALUE]
-
     def _touch(self, entry: list, key: StoreKey) -> None:
         """Refresh an entry's GreedyDual-Size priority (a hit's side
         effect, shared by the point and bulk read paths)."""

@@ -9,7 +9,7 @@ computed subtree distribution already available ("warm-from-disk"; see
 ``benchmarks/bench_store.py``).
 
 **Payload codec.**  Distributions are JSON: exact (:class:`Fraction`)
-values as ``"num/den"`` strings, ``fast`` floats as JSON numbers, goal
+values as ``"num/den"`` strings, ``array`` floats as JSON numbers, goal
 masks as arbitrary-precision ints — version-tagged so a future format
 change degrades to a cache miss rather than a wrong answer.  Entries
 whose values are neither ``Fraction`` nor ``float`` (a custom backend's
@@ -372,30 +372,6 @@ class SqliteStore(MemoStore):
             return None
         self._cache[key] = distribution
         return distribution
-
-    def reprobe(self, key: StoreKey) -> Optional[dict]:
-        """Single-probe second chance: a hit counts, a miss does not.
-
-        Collapses the old ``contains``-then-``get`` double round trip —
-        the row map answers presence in process, so at most one SQL
-        statement runs, and only for a key the map says is present.
-        """
-        if self.preload and not self._complete:
-            self._preload()
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._count_get(key, hit=True)
-            return cached
-        if (
-            not self._complete
-            and self._conn is not None
-            and key in self._row_weights
-        ):
-            distribution = self._fetch_one(key)
-            if distribution is not None:
-                self._count_get(key, hit=True)
-                return distribution
-        return None
 
     def put(self, key: StoreKey, distribution: dict, weight: int = 1) -> None:
         if get_tracer().enabled:

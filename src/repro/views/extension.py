@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ..errors import PDocumentError
-from ..probability import BackendLike
+from ..probability import BackendLike, get_backend
 from ..prob.engine import query_answer
 from ..prob.session import QuerySession
 from ..pxml.pdocument import PDocument, PNode, PNodeKind
@@ -216,7 +216,7 @@ def probabilistic_extension(
     """Build ``P̂_v`` per §3.1 (ind-bundled result subtrees, Id-free).
 
     The view's selection probabilities are computed by the single-pass
-    engine in the given numeric backend; with ``"fast"`` the extension's
+    engine in the given numeric backend; with ``"array"`` the extension's
     ind-edge probabilities are floats instead of exact Fractions.
 
     Original identity is recorded in the returned extension's provenance
@@ -236,8 +236,10 @@ def probabilistic_extension(
                 "probabilistic_extension: session is bound to a different "
                 "p-document"
             )
+        one = session.backend.one
         answer = session.answer(view.pattern)
     else:
+        one = get_backend(backend).one
         answer = query_answer(p, view.pattern, backend=backend)
     fresh = itertools.count(1)
     root = PNode(0, PNodeKind.ORDINARY, view.doc_label)
@@ -246,7 +248,8 @@ def probabilistic_extension(
     provenance = ProvenanceTable()
     for selected in sorted(answer):
         copy = _copy_pnode(p.node(selected), fresh, selected, provenance)
-        bundle.add_child(copy, answer[selected])
+        # A float selection probability may round past 1.
+        bundle.add_child(copy, min(answer[selected], one))
         subtree_roots[selected] = copy.node_id
     if subtree_roots:
         root.add_child(bundle)

@@ -4,7 +4,7 @@ Three invariants on random p-documents and patterns:
 
 * the single-pass engine (all candidates in one traversal) agrees
   *exactly* with the per-candidate anchored DP (``node_probability``);
-* the ``fast`` float backend agrees with ``exact`` within ``1e-9``;
+* the ``array`` float backend agrees with ``exact`` within ``1e-9``;
 * the one-walk candidate discovery (``candidate_sets``) equals the
   per-query deterministic evaluation over the maximal world, also when
   deep label-disjoint subtrees (which the walk skips) hang off it.
@@ -67,7 +67,7 @@ def test_single_pass_matches_per_candidate_exactly(seed):
 def test_fast_backend_agrees_with_exact(seed):
     p, q = make_instance(seed)
     exact = query_answer(p, q)
-    fast = query_answer(p, q, backend="fast")
+    fast = query_answer(p, q, backend="array")
     for node_id in set(exact) | set(fast):
         assert abs(fast.get(node_id, 0.0) - float(exact.get(node_id, 0))) < TOLERANCE
 
@@ -77,7 +77,7 @@ def test_fast_backend_agrees_with_exact(seed):
 def test_fast_boolean_probability_agrees(seed):
     p, q = make_instance(seed)
     exact = boolean_probability(p, q)
-    fast = boolean_probability(p, q, backend="fast")
+    fast = boolean_probability(p, q, backend="array")
     assert abs(fast - float(exact)) < TOLERANCE
 
 

@@ -2,7 +2,7 @@
 
 The central invariant (ISSUE 2's acceptance bar): ``answer_many`` over a
 random batch equals per-query :meth:`EvaluationEngine.answer` *exactly*
-on the ``exact`` backend and within ``1e-9`` on ``fast`` — on random
+on the ``exact`` backend and within ``1e-9`` on ``array`` — on random
 p-documents, random query batches, cold and warm sessions alike (warm
 runs exercise cross-call memo reuse, where a stale or over-shared
 distribution would surface immediately).
@@ -12,7 +12,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.prob import QuerySession, query_answer
+from repro.prob import EvaluationEngine, QuerySession, query_answer
 from repro.prob.engine import boolean_probability, node_probability
 from repro.workloads.synthetic import random_pdocument, random_tree_pattern
 
@@ -44,7 +44,7 @@ def test_answer_many_matches_sequential_exactly(seed):
 def test_answer_many_fast_within_tolerance(seed):
     p, queries = make_batch(seed)
     exact = [query_answer(p, q) for q in queries]
-    fast = QuerySession(p, backend="fast").answer_many(queries)
+    fast = QuerySession(p, backend="array").answer_many(queries)
     for d_exact, d_fast in zip(exact, fast):
         for node_id in set(d_exact) | set(d_fast):
             assert abs(
@@ -92,3 +92,48 @@ def test_single_query_session_equals_query_answer(seed):
     p = random_pdocument(rng, labels=LABELS, max_depth=4, max_children=3)
     q = random_tree_pattern(rng, labels=LABELS, mb_length=rng.randint(1, 4))
     assert QuerySession(p).answer(q) == query_answer(p, q)
+
+
+def _rel_close(value, expected) -> bool:
+    return abs(value - expected) <= TOLERANCE * abs(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["exact", "array"]),
+    st.integers(min_value=1, max_value=8),
+)
+def test_lane_group_matches_engine_on_both_backends(seed, backend, width):
+    # Every batch — of either backend and any width, 1 included — runs
+    # as one lane group: answers and anchored Boolean items equal the
+    # engine's single-lane passes bit for bit on "exact", and within
+    # 1e-9 relative on "array".
+    rng = random.Random(seed)
+    p = random_pdocument(rng, labels=LABELS, max_depth=4, max_children=3)
+    queries = [
+        random_tree_pattern(rng, labels=LABELS, mb_length=rng.randint(1, 4))
+        for _ in range(width)
+    ]
+    session = QuerySession(p, backend=backend)
+    answers = session.answer_many(queries)
+    oracles = [query_answer(p, q) for q in queries]
+    items, expected = [], []
+    for q, oracle in zip(queries, oracles):
+        items.append(q)
+        expected.append(EvaluationEngine(p, [q]).match_probability())
+        anchors = sorted(oracle)[:2] + [p.root.node_id]
+        for n in anchors:
+            items.append((q, {q.out: n}))
+            expected.append(
+                EvaluationEngine(p, [q], {q.out: n}).match_probability()
+            )
+    masses = session.boolean_many(items)
+    if backend == "exact":
+        assert answers == oracles
+        assert masses == expected
+        return
+    for got, oracle in zip(answers, oracles):
+        assert set(got) == set(oracle)
+        assert all(_rel_close(got[n], oracle[n]) for n in oracle)
+    assert all(_rel_close(m, e) for m, e in zip(masses, expected))

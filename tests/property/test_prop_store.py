@@ -2,7 +2,7 @@
 
 The ISSUE-3 acceptance bar: session results with structural-store
 memoization equal store-free sequential evaluation — exactly on the
-``exact`` backend, within ``1e-9`` on ``fast`` — on random p-documents
+``exact`` backend, within ``1e-9`` on ``array`` — on random p-documents
 and query batches, with the store *shared across two different random
 documents* (where an unsound structural key would leak a distribution
 between lookalike subtrees), and across interleaved in-place mutations
@@ -77,7 +77,7 @@ def test_shared_store_matches_sequential_exactly(seed):
 def test_store_backed_fast_within_tolerance(seed):
     p, queries, _ = make_batch(seed)
     exact = [query_answer(p, q) for q in queries]
-    fast = QuerySession(p, backend="fast", store=InMemoryStore()).answer_many(
+    fast = QuerySession(p, backend="array", store=InMemoryStore()).answer_many(
         queries
     )
     for d_exact, d_fast in zip(exact, fast):
@@ -157,14 +157,14 @@ def test_anchored_store_backed_matches_store_free_across_twins(seed):
     # The ISSUE-5 satellite: anchored evaluations keyed by canonical
     # anchor positions, shared through one store across two isomorphic
     # documents with disjoint node Ids, must equal fresh store-free
-    # anchored engine runs — exactly on "exact", within 1e-9 on "fast" —
+    # anchored engine runs — exactly on "exact", within 1e-9 on "array" —
     # including after in-place mutations bump the epoch.  An unsound
     # position encoding would leak a distribution between lookalike
     # subtrees with differently-placed anchors and surface here.
     p1, queries, rng = make_batch(seed)
     p2 = isomorphic_twin(p1, TWIN_OFFSET)
     store = InMemoryStore()
-    for backend, tolerance in (("exact", None), ("fast", TOLERANCE)):
+    for backend, tolerance in (("exact", None), ("array", TOLERANCE)):
         s1 = QuerySession(p1, backend=backend, store=store)
         s2 = QuerySession(p2, backend=backend, store=store)
         before = store.anchored_hits
@@ -177,7 +177,7 @@ def test_anchored_store_backed_matches_store_free_across_twins(seed):
     s1 = QuerySession(p1, store=store)
     _check_anchored(s1, p1, queries, 0, "exact", None)
     # the untouched twin keeps matching its (and p1's pre-mutation) keys
-    _check_anchored(s2, p1, queries, TWIN_OFFSET, "fast", TOLERANCE)
+    _check_anchored(s2, p1, queries, TWIN_OFFSET, "array", TOLERANCE)
 
 
 def test_churn_workload_store_equivalence():

@@ -197,6 +197,21 @@ class TestWidthThresholdFallback:
                 assert rel_close(oracle(p, q), run(p, q, backend=backend))
             assert backend.fallbacks > 0
 
+    def test_live_lanes_escape_in_a_batch(self):
+        # Candidate-bearing (live) rows escape like class rows: their
+        # exact pins carry every answer up to an exact root readout.
+        backend = ArrayBackend(width_threshold=2)
+        p, queries = batch_workload(64, seed=1)
+        got = QuerySession(p, backend=backend).answer_many(queries)
+        assert backend.fallbacks > 0
+        assert any(
+            isinstance(value, Fraction)
+            for answer in got
+            for value in answer.values()
+        )
+        for q, answer in zip(queries, got):
+            assert rel_close(query_answer(p, q), answer)
+
     def test_default_threshold_never_fires_on_small_documents(self):
         backend = ArrayBackend()
         rng = random.Random(3)
@@ -270,13 +285,13 @@ class TestStackedSession:
         assert [float(x) for x in fresh] == [float(x) for x in first]
 
     def test_stacked_group_walks_like_the_classic_pass(self):
-        # The stacked pass is one lane group of the same walk as the
-        # classic per-lane pass: cold, and again from a warm store, both
-        # expand and skip exactly the same subtrees.
+        # Both backends run their batches as one lane group of the same
+        # walk: cold, and again from a warm store, both expand and skip
+        # exactly the same subtrees.
         p, queries = batch_workload(persons=12, projects=4, seed=12)
         items = [(q, {q.out: 101}) for q in queries]
         walked = {}
-        for backend in ("array", "fast"):
+        for backend in ("array", "exact"):
             store = InMemoryStore()
             counts = []
             for _ in range(2):  # cold, then a fresh session, warm store
@@ -286,7 +301,7 @@ class TestStackedSession:
                 stats = session.stats
                 counts.append((stats.node_visits, stats.subtree_skips))
             walked[backend] = counts
-        assert walked["array"] == walked["fast"]
+        assert walked["array"] == walked["exact"]
         assert walked["array"][1][0] < walked["array"][0][0]
 
     def test_width_fallback_inside_stacked_pass(self):

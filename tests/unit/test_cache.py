@@ -97,7 +97,7 @@ class TestAnswering:
             cache.answer(paper.q_bon())
 
     def test_fast_backend_single_view(self, p_per, v2_bon):
-        cache = RewritingCache(p_per, strict=True, backend="fast")
+        cache = RewritingCache(p_per, strict=True, backend="array")
         cache.materialize(v2_bon)
         result = cache.answer(paper.q_bon())
         assert result.source is AnswerSource.SINGLE_VIEW
@@ -105,7 +105,7 @@ class TestAnswering:
         assert abs(result.answer[5] - 0.9) < 1e-9
 
     def test_fast_backend_multi_view(self, p_per, v1_bon, v2_bon):
-        cache = RewritingCache(p_per, strict=True, backend="fast")
+        cache = RewritingCache(p_per, strict=True, backend="array")
         cache.materialize(v2_bon)
         cache.materialize(v1_bon)
         result = cache.answer(paper.q_rbon())
@@ -113,7 +113,7 @@ class TestAnswering:
         assert abs(result.answer[5] - 27 / 40) < 1e-9
 
     def test_fast_backend_direct(self, p_per):
-        cache = RewritingCache(p_per, backend="fast")
+        cache = RewritingCache(p_per, backend="array")
         q = parse_pattern("IT-personnel//person/name")
         result = cache.answer(q)
         exact = query_answer(p_per, q)

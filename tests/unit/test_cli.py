@@ -181,7 +181,7 @@ class TestObservabilityCommands:
             names.add(entry["name"])
             stack.extend(entry.get("children", ()))
         assert "session.answer_many" in names
-        assert "session.traversal" in names  # nested under the root
+        assert "stacked.pass" in names  # nested under the root
 
     def test_eval_profile_renders_attribution(self, doc_file, capsys):
         code = main(["eval", doc_file, self.QUERY, "--profile"])

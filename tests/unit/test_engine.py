@@ -13,9 +13,9 @@ from repro.errors import PatternError, ProbabilityError
 from repro.probability import (
     BACKENDS,
     ExactBackend,
-    FastBackend,
     get_backend,
 )
+from repro.probability_array import ArrayBackend
 from repro.prob import (
     EvaluationEngine,
     QuerySession,
@@ -187,10 +187,12 @@ class TestPinnedCombinators:
 
 class TestBackends:
     def test_registry(self):
-        assert {"exact", "fast", "array"} <= set(BACKENDS)
+        assert {"exact", "array"} <= set(BACKENDS)
         assert get_backend("exact") is BACKENDS["exact"]
-        backend = FastBackend()
+        backend = ArrayBackend()
         assert get_backend(backend) is backend
+        with pytest.raises(ProbabilityError):
+            get_backend("fast")  # retired: ``array`` is the float backend
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ProbabilityError):
@@ -206,7 +208,7 @@ class TestBackends:
     def test_fast_agrees_on_paper_examples(self, p_per):
         for q in (paper.q_bon(), paper.q_rbon(), paper.v1_bon(), paper.v2_bon()):
             exact = query_answer(p_per, q)
-            fast = query_answer(p_per, q, backend="fast")
+            fast = query_answer(p_per, q, backend="array")
             assert set(fast) == set(exact)
             for node_id, value in exact.items():
                 assert isinstance(fast[node_id], float)
@@ -214,13 +216,13 @@ class TestBackends:
 
     def test_fast_boolean_probability(self, p_per):
         exact = boolean_probability(p_per, paper.q_bon())
-        fast = boolean_probability(p_per, paper.q_bon(), backend="fast")
+        fast = boolean_probability(p_per, paper.q_bon(), backend="array")
         assert abs(fast - float(exact)) < 1e-9
 
     def test_backend_conversions(self):
         assert ExactBackend().convert(0.1) == Fraction(1, 10)
-        assert FastBackend().convert(Fraction(1, 4)) == 0.25
-        assert FastBackend().to_fraction(0.25) == Fraction(1, 4)
+        assert ArrayBackend().convert(Fraction(1, 4)) == 0.25
+        assert ArrayBackend().to_fraction(0.25) == Fraction(1, 4)
 
 
 class TestStableAnchors:

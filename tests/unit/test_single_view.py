@@ -220,7 +220,7 @@ class TestPlanReuseAcrossExtensions:
 class TestRestrictedOnePass:
     """Theorem 1 over a whole extension is one pinned session pass."""
 
-    @pytest.mark.parametrize("backend", ["exact", "fast", "array"])
+    @pytest.mark.parametrize("backend", ["exact", "array"])
     def test_tiny_copy_probability_survives(self, backend):
         """An answer of probability 1e-20 must not round away: the copy
         union is ``acc + p − acc·p``, never ``1 − Π(1 − p)``."""

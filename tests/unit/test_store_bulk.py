@@ -4,9 +4,9 @@ Covers the tentpole mechanics the property suite can't pin down one by
 one: write-behind buffering (flush ordering, crash-before-flush
 durability — pending puts are lost, the file is never corrupt), chunked
 ``IN``-clause reads above SQLite's bound-parameter limit, the
-single-probe ``reprobe`` counting contract, the uncounted-prefetch /
-``record_probe`` accounting split, and the default per-key fallbacks
-that keep third-party ``MemoStore`` subclasses working unchanged.
+uncounted-prefetch / ``record_probe`` accounting split, and the default
+per-key fallbacks that keep third-party ``MemoStore`` subclasses
+working unchanged.
 """
 
 import sqlite3
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.store import InMemoryStore, MemoStore, SqliteStore
+from repro.store import MemoStore, SqliteStore
 
 
 def key_of(i: int) -> tuple:
@@ -74,14 +74,6 @@ class TestDefaultFallbacks:
         store.record_probe(key_of(0), hit=True)
         store.record_probe(key_of(7), hit=False)
         assert (store.hits, store.misses) == (before[0] + 1, before[1] + 1)
-
-    def test_default_reprobe_counts_hits_not_misses(self):
-        for store in (MinimalStore(), InMemoryStore()):
-            assert store.reprobe(key_of(0)) is None
-            assert store.misses == 0  # a reprobe miss is never re-counted
-            store.put(key_of(0), dist_of(0))
-            assert store.reprobe(key_of(0)) == dist_of(0)
-            assert store.hits == 1
 
 
 class TestWriteBehind:
@@ -242,22 +234,4 @@ class TestCheapGauges:
         assert len(reopened) == 5
         assert reopened.stats()["weight"] == sum(range(1, 6))
         assert get_registry().snapshot()[name] == before
-        reopened.close()
-
-    def test_sqlite_reprobe_single_statement(self, tmp_path):
-        from repro.obs import get_registry
-
-        path = tmp_path / "reprobe.db"
-        store = SqliteStore(path, preload=False)
-        store.put(key_of(0), dist_of(0), 1)
-        store.close()
-        reopened = SqliteStore(path, preload=False)
-        name = "repro_store_sqlite_statements_total"
-        before = get_registry().snapshot()[name]
-        assert reopened.reprobe(key_of(9)) is None      # row map: no SQL
-        assert get_registry().snapshot()[name] == before
-        assert reopened.misses == 0
-        assert reopened.reprobe(key_of(0)) == dist_of(0)
-        assert get_registry().snapshot()[name] == before + 1  # one SELECT
-        assert reopened.hits == 1
         reopened.close()

@@ -1,9 +1,9 @@
 """Unit tests for the one store-consulting walk, ``stored_postorder``.
 
-A *lane group* is one lane standing for ``width`` queries (the stacked
-``array`` pass runs a whole batch as one): the walk probes and saves it
-like any lane, counts its hits, misses and neutral skips ``× width``, and
-stores only what its ``cacheable`` hook returns.
+A *lane group* is one lane standing for ``width`` queries (every session
+batch runs as one): the walk probes and saves it like any lane, counts
+its hits, misses and neutral skips ``× width``, and stores only what its
+``cacheable`` hook returns.
 """
 
 from repro.prob.session import SessionStats
@@ -61,7 +61,7 @@ class TestLaneGroup:
         p = twin_document()
         stats = SessionStats()
         store = InMemoryStore()
-        [root] = stored_postorder(p, [group_lane(p)], store, stats)
+        root = stored_postorder(p, group_lane(p), store, stats)
         assert root == 2
         # d and both c-leaves are neutral for all three queries; the
         # second b-subtree hits the entry its twin saved in this pass.
@@ -78,7 +78,7 @@ class TestLaneGroup:
         stats = SessionStats()
         store = InMemoryStore()
         lane = group_lane(p, cacheable=lambda entry: None)
-        [root] = stored_postorder(p, [lane], store, stats)
+        root = stored_postorder(p, lane, store, stats)
         assert root == 2
         assert len(store) == 0
         assert stats.memo_hits == 0
