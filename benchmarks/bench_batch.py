@@ -199,13 +199,6 @@ def main(argv: list[str] | None = None) -> int:
         "--output", type=Path, default=OUTPUT,
         help=f"where to write the JSON report (default: {OUTPUT})",
     )
-    parser.add_argument(
-        "--backend",
-        choices=["array", "all"],
-        default="all",
-        help="the float backend compared with exact: 'array', the only "
-        "one ('all' is the same)",
-    )
     args = parser.parse_args(argv)
     sizes = SIZES if args.quick else FULL_SIZES
     report = run(sizes, repeats=1 if args.quick else 3)

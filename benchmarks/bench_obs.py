@@ -2,10 +2,8 @@
 
 The ISSUE-8 guard: with tracing *disabled* (the default), the telemetry
 layer may cost at most **2%** on a warm batch pass: a fresh session
-answering the ``bench_batch`` queries over a warm shared store.  (A
-repeat on one session is a plan replay that runs no pass: two spans
-around a dict copy of the memoized answers.)  Two measurements
-establish it:
+answering the ``bench_batch`` queries over a warm shared store.  Three
+measurements establish it:
 
 * ``disabled_overhead_fraction`` — the *measured* cost of the no-op
   span fast path on the real workload: the per-call cost of a disabled
@@ -13,6 +11,10 @@ establish it:
   warm batch emits (counted under tracing), divided by the warm batch
   wall time.  Spans are per pass/phase, never per node, so this is a
   handful of dict-free calls against milliseconds of work.
+* ``replay_disabled_overhead_fraction`` — the same measure on a
+  repeat on one session, a plan replay that runs no pass: its spans
+  wrap only a dict copy of the memoized answers, so the ratio is far
+  above the bar.  Reported so the number is tracked, not gated.
 * ``enabled_overhead_fraction`` — what turning tracing *on* costs on
   the same warm batch (not subject to the 2% bar; reported so the docs
   can quote the price of a profiled run).
@@ -86,14 +88,22 @@ def run(persons: int, repeats: int = 5) -> dict:
         )
 
     baseline = warm_batch()  # warm the store, untimed
+    replay_session = QuerySession(p, backend="array", store=store)
+    replay_session.answer_many(queries)  # build the plan, untimed
+
+    def replay():
+        return replay_session.answer_many(queries)
 
     disable_tracing()
     warm_disabled_s = best_of(repeats, warm_batch)
+    replay_disabled_s = best_of(repeats, replay)
 
     enable_tracing()
     try:
         traced = warm_batch()
         spans_per_batch = _count_spans(take_spans())
+        assert replay() == baseline
+        spans_per_replay = _count_spans(take_spans())
         warm_enabled_s = best_of(repeats, warm_batch)
     finally:
         disable_tracing()
@@ -114,6 +124,11 @@ def run(persons: int, repeats: int = 5) -> dict:
         "spans_per_batch": spans_per_batch,
         "null_span_call_s": null_span_s,
         "disabled_overhead_fraction": disabled_overhead,
+        "replay_disabled_s": replay_disabled_s,
+        "spans_per_replay": spans_per_replay,
+        "replay_disabled_overhead_fraction": spans_per_replay
+        * null_span_s
+        / replay_disabled_s,
         "enabled_overhead_fraction": max(
             0.0, warm_enabled_s / warm_disabled_s - 1.0
         ),
@@ -143,6 +158,8 @@ def main(argv: list[str] | None = None) -> int:
         f"null span {report['null_span_call_s'] * 1e9:.0f} ns, "
         f"disabled overhead {report['disabled_overhead_fraction']:.4%} "
         f"(bar {OVERHEAD_BAR:.0%}), "
+        f"replay {report['replay_disabled_overhead_fraction']:.1%} "
+        "(not gated), "
         f"enabled overhead {report['enabled_overhead_fraction']:.1%}"
     )
     if report["disabled_overhead_fraction"] >= OVERHEAD_BAR:

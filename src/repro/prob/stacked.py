@@ -103,7 +103,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ..obs.trace import span as trace_span
-from ..probability import ScalarOps
+from ..probability import distribution_ops
 from ..probability_array import LaneRows, _is_exact, _lift
 from ..store import (
     GATE_BLOCKED,
@@ -155,11 +155,12 @@ def _identity(row: dict) -> dict:
 
 def _kernels(backend) -> tuple:
     """``(row kernels, exact kernels, escape)`` of ``backend``'s lane
-    group; a backend without the hooks runs :class:`~repro.probability.
-    ScalarOps` rows that never escape."""
+    group; a backend without the hooks runs its
+    :func:`~repro.probability.distribution_ops` rows, which never
+    escape."""
     hook = getattr(backend, "scalar_ops", None)
     if hook is None:
-        ops = ScalarOps(backend)
+        ops = distribution_ops(backend)
         return ops, ops, _identity
     return hook(), backend.exact_ops(), backend.escape
 

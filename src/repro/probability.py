@@ -37,7 +37,7 @@ A :class:`~repro.prob.session.QuerySession` runs every batch as one
 lane group (:mod:`repro.prob.stacked`), which reads three more hooks:
 ``scalar_ops()`` (the row kernels), ``exact_ops()`` (the kernels of
 escaped rows) and ``escape(row)`` (the width rule).  Backends without
-them get :class:`ScalarOps` for both and no escape.
+them run :func:`distribution_ops` for both and never escape.
 """
 
 from __future__ import annotations

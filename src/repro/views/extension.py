@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from ..errors import PDocumentError
+from ..errors import PDocumentError, ProbabilityError
 from ..probability import BackendLike, get_backend
 from ..prob.engine import query_answer
 from ..prob.session import QuerySession
@@ -207,6 +207,21 @@ def _copy_doc(source, fresh, holder: int, provenance: ProvenanceTable) -> DocNod
     return top
 
 
+#: How far past 1 a float selection probability may round.
+_ROUNDING = 1e-12
+
+
+def _edge_probability(value, one):
+    """``value`` as an ind-edge probability: a float that rounds past 1
+    by at most :data:`_ROUNDING` is capped at ``one``; any other value
+    above 1 is an evaluation fault."""
+    if value <= one:
+        return value
+    if value.__class__ is float and value - one <= _ROUNDING:
+        return one
+    raise ProbabilityError(f"selection probability {value} exceeds 1")
+
+
 def probabilistic_extension(
     p: PDocument,
     view: View,
@@ -248,8 +263,7 @@ def probabilistic_extension(
     provenance = ProvenanceTable()
     for selected in sorted(answer):
         copy = _copy_pnode(p.node(selected), fresh, selected, provenance)
-        # A float selection probability may round past 1.
-        bundle.add_child(copy, min(answer[selected], one))
+        bundle.add_child(copy, _edge_probability(answer[selected], one))
         subtree_roots[selected] = copy.node_id
     if subtree_roots:
         root.add_child(bundle)

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from repro.prob import EvaluationEngine, QuerySession, query_answer
+from repro.probability import as_fraction
 from repro.prob.engine import (
     boolean_probability,
     intersection_node_probability,
@@ -115,6 +116,26 @@ class TestAnswerMany:
             assert set(d_exact) == set(d_fast)
             for node_id in d_exact:
                 assert abs(float(d_exact[node_id]) - d_fast[node_id]) < 1e-9
+
+    def test_backend_without_group_hooks(self, p_per):
+        # The scalar protocol alone: the lane group runs the backend's
+        # ScalarOps rows and never escapes.
+        class PlainFractions:
+            name = "plain"
+            zero = Fraction(0)
+            one = Fraction(1)
+            convert = staticmethod(as_fraction)
+            to_fraction = staticmethod(Fraction)
+
+        queries = [paper.q_bon(), paper.v1_bon(), paper.v2_bon()]
+        session = QuerySession(p_per, backend=PlainFractions())
+        assert session.answer_many(queries) == [
+            query_answer(p_per, q) for q in queries
+        ]
+        q = paper.q_bon()
+        assert session.boolean_many([q, (q, {q.out: 5})]) == [
+            boolean_probability(p_per, q), node_probability(p_per, q, 5)
+        ]
 
     def test_batch_of_nested_candidates(self):
         # Candidates below other candidates exercise the pinned machinery.

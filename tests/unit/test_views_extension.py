@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.errors import ProbabilityError
 from repro.prob import boolean_probability
 from repro.pxml.builder import ind, ordinary, pdoc
 from repro.tp import Axis, PatternNode, parse_pattern
@@ -145,6 +146,29 @@ class TestProbabilisticExtension:
             "IT-personnel/nothing")))
         assert ext.selection == {}
         assert ext.pdocument.size() == 1
+
+    @pytest.mark.parametrize(
+        "mass, capped",
+        [(1.0 + 2**-52, 1.0), (1.5, None), (1 + Fraction(1, 10**15), None)],
+    )
+    def test_selection_past_one_is_capped_only_by_rounding(
+        self, p_per, v1_bon, mass, capped
+    ):
+        class Session:  # answers one selection of the given mass
+            p = p_per
+            backend = type("Backend", (), {"one": mass.__class__(1)})
+
+            @staticmethod
+            def answer(pattern):
+                return {5: mass}
+
+        if capped is None:
+            with pytest.raises(ProbabilityError, match="exceeds 1"):
+                probabilistic_extension(p_per, v1_bon, session=Session())
+        else:
+            ext = probabilistic_extension(p_per, v1_bon, session=Session())
+            (bundle,) = ext.pdocument.root.children
+            assert list(bundle.probabilities.values()) == [capped]
 
     def test_rank_paths_are_isomorphism_invariant(self, p_per, ext_v2):
         from repro.workloads.synthetic import isomorphic_twin
