@@ -53,26 +53,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     tracing_was_on = tracing_enabled()
     if args.trace:
         enable_tracing(sink=args.trace)
-    profiles = None
-    if args.batch:
-        session = QuerySession(p, backend=args.backend, store=store)
+    # One session: the whole batch as one pass with --batch, else one
+    # single-query batch per query (the keys ``store warm`` writes for
+    # a single query).
+    session = QuerySession(p, backend=args.backend, store=store)
+    batches = [queries] if args.batch else [[q] for q in queries]
+    answers, profiles = [], []
+    for batch in batches:
         if args.profile:
-            answers, profiles = session.answer_many(queries, profile=True)
-        else:
-            answers = session.answer_many(queries)
-    elif args.profile:
-        answers, profiles = [], []
-        for q in queries:
-            answer, profile = query_answer(
-                p, q, backend=args.backend, store=store, profile=True
+            batch_answers, batch_profiles = session.answer_many(
+                batch, profile=True
             )
-            answers.append(answer)
-            profiles.append(profile)
-    else:
-        answers = [
-            query_answer(p, q, backend=args.backend, store=store)
-            for q in queries
-        ]
+            profiles.extend(batch_profiles)
+        else:
+            batch_answers = session.answer_many(batch)
+        answers.extend(batch_answers)
     for text, answer in zip(args.query, answers):
         if len(queries) > 1:
             print(f"query {text}")
@@ -81,9 +76,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             continue
         for node_id, probability in sorted(answer.items()):
             print(f"node {node_id}\tPr = {prob_str(probability)}")
-    if profiles is not None:
-        for profile in profiles:
-            print(profile.render())
+    for profile in profiles:
+        print(profile.render())
     if store is not None:
         stats = store.stats()
         store.close()
@@ -276,14 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--batch",
         action="store_true",
-        help="evaluate all queries in one shared session traversal with "
-        "cross-query subtree memoization (QuerySession.answer_many)",
+        help="evaluate all queries in one shared session traversal "
+        "(QuerySession.answer_many); without it, each query runs its own "
+        "traversal of the same session",
     )
     p_eval.add_argument(
         "--store",
         metavar="PATH",
         help="persistent structural memo store (SQLite file): subtree "
-        "evaluations are reused across queries, documents and runs",
+        "evaluations are reused across queries, documents and runs "
+        "(a query reads what 'store warm' wrote for that query, a "
+        "--batch run what it wrote for that batch)",
     )
     p_eval.add_argument(
         "--trace",

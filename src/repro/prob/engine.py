@@ -44,18 +44,29 @@ candidate ``n`` for the path recombinations — versus ``O(|answer| · |P̂| ·
 s²)`` for the per-candidate loop, where ``s`` bounds the number of
 distinct goal sets.
 
-The engine is also the building block of the *workload session* layer
-(:mod:`repro.prob.session`): :class:`QuerySession` drives one shared
-post-order traversal for a whole batch of queries (one lane group,
-:mod:`repro.prob.stacked`), calling back into each query engine's
-:meth:`EvaluationEngine.combine_pinned` / :meth:`_combine_single_gated`
-once per lane class and p-document node, and reuses per-subtree
-distributions across queries through :meth:`goal_table_fingerprint`.
+**One exact-fallback rule.**  On a backend with an ``escape`` hook
+(``array``), every combine step goes through :meth:`EvaluationEngine.
+combine_row` or :meth:`EvaluationEngine.combine_pinned`.  A node with an
+exact (:class:`~fractions.Fraction`) child row or pin combines with the
+backend's exact kernels, through a lazily built exact twin of the
+engine, so exactness holds from an escaped subtree upward; a float
+result wider than the backend's threshold escapes through its
+``escape``.  A backend without the hook computes every row with its
+:class:`~repro.probability.ScalarOps` and never escapes.
+
+The engine is the store-free reference.  Stored evaluation is a
+:class:`~repro.prob.session.QuerySession` (:mod:`repro.prob.session`),
+which drives one shared post-order traversal for a whole batch of
+queries (one lane group, :mod:`repro.prob.stacked`), calls back into
+each query engine's :meth:`EvaluationEngine.combine_pinned` /
+:meth:`EvaluationEngine.combine_row` once per lane class and p-document
+node, and reuses per-subtree distributions across queries, sessions and
+processes through :meth:`goal_table_fingerprint`.
 """
 
 from __future__ import annotations
 
-from functools import partial
+import copy
 from typing import Mapping, Optional, Sequence, Union
 
 from ..errors import PatternError
@@ -66,8 +77,8 @@ from ..probability import (
     distribution_ops,
     get_backend,
 )
+from ..probability_array import _is_exact, _lift
 from ..pxml.pdocument import PDocument, PNode, PNodeKind
-from ..store import GATE_BLOCKED, GATE_UNPINNED, MemoStore, SubtreeKeyer
 from ..tp.pattern import Axis, PatternNode, TreePattern
 from .traversal import Lane, stored_postorder
 
@@ -211,22 +222,14 @@ class EvaluationEngine:
             for TP∩).
         anchors: optional static anchors, see :data:`AnchorsLike`.
         backend: numeric backend name or instance (default ``"exact"``).
-        store: optional :class:`repro.store.MemoStore` — subtree
-            distributions are then consulted/filled under the canonical
-            structural keys (:mod:`repro.store.api`), skipping whole
-            subtrees whose evaluation a previous engine, session, or
-            process already performed.  Anchored restrictions are keyed
-            by canonical anchor *positions* (digest-sorted rank paths),
-            so they share entries across isomorphic subtrees too.
 
     Attributes:
         visits: cumulative count of p-document nodes combined by the DP —
             at most one increment per node per traversal.  :meth:`answer`
             performs exactly one traversal regardless of the candidate
             count; it skips query-neutral subtrees (no goal-table label
-            below), so a fresh store-less engine's ``answer()`` combines
-            exactly the nodes whose label set meets :attr:`table_labels`
-            (a store additionally skips memoized subtrees).
+            below), so ``answer()`` combines exactly the nodes whose
+            label set meets :attr:`table_labels`.
     """
 
     def __init__(
@@ -235,13 +238,11 @@ class EvaluationEngine:
         patterns: Sequence[TreePattern],
         anchors: Optional[AnchorsLike] = None,
         backend: BackendLike = "exact",
-        store: Optional[MemoStore] = None,
     ) -> None:
         self.p = p
         self.patterns = list(patterns)
         self.backend: NumericBackend = get_backend(backend)
         self.anchors = normalize_anchors(self.patterns, anchors)
-        self.store = store
         self.visits = 0
         self._zero = self.backend.zero
         self._one = self.backend.one
@@ -277,14 +278,30 @@ class EvaluationEngine:
         self._targets = 0
         for pattern in self.patterns:
             self._targets |= 1 << (2 * self._goal_index[id(pattern.root)])
-        # Distribution kernels: the backend's ops object (ScalarOps for
-        # plain scalar backends, float dict kernels with an exact escape
-        # for "array").  The hot per-entry kernels are re-exported as
-        # engine methods so the combine steps below read as before.
-        self._ops = distribution_ops(self.backend)
-        self._unit = self._ops.unit
-        self._convolve = self._ops.convolve
-        self._mixture = self._ops.mixture
+        # Distribution kernels: the backend's row kernels (float dict
+        # kernels on "array").  The hot per-entry kernels are bound as
+        # engine attributes.  ``_escape`` is the backend's width rule
+        # (None: rows never escape); ``_twin`` the lazily built exact
+        # twin that combines nodes above an escaped row.
+        self._set_ops(distribution_ops(self.backend))
+        self._escape = getattr(self.backend, "escape", None)
+        self._twin: Optional[EvaluationEngine] = None
+
+    def _set_ops(self, ops) -> None:
+        self._ops = ops
+        self._unit = ops.unit
+        self._convolve = ops.convolve
+        self._mixture = ops.mixture
+
+    def _exact_twin(self) -> "EvaluationEngine":
+        """A copy of the engine combining with the backend's exact
+        kernels; it never escapes."""
+        twin = self._twin
+        if twin is None:
+            twin = self._twin = copy.copy(self)
+            twin._set_ops(self.backend.exact_ops())
+            twin._escape = None
+        return twin
 
     # ------------------------------------------------------------------
     # Batch-evaluation surface (used by repro.prob.session)
@@ -297,6 +314,8 @@ class EvaluationEngine:
         """
         if targets is None:
             targets = self._targets
+        if self._escape is not None and _is_exact(distribution):
+            return self._exact_twin()._ops.mass(distribution, targets)
         return self._ops.mass(distribution, targets)
 
     def goal_table_fingerprint(
@@ -318,7 +337,7 @@ class EvaluationEngine:
         entry carries a slot index instead of its document node Ids, and
         the Ids are returned separately, in slot order.  The store layer
         re-binds the slots to canonical anchor positions
-        (:meth:`repro.store.keys.SubtreeKeyer.store_key`), which is what
+        (:meth:`repro.store.keys.SubtreeKeyer.token`), which is what
         makes anchored evaluations shareable across isomorphic subtrees.
 
         Returns ``(fingerprint, out_sensitive, anchor_targets)`` —
@@ -351,23 +370,100 @@ class EvaluationEngine:
         return self._table_labels
 
     def combine_pinned(
-        self, node: PNode, entries: Mapping, candidate_set: frozenset
-    ) -> tuple[Distribution, dict]:
-        """One pinned-DP combine step: ``(blocked, pinned)`` for ``node``.
+        self,
+        node: PNode,
+        entries: Mapping,
+        candidate_set: frozenset,
+        exact_below: bool = True,
+    ) -> tuple[Distribution, dict, bool]:
+        """One pinned-DP combine step: ``(blocked, pinned, exact)`` for
+        ``node``.
 
-        ``entries`` maps each child's ``node_id`` to its own
-        ``(blocked, pinned)`` pair.  Counts one node visit.  At the
-        document root (always ordinary) the second half is the answer
-        itself, ``{candidate: Pr}`` over every pattern's root goal: the
-        root readout (:meth:`_combine_ordinary_pinned`) never builds
-        the root's pinned distributions.
+        ``entries`` maps each child's ``node_id`` to its own ``(blocked,
+        pinned)`` pair.  Counts one node visit.  At the document
+        root (always ordinary) ``pinned`` is the answer itself,
+        ``{candidate: Pr}`` over every pattern's root goal: the root
+        readout (:meth:`_combine_ordinary_pinned`) never builds the
+        root's pinned distributions.
+
+        The exact-fallback rule (module docstring): when ``exact_below``
+        and a child's blocked row or one of its pins is exact, the node
+        combines exactly; otherwise a blocked row or pin wider than the
+        backend's threshold escapes.  ``exact`` tells whether any of the
+        results is exact, so callers never scan them again.  Callers
+        that know no child is exact pass ``exact_below=False``.
         """
         self.visits += 1
+        escape = self._escape
+        engine = self
+        exact = False
+        if escape is not None and exact_below:
+            children = [entries[child.node_id] for child in node.children]
+            if any(
+                _is_exact(entry[0]) or any(map(_is_exact, entry[1].values()))
+                for entry in children
+            ):
+                engine = self._exact_twin()
+                exact = True
+                entries = {
+                    child.node_id: (
+                        _lift(entry[0]),
+                        {n: _lift(d) for n, d in entry[1].items()},
+                    )
+                    for child, entry in zip(node.children, children)
+                }
         if node.kind is PNodeKind.ORDINARY:
-            return self._combine_ordinary_pinned(node, entries, candidate_set)
-        if node.kind is PNodeKind.MUX:
-            return self._combine_mux_pinned(node, entries)
-        return self._combine_ind_pinned(node, entries)
+            blocked, pinned = engine._combine_ordinary_pinned(
+                node, entries, candidate_set
+            )
+        elif node.kind is PNodeKind.MUX:
+            blocked, pinned = engine._combine_mux_pinned(node, entries)
+        else:
+            blocked, pinned = engine._combine_ind_pinned(node, entries)
+        if exact or escape is None:
+            return blocked, pinned, exact
+        escaped = escape(blocked)
+        exact = escaped is not blocked
+        if node.parent is not None:  # the root's pins are its readout
+            wide = {}
+            for n, d in pinned.items():
+                e = escape(d)
+                if e is not d:
+                    wide[n] = e
+            if wide:
+                pinned = {**pinned, **wide}
+                exact = True
+        return escaped, pinned, exact
+
+    def combine_row(
+        self, node: PNode, memo: Mapping, gate, exact_below: bool = True
+    ) -> Distribution:
+        """One single-distribution combine step under ``gate``.
+
+        ``_GRANT_ALL`` is the unpinned evaluation; ``_GRANT_NONE`` yields
+        the *blocked* distribution (what :meth:`combine_pinned` computes
+        as the first half of its entry).  ``memo`` maps each child's
+        ``node_id`` to its row.  The exact-fallback rule applies as in
+        :meth:`combine_pinned`: exact when ``exact_below`` and a child
+        row is, escaping when too wide.  The lane group of
+        :mod:`repro.prob.stacked` computes every blocked/unpinned row of
+        a batch with it, once per lane class.
+        """
+        escape = self._escape
+        if escape is None:
+            return self._combine_single_gated(node, memo, gate)
+        if exact_below:
+            rows = [memo[child.node_id] for child in node.children]
+            if any(map(_is_exact, rows)):
+                return self._exact_twin()._combine_single_gated(
+                    node,
+                    {
+                        child.node_id: _lift(row)
+                        for child, row in zip(node.children, rows)
+                    },
+                    gate,
+                )
+        return escape(self._combine_single_gated(node, memo, gate))
 
     def combine_unpinned(self, node: PNode, entries: Mapping) -> Distribution:
         """One unpinned-DP combine step (anchored / Boolean evaluation).
@@ -376,7 +472,7 @@ class EvaluationEngine:
         Counts one node visit.
         """
         self.visits += 1
-        return self._combine_single(node, entries)
+        return self.combine_row(node, entries, _GRANT_ALL)
 
     # ------------------------------------------------------------------
     # Public API
@@ -481,42 +577,24 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     # Unpinned single-distribution DP (anchored / Boolean evaluation)
     # ------------------------------------------------------------------
-    def _keyer(self) -> Optional[SubtreeKeyer]:
-        if self.store is None:
-            return None
-        return SubtreeKeyer(self.p, self, self.backend)
-
     def _single_pass(self) -> Distribution:
         """Unpinned DP as a single lane of the shared traversal.
 
         Neutral subtrees (no goal-table label below) short-circuit to the
-        unit distribution; with a store, subtrees whose canonical key
-        (anchored restrictions included) is cached are not traversed at
-        all.
+        unit distribution.
         """
         lane = Lane(
             table_labels=self._table_labels,
             combine=self.combine_unpinned,
             unit=self._unit(),
-            keyer=self._keyer(),
-            gate=GATE_UNPINNED,
         )
-        return stored_postorder(self.p, lane, self.store)
-
-    def _combine_single(self, node: PNode, memo: dict) -> Distribution:
-        return self._combine_single_gated(node, memo, _GRANT_ALL)
+        return stored_postorder(self.p, lane, None)
 
     def _combine_single_gated(
-        self, node: PNode, memo: dict, gate
+        self, node: PNode, memo: Mapping, gate
     ) -> Distribution:
-        """One single-distribution combine step under an explicit gate.
-
-        ``_GRANT_ALL`` is the unpinned evaluation; ``_GRANT_NONE`` yields
-        the *blocked* distribution (what :meth:`combine_pinned` computes
-        as the first half of its pair).  The lane group of
-        :mod:`repro.prob.stacked` computes every blocked/unpinned row of
-        a batch with it, once per lane class.
-        """
+        """:meth:`combine_row`'s combine step in the engine's own kernels
+        (no exact-fallback dispatch)."""
         if node.kind is PNodeKind.ORDINARY:
             combined = self._unit()
             for child in node.children:
@@ -556,23 +634,19 @@ class EvaluationEngine:
         """One post-order traversal computing ``(blocked, pinned)`` per node.
 
         Returns the root's pair; ``pinned`` maps each candidate Id to its
-        probability — the root readout of the run anchored there.  It
-        is a single pinned lane of the shared traversal: only *blocked*
-        distributions are content-addressable (pinned maps name candidate
-        node Ids — document identity), so with a store, subtrees holding
-        no candidate are skipped on a hit while candidate-bearing subtrees
-        are combined and contribute their blocked halves.
+        probability — the root readout of the run anchored there.
         """
+
+        def combine(node: PNode, entries: Mapping) -> tuple:
+            return self.combine_pinned(node, entries, candidate_set)[:2]
+
         lane = Lane(
             table_labels=self._table_labels,
-            combine=partial(self.combine_pinned, candidate_set=candidate_set),
-            unit=self._unit(),
-            keyer=self._keyer(),
+            combine=combine,
+            unit=(self._unit(), {}),
             live=self.p.ancestral_closure(candidate_set),
-            gate=GATE_BLOCKED,
-            pinned=True,
         )
-        return stored_postorder(self.p, lane, self.store)
+        return stored_postorder(self.p, lane, None)
 
     def _combine_ordinary_pinned(
         self, node: PNode, memo: dict, candidate_set: frozenset
@@ -895,10 +969,9 @@ def boolean_probability(
     q: TreePattern,
     anchors: Optional[AnchorsLike] = None,
     backend: BackendLike = "exact",
-    store: Optional[MemoStore] = None,
 ):
     """``Pr(q matches P)`` — the Boolean-query probability."""
-    return EvaluationEngine(p, [q], anchors, backend, store).match_probability()
+    return EvaluationEngine(p, [q], anchors, backend).match_probability()
 
 
 def node_probability(
@@ -906,7 +979,6 @@ def node_probability(
     q: TreePattern,
     node_id: int,
     backend: BackendLike = "exact",
-    store: Optional[MemoStore] = None,
 ):
     """``Pr(n ∈ q(P))`` for a specific ordinary node ``n``.
 
@@ -914,7 +986,7 @@ def node_probability(
     :meth:`EvaluationEngine.answer`) when several nodes are needed.
     """
     return EvaluationEngine(
-        p, [q], {q.out: node_id}, backend, store
+        p, [q], {q.out: node_id}, backend
     ).match_probability()
 
 
@@ -923,14 +995,13 @@ def conditional_node_probability(
     q: TreePattern,
     node_id: int,
     backend: BackendLike = "exact",
-    store: Optional[MemoStore] = None,
 ):
     """``Pr(n ∈ q(P) | n ∈ P)`` (§5.2)."""
     resolved = get_backend(backend)
     appearance = resolved.convert(p.appearance_probability(node_id))
     if not appearance:
         return resolved.zero
-    return node_probability(p, q, node_id, backend, store) / appearance
+    return node_probability(p, q, node_id, backend) / appearance
 
 
 def query_answer(
@@ -938,21 +1009,19 @@ def query_answer(
     q: TreePattern,
     backend: BackendLike = "exact",
     stats: Optional[dict] = None,
-    store: Optional[MemoStore] = None,
     profile: bool = False,
 ):
     """``q(P̂)``: node Id ↦ probability, for all nodes with probability > 0.
 
     Candidates are read off the maximal world (a superset of every world)
     by :func:`candidate_sets`; their probabilities are then all computed
-    by **one** DP traversal of the p-document.
+    by **one** DP traversal of the p-document.  For memoized evaluation
+    over a store, use :class:`~repro.prob.session.QuerySession`.
 
     Args:
         stats: optional instrumentation sink; receives ``node_visits``
-            (DP node visits — without a store, the nodes whose subtree
-            holds a query label) and ``candidates``.
-        store: optional structural memo store consulted/filled by the
-            traversal (see :class:`EvaluationEngine`).
+            (DP node visits — the nodes whose subtree holds a query
+            label) and ``candidates``.
         profile: trace the call (enabling tracing for its duration if it
             was off) and return ``(answer, profile)`` where ``profile``
             is the query's :class:`repro.obs.CostProfile`.
@@ -962,15 +1031,9 @@ def query_answer(
         from ..obs.trace import capture as trace_capture
 
         with trace_capture() as captured:
-            answer = query_answer(p, q, backend, stats, store)
+            answer = query_answer(p, q, backend, stats)
         return answer, build_profiles(captured.spans, [q.xpath()])[0]
-    engine = EvaluationEngine(p, [q], backend=backend, store=store)
-    candidates = engine.candidate_ids()
-    answer = engine.answer(candidates)
-    if stats is not None:
-        stats["node_visits"] = engine.visits
-        stats["candidates"] = len(candidates)
-    return answer
+    return intersection_answer(p, [q], backend, stats)
 
 
 def intersection_node_probability(
@@ -978,13 +1041,10 @@ def intersection_node_probability(
     patterns: Sequence[TreePattern],
     node_id: int,
     backend: BackendLike = "exact",
-    store: Optional[MemoStore] = None,
 ):
     """``Pr(n ∈ (q1 ∩ ... ∩ qk)(P))`` — joint, correlation-aware."""
     anchors = {q.out: node_id for q in patterns}
-    return EvaluationEngine(
-        p, patterns, anchors, backend, store
-    ).match_probability()
+    return EvaluationEngine(p, patterns, anchors, backend).match_probability()
 
 
 def intersection_answer(
@@ -992,10 +1052,9 @@ def intersection_answer(
     patterns: Sequence[TreePattern],
     backend: BackendLike = "exact",
     stats: Optional[dict] = None,
-    store: Optional[MemoStore] = None,
 ) -> dict:
     """``(q1 ∩ ... ∩ qk)(P̂)`` as node Id ↦ probability — single DP pass."""
-    engine = EvaluationEngine(p, patterns, backend=backend, store=store)
+    engine = EvaluationEngine(p, patterns, backend=backend)
     candidates = engine.candidate_ids()
     answer = engine.answer(candidates)
     if stats is not None:

@@ -23,19 +23,21 @@ tables agree on a subtree share one row there.
 
 **Structural cross-query memoization.**  Per-subtree *blocked*
 distributions (the candidate-free evaluations of the single-pass answer
-DP) are cached in a :class:`repro.store.MemoStore` under the canonical
-``(structural digest, goal-table fingerprint, gate, backend)`` key (see
-:mod:`repro.store.api`): the digest identifies the subtree by *shape*
-(kind, labels, distribution parameters — not node Ids), the fingerprint
-is the query's goal table restricted to the labels occurring in the
-subtree (:meth:`EvaluationEngine.goal_table_fingerprint`).  Both
-components are semantic, so one entry serves (i) two structurally
-identical queries that differ only in labels absent from the subtree,
-(ii) two *isomorphic subtrees* — of one document, or of a document and
-its probabilistic extensions — already within a single cold pass, and
-(iii) with a shared or persistent store
+DP) of a whole batch are cached in a :class:`repro.store.MemoStore` as
+one :class:`~repro.probability_array.LaneRows` entry under one combined
+key, ``(structural digest, parts digest, anchor mark, None, backend)``
+(see :mod:`repro.prob.stacked` and :mod:`repro.store.api`): the digest
+identifies the subtree by *shape* (kind, labels, distribution parameters
+— not node Ids), the parts digest hashes each lane's goal table
+restricted to the labels occurring in the subtree
+(:meth:`EvaluationEngine.goal_table_fingerprint`), with its anchor
+positions and gate.  Both components are semantic, so one entry serves
+(i) batches of structurally identical queries that differ only in
+labels absent from the subtree, (ii) two *isomorphic subtrees* — of one
+document, or of a document and its probabilistic extensions — already
+within a single cold pass, and (iii) with a shared or persistent store
 (:class:`repro.store.SqliteStore`), other sessions and restarted
-processes.  The default store is a private
+processes running the same batch.  The default store is a private
 :class:`repro.store.InMemoryStore` whose cost-aware LRU eviction
 (weight = support size × subtree size) keeps expensive hot entries under
 memory pressure instead of the old clear-at-capacity purge.  *Anchored*
@@ -209,8 +211,8 @@ class QuerySession:
             :class:`repro.store.InMemoryStore`.  Anchored restrictions
             are keyed by canonical anchor positions like every other
             entry; a store that ``prefers_bulk`` gets one ``get_many`` /
-            ``contains_many`` / ``put_many`` per pass instead of
-            per-node calls, with identical answers and accounting.
+            ``put_many`` per pass instead of per-node calls, with
+            identical answers and accounting.
 
     Attributes:
         stats: cumulative :class:`SessionStats`.
@@ -495,7 +497,7 @@ class QuerySession:
                 )
             )
         # One bulk probe for every key when the store prefers it.
-        io = open_probe(self.store, lambda: (keys, ()))
+        io = open_probe(self.store, lambda: keys)
         # Each distinct key is probed once; the misses share one walk and
         # are saved, and only then are repeated keys probed.  Two queries
         # sharing a key therefore count miss-then-hit and put once, as

@@ -23,12 +23,11 @@ differ in one label, most subtrees see one or two classes.
 caches both per node id.
 
 **One combine kernel.**  Every row comes out of the engine's own
-combine step — :meth:`~repro.prob.engine.EvaluationEngine.
-_combine_single_gated` for blocked/unpinned rows, :meth:`~repro.prob.
-engine.EvaluationEngine.combine_pinned` for lanes holding a candidate
-below — over the backend's row kernels (``scalar_ops()``: exact
-:class:`~fractions.Fraction` kernels on ``exact``, float dict kernels
-on ``array``).
+combine step — :meth:`~repro.prob.engine.EvaluationEngine.combine_row`
+for blocked/unpinned rows, :meth:`~repro.prob.engine.EvaluationEngine.
+combine_pinned` for lanes holding a candidate below — over the
+backend's row kernels (exact :class:`~fractions.Fraction` kernels on
+``exact``, float dict kernels on ``array``).
 
 **Split nodes.**  For ``answer_many`` the ancestors of candidate nodes
 (the union of all lanes' live sets) need per-lane ``(blocked, pinned)``
@@ -76,20 +75,18 @@ pinned-pass entry and an unpinned Boolean-pass entry share whenever
 every lane is insensitive.  The per-lane anchor positions live in the
 parts too; the key's anchor component only marks a group with an
 anchored lane (:data:`_ANCHORED`), so stores count its traffic as
-anchored (:func:`repro.store.api.is_anchored_key`).  The keyer has the
-:class:`~repro.store.SubtreeKeyer` shape (``token`` / ``weight`` /
-``plan_keys``), so the skeleton's probe object
-(:func:`repro.prob.traversal.open_probe`) serves the group exactly as
-it serves an engine's lane.
+anchored (:func:`repro.store.api.is_anchored_key`).  The keyer supplies
+the skeleton's ``token`` / ``weight`` / ``plan_keys``, so its probe
+object (:func:`repro.prob.traversal.open_probe`) serves the group.
 
-**Exact fallback.**  On ``array``, a row wider than the backend's
-``width_threshold`` escapes to a :class:`~fractions.Fraction` dict (the
-backend's one escape rule, :meth:`~repro.probability_array.
-ArrayBackend.escape`) — a live lane's blocked row and pinned
-distributions as well as a class row.  A class whose child rows include
-an exact row combines with the backend's exact kernels, so exactness
-holds from the escaped subtree upward.  On ``exact`` the row kernels
-*are* the exact kernels, and the group skips this dispatch altogether.
+**Exact fallback.**  The engine's combine steps apply the one
+exact-fallback rule (:mod:`repro.prob.engine`): a row or pin wider than
+the backend's ``width_threshold`` escapes to a
+:class:`~fractions.Fraction` dict, and a node above an exact child row
+or pin combines exactly.  The group only keeps one flag per entry
+(``exact``), so the engine scans a lane's child rows for exactness only
+below an entry that holds one.  On a backend without the ``escape``
+hook (``exact``) nothing escapes, and the group skips the flag.
 
 Per-lane stats are necessarily approximate here (one combined probe
 covers L lanes); the skeleton counts a group's hits/misses/skips
@@ -98,13 +95,11 @@ covers L lanes); the skeleton counts a group's hits/misses/skips
 
 from __future__ import annotations
 
-import copy
 from fractions import Fraction
 from typing import Optional
 
 from ..obs.trace import span as trace_span
-from ..probability import distribution_ops
-from ..probability_array import LaneRows, _is_exact, _lift
+from ..probability_array import LaneRows, _is_exact
 from ..store import (
     GATE_BLOCKED,
     GATE_UNPINNED,
@@ -149,34 +144,9 @@ def _row_key(row: dict) -> tuple:
     return (_is_exact(row), tuple(row.items()))
 
 
-def _identity(row: dict) -> dict:
-    return row
-
-
-def _kernels(backend) -> tuple:
-    """``(row kernels, exact kernels, escape)`` of ``backend``'s lane
-    group; a backend without the hooks runs its
-    :func:`~repro.probability.distribution_ops` rows, which never
-    escape."""
-    hook = getattr(backend, "scalar_ops", None)
-    if hook is None:
-        ops = distribution_ops(backend)
-        return ops, ops, _identity
-    return hook(), backend.exact_ops(), backend.escape
-
-
 def _storable(entry):
     """The store holds blocked/unpinned rows, never split entries."""
     return entry if entry.__class__ is LaneRows else None
-
-
-def _bind(engine: EvaluationEngine, ops) -> EvaluationEngine:
-    """Point ``engine``'s combine kernels at ``ops``."""
-    engine._ops = ops
-    engine._unit = ops.unit
-    engine._convolve = ops.convolve
-    engine._mixture = ops.mixture
-    return engine
 
 
 class _SplitRows:
@@ -278,13 +248,9 @@ class StackedKeyer:
             self._by_labels[relevant] = entry
         return entry
 
-    def token(self, node_id: int, label_set, gate=None) -> tuple:
+    def token(self, node_id: int, label_set) -> tuple:
         """``(combined key, is_anchored)`` for a subtree where at least
-        one lane is non-neutral (callers shortcut all-neutral ones).
-
-        ``gate`` is accepted for :class:`~repro.store.SubtreeKeyer`
-        signature parity; the keyer's own gate is fixed at construction.
-        """
+        one lane is non-neutral (callers shortcut all-neutral ones)."""
         entry = self._cache.get(node_id)
         if entry is not None:
             return entry
@@ -310,27 +276,26 @@ class StackedKeyer:
             self._classes.pop(node_id, None)
 
     def weight(self, node_id: int, distribution) -> int:
-        """Recomputation-cost estimate (matches SubtreeKeyer.weight)."""
+        """Recomputation-cost estimate: support size × subtree size."""
         return len(distribution) * self.sizes[node_id]
 
-    def plan_keys(self, labels: dict, live: frozenset, gate=None) -> tuple:
-        """``(probe_keys, guard_keys)`` for one pass (see
-        :meth:`repro.store.SubtreeKeyer.plan_keys`).  Live-spine nodes
-        split into per-lane pairs the store never holds, so there are no
-        guard keys."""
+    def plan_keys(self, labels: dict, live: frozenset) -> set:
+        """The store keys one pass may probe: those of every non-neutral,
+        non-live subtree among ``labels`` (``node_id -> label set`` of
+        the nodes the pass can reach).  Live-spine nodes split into
+        per-lane pairs the store never holds."""
         table_labels = self.table_labels
-        probe = {
+        return {
             self.token(node_id, label_set)[0]
             for node_id, label_set in labels.items()
             if node_id not in live and table_labels & label_set
         }
-        return probe, set()
 
 
 class _StackedLane:
     """One query's slice of a stacked pass."""
 
-    __slots__ = ("engine", "keyer", "live", "candidates", "_exact")
+    __slots__ = ("engine", "keyer", "live", "candidates")
 
     def __init__(
         self,
@@ -343,13 +308,6 @@ class _StackedLane:
         self.keyer = keyer
         self.live = live
         self.candidates = candidates
-        self._exact: Optional[EvaluationEngine] = None
-
-    def exact_engine(self, ops) -> EvaluationEngine:
-        """A twin of :attr:`engine` combining with the exact kernels."""
-        if self._exact is None:
-            self._exact = _bind(copy.copy(self.engine), ops)
-        return self._exact
 
 
 class _StackedGroup:
@@ -379,7 +337,7 @@ class _StackedGroup:
 
     __slots__ = (
         "labels", "lanes", "keyer", "grant", "union_live",
-        "exact_ops", "escape", "mixed", "row_key", "unit_dict",
+        "mixed", "row_key", "unit_dict",
         "unit_entry", "rows_combined", "rows_shared", "spine", "interned",
         "stats", "spine_before", "root_forms",
     )
@@ -393,10 +351,9 @@ class _StackedGroup:
         self.keyer = keyer
         self.grant = _GRANT_NONE if keyer.gate == GATE_BLOCKED else _GRANT_ALL
         self.union_live = frozenset() if plan is None else plan.union_live
-        scalar, self.exact_ops, self.escape = _kernels(backend)
         #: Float rows that may escape to exact ones (``array``); on
-        #: ``exact`` every row is exact and nothing is dispatched.
-        self.mixed = scalar is not self.exact_ops
+        #: ``exact`` every row is exact and no entry is flagged.
+        self.mixed = lanes[0].engine._escape is not None
         self.row_key = (
             _exact_row_key if backend.one.__class__ is Fraction else _row_key
         )
@@ -419,7 +376,6 @@ class _StackedGroup:
             unit=self.unit_entry,
             keyer=keyer,
             live=self.union_live,
-            gate=keyer.gate,
             width=len(self.lanes),
             cacheable=_storable,
             known=self.spine,
@@ -456,7 +412,7 @@ class _StackedGroup:
 
     def _exact_below(self, forms) -> bool:
         """Whether a child entry holds an escaped (exact) row, so some
-        class may need the exact kernels (never on ``exact``)."""
+        lane may need the exact kernels (never on ``exact``)."""
         return self.mixed and any(form.exact for form in forms)
 
     def combine(self, node, entries):
@@ -485,22 +441,14 @@ class _StackedGroup:
 
     def _row(self, node, forms, lane: int, exact_below: bool) -> dict:
         """Lane ``lane``'s blocked/unpinned row at a node, from its child
-        rows — exact when one of them is, escaping when too wide."""
+        rows (:meth:`~repro.prob.engine.EvaluationEngine.combine_row`)."""
         child_map = {
             child.node_id: form.rows[lane]
             for child, form in zip(node.children, forms)
         }
-        stacked_lane = self.lanes[lane]
-        if exact_below and any(map(_is_exact, child_map.values())):
-            engine = stacked_lane.exact_engine(self.exact_ops)
-            child_map = {
-                child_id: _lift(row) for child_id, row in child_map.items()
-            }
-            return engine._combine_single_gated(node, child_map, self.grant)
-        row = stacked_lane.engine._combine_single_gated(
-            node, child_map, self.grant
+        return self.lanes[lane].engine.combine_row(
+            node, child_map, self.grant, exact_below
         )
-        return self.escape(row)
 
     def _split_combine(self, node, forms, classes) -> _SplitRows:
         node_id = node.node_id
@@ -516,8 +464,17 @@ class _StackedGroup:
         exact = False
         for i, lane in enumerate(self.lanes):
             if node_id in lane.live:
-                blocked, pins, pair_exact = self._pinned(
-                    node, forms, i, exact_below
+                # The live lane's (blocked, pinned, exact) entry from its
+                # children's blocked rows and pins.
+                child_map = {}
+                for child, form in zip(node.children, forms):
+                    pins = (
+                        form.pinned[i] if form.__class__ is _SplitRows
+                        else _EMPTY
+                    )
+                    child_map[child.node_id] = (form.rows[i], pins)
+                blocked, pins, pair_exact = lane.engine.combine_pinned(
+                    node, child_map, lane.candidates, exact_below
                 )
                 blocked = self._intern(blocked)
                 exact = exact or pair_exact
@@ -544,49 +501,6 @@ class _StackedGroup:
             tuple(rows), tuple(pinned), exact
         )
         return entry
-
-    def _pinned(self, node, forms, lane: int, exact_below: bool) -> tuple:
-        """A live lane's ``(blocked, pinned, exact)`` at a node: exact
-        when a child's row or pin is, its distributions escaping when
-        too wide; ``exact`` tells whether any of them is exact."""
-        child_map = {}
-        for child, form in zip(node.children, forms):
-            pins = form.pinned[lane] if form.__class__ is _SplitRows else _EMPTY
-            child_map[child.node_id] = (form.rows[lane], pins)
-        stacked_lane = self.lanes[lane]
-        candidates = stacked_lane.candidates
-        if exact_below and any(
-            _is_exact(blocked) or any(map(_is_exact, pins.values()))
-            for blocked, pins in child_map.values()
-        ):
-            engine = stacked_lane.exact_engine(self.exact_ops)
-            child_map = {
-                child_id: (
-                    _lift(blocked),
-                    {n: _lift(d) for n, d in pins.items()},
-                )
-                for child_id, (blocked, pins) in child_map.items()
-            }
-            blocked, pins = engine.combine_pinned(node, child_map, candidates)
-            return blocked, pins, True
-        blocked, pins = stacked_lane.engine.combine_pinned(
-            node, child_map, candidates
-        )
-        if not self.mixed:
-            return blocked, pins, False
-        escape = self.escape
-        escaped = escape(blocked)
-        exact = escaped is not blocked
-        if node.parent is not None:  # the root's pins are its readout
-            wide = {}
-            for n, d in pins.items():
-                e = escape(d)
-                if e is not d:
-                    wide[n] = e
-            if wide:
-                pins = {**pins, **wide}
-                exact = True
-        return escaped, pins, exact
 
 
 # ----------------------------------------------------------------------
@@ -652,13 +566,6 @@ def _run_group(
     return root
 
 
-def _row_engines(session, engines: list) -> None:
-    """Bind every lane engine to the backend's row kernels."""
-    scalar = _kernels(session.backend)[0]
-    for engine in engines:
-        _bind(engine, scalar)
-
-
 def stacked_answer_many(session, queries: list) -> list:
     """``answer_many`` as one lane group.  Caches the batch plan
     (engines, candidate and live sets, combined keyer) on the session
@@ -713,7 +620,6 @@ def _build_answer_plan(session, queries: list, cache: dict, key: tuple):
         EvaluationEngine(session.p, [q], backend=session.backend)
         for q in queries
     ]
-    _row_engines(session, engines)
     candidate_sets = session._candidate_sets(engines, queries)
     live_sets = [session.p.ancestral_closure(cs) for cs in candidate_sets]
     union_live = frozenset().union(*live_sets)
@@ -775,7 +681,6 @@ def stacked_boolean_key(normalized: list) -> Optional[tuple]:
 def stacked_boolean_many(session, engines: list) -> list:
     """``boolean_many`` over already-built engines as one lane group:
     one backend probability per engine."""
-    _row_engines(session, engines)
     lanes = [_StackedLane(engine, session._keyer(engine)) for engine in engines]
     keyer = StackedKeyer(
         session.p, [lane.keyer for lane in lanes], GATE_UNPINNED

@@ -2,29 +2,29 @@
 
 :func:`stored_postorder` is the one DP walk of the engine and session
 layers.  It runs one :class:`Lane`: an
-:class:`~repro.prob.engine.EvaluationEngine` pass (with or without a
-store) runs the engine's own lane, and every
-:class:`~repro.prob.session.QuerySession` batch runs as one *lane
-group* (:mod:`repro.prob.stacked`).  Each applies the same probe /
-neutral-skip / presence-guarded-save choreography, and keeps the same
-session counters.
+:class:`~repro.prob.engine.EvaluationEngine` pass runs the engine's own
+lane without a store, and every :class:`~repro.prob.session.
+QuerySession` batch runs as one *lane group* (:mod:`repro.prob.
+stacked`), the walk's one stored client.  Both apply the same
+probe / neutral-skip / save choreography, and keep the same session
+counters.
 
 **Lanes.**  A :class:`Lane` is one pass's view of the evaluation: its
 goal-table label support (for the neutral short-circuit), its *live* set
 (ancestors of candidate nodes, which must always be combined so pinned
-maps can be assembled), its gate, its keyer, and its combine callback.
-A *lane group* is a lane standing for ``width`` queries at once: its
-entries carry every query of the group (the stacked pass's per-lane
-rows), its keyer issues one combined key per subtree, and its hits,
-misses and neutral skips count ``× width`` so the counters read as if
-each query had run its own lane.
+maps can be assembled), its keyer, and its combine callback.  A *lane
+group* is a lane standing for ``width`` queries at once: its entries
+carry every query of the group (the stacked pass's per-lane rows), its
+keyer issues one combined key per subtree, and its hits, misses and
+neutral skips count ``× width`` so the counters read as if each query
+had run its own lane.
 
 **Per node** the skeleton either
 
 * short-circuits a *neutral* subtree (no goal-table label below ⇒ the
   distribution is the unit ``{∅: 1}``) without touching any memo,
 * reuses a memoized blocked/unpinned distribution (a *hit*), or
-* calls the lane's combine and saves the cacheable half of the result
+* calls the lane's combine and saves the cacheable part of the result
   under the lane's token (a *miss*).
 
 The probe happens when the walk first reaches a node, so a hit skips
@@ -32,21 +32,18 @@ the whole subtree; a miss remembers its key for the save after the
 combine, and the node is never probed twice.
 
 **Live spine.**  A live node's entry names candidate node Ids, so the
-store never serves it: it is combined without a prior probe, and equal
-keys mean equal distributions, so its saves are presence-guarded to
-skip the redundant re-store (a disk write per node on
-:class:`~repro.store.SqliteStore`).  A lane may instead carry the live
-entries of an earlier pass in :attr:`Lane.known` — the stacked answer
-plan's *retained spine*, from which a spine refresh has dropped every
-node whose digest moved.  A live node found there resolves like a hit
-(counted in ``spine_hits``, not ``memo_hits``) and is not descended
-into, so a read after a one-node edit recombines only the dirty path.
+store never serves or holds it: it is combined without a probe.  A lane
+may instead carry the live entries of an earlier pass in
+:attr:`Lane.known` — the stacked answer plan's *retained spine*, from
+which a spine refresh has dropped every node whose digest moved.  A live
+node found there resolves like a hit (counted in ``spine_hits``, not
+``memo_hits``) and is not descended into, so a read after a one-node
+edit recombines only the dirty path.
 
-**Store I/O.**  A lane token (:meth:`repro.store.keys.SubtreeKeyer.
-token`) is a canonical content-addressed store key — unanchored, or
-anchored with canonical position encoding.  Every store call of a pass
-goes through one pass-scoped probe object (:func:`open_probe`) with
-``probe`` / ``save`` / ``flush``.
+**Store I/O.**  A lane token (:meth:`repro.prob.stacked.StackedKeyer.
+token`) is a canonical content-addressed store key.  Every store call of
+a pass goes through one pass-scoped probe object (:func:`open_probe`)
+with ``probe`` / ``save`` / ``flush``.
 
 The probe object is chosen by ``store.prefers_bulk`` alone.  Against an
 in-memory store it is a thin view whose ``probe`` *is* the store's
@@ -56,9 +53,7 @@ a *probe plan* that front-loads the pass's store traffic: every key the
 pass can reach is enumerated up front (the keyer's ``plan_keys`` over
 the nodes of a walk from the root that does not descend below a
 neutral or known node) and answered by ONE
-:meth:`~repro.store.MemoStore.get_many` plus one
-:meth:`~repro.store.MemoStore.contains_many` for the live-spine
-save-guard set, and all saves collect into one
+:meth:`~repro.store.MemoStore.get_many`, and all saves collect into one
 :meth:`~repro.store.MemoStore.put_many` at pass end.  The prefetch is
 *uncounted* (``record=False``): it probes keys under subtrees the walk
 may skip, so hit/miss accounting happens per *use* through
@@ -70,7 +65,6 @@ the pass serves an isomorphic one later in it.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
@@ -95,20 +89,17 @@ class Lane:
             whose label set is disjoint from it is *neutral*.
         combine: ``(node, entries) -> entry`` — the lane's DP combine
             step over the child entries.
-        unit: the lane's unit distribution ``{0: one}`` (for a group:
-            its unit entry).
-        keyer: a :class:`~repro.store.SubtreeKeyer`-shaped key source
-            (``token`` / ``weight`` / ``plan_keys``); ``None`` when the
-            pass runs memo-less.
-        live: node Ids whose subtree holds a candidate — always combined.
-        gate: gate tag for the lane's cacheable (blocked / unpinned)
-            distributions.
-        pinned: entries are ``(blocked, pinned)`` pairs; only the blocked
-            half is content-addressable (pinned maps name node Ids).
+        unit: the entry of a neutral subtree (for an unpinned lane, the
+            unit distribution ``{0: one}``).
+        keyer: a :class:`~repro.prob.stacked.StackedKeyer`-shaped key
+            source (``token`` / ``weight`` / ``plan_keys``); needed only
+            when the pass runs over a store.
+        live: node Ids whose subtree holds a candidate — always combined,
+            never probed.
         width: how many queries the lane stands for (see module docs).
         cacheable: ``entry -> value or None`` — what the store may hold
-            of a combined entry (``None``: nothing).  Default: the blocked
-            half of a pinned entry, else the entry itself.
+            of a combined entry (``None``: nothing).  Default: the entry
+            itself.
         known: ``node_id -> entry`` for live nodes whose entry an earlier
             pass combined and that is still valid (see module docs).
             Such a node resolves like a hit, and its subtree is not
@@ -116,8 +107,8 @@ class Lane:
     """
 
     __slots__ = (
-        "table_labels", "combine", "keyer", "live", "gate", "pinned",
-        "unit_entry", "width", "cacheable", "known",
+        "table_labels", "combine", "keyer", "live", "unit_entry", "width",
+        "cacheable", "known",
     )
 
     def __init__(
@@ -127,22 +118,16 @@ class Lane:
         unit,
         keyer=None,
         live: frozenset = _EMPTY,
-        gate: Optional[str] = None,
-        pinned: bool = False,
         width: int = 1,
-        cacheable: Optional[Callable] = None,
+        cacheable: Callable = _whole,
         known: Mapping = _NOTHING_KNOWN,
     ) -> None:
         self.table_labels = table_labels
         self.combine = combine
         self.keyer = keyer
         self.live = live
-        self.gate = gate
-        self.pinned = pinned
-        self.unit_entry = (unit, {}) if pinned else unit
+        self.unit_entry = unit
         self.width = width
-        if cacheable is None:
-            cacheable = itemgetter(0) if pinned else _whole
         self.cacheable = cacheable
         self.known = known
 
@@ -170,21 +155,19 @@ class _ProbePlan:
     """One pass's bulk store I/O, front-loaded.
 
     ``snapshot`` holds the answers of one *uncounted* ``get_many`` over
-    every key the pass may probe; ``present`` the ``contains_many``
-    answer for the live-spine save-guard keys; ``pending`` the deferred
-    saves, consulted by :meth:`probe` exactly as eager per-key puts
-    would be, and landed as one ``put_many`` by :meth:`flush`.  Hit/miss
+    every key the pass may probe; ``pending`` the deferred saves,
+    consulted by :meth:`probe` exactly as eager per-key puts would be,
+    and landed as one ``put_many`` by :meth:`flush`.  Hit/miss
     accounting happens per use (:meth:`~repro.store.MemoStore.
     record_probe`), so store counters match the point path even though
     the prefetch touched keys under skipped subtrees.
     """
 
-    __slots__ = ("store", "snapshot", "present", "pending")
+    __slots__ = ("store", "snapshot", "pending")
 
-    def __init__(self, store, snapshot: dict, present: set) -> None:
+    def __init__(self, store, snapshot: dict) -> None:
         self.store = store
         self.snapshot = snapshot
-        self.present = present
         self.pending: dict = {}
 
     def probe(self, key) -> Optional[dict]:
@@ -197,7 +180,7 @@ class _ProbePlan:
         return value
 
     def save(self, key, distribution, weight) -> None:
-        if key in self.snapshot or key in self.present or key in self.pending:
+        if key in self.snapshot or key in self.pending:
             return  # presence-guarded, like _PointProbe.save
         self.pending[key] = (distribution, weight)
 
@@ -209,33 +192,26 @@ class _ProbePlan:
             )
 
 
-def open_probe(store: MemoStore, plan_keys: Callable[[], tuple]):
+def open_probe(store: MemoStore, plan_keys: Callable[[], object]):
     """The pass-scoped probe object for one pass over ``store``.
 
-    ``plan_keys()`` returns ``(probe_keys, guard_keys)``: every key the
-    pass may probe, and the keys it may save without probing first.  It
-    is called only when ``store.prefers_bulk`` — the probe plan then
-    answers them with one uncounted ``get_many`` and one
-    ``contains_many``.  Otherwise the pass gets the per-key view.
-    Answers and store hit/miss/put accounting are identical either way.
-    The caller must :meth:`flush` the object when the pass ends.
+    ``plan_keys()`` returns every key the pass may probe.  It is called
+    only when ``store.prefers_bulk`` — the probe plan then answers them
+    with one uncounted ``get_many``.  Otherwise the pass gets the
+    per-key view.  Answers and store hit/miss/put accounting are
+    identical either way.  The caller must :meth:`flush` the object when
+    the pass ends.
     """
     if not store.prefers_bulk:
         return _PointProbe(store)
-    probe_keys, guard_keys = plan_keys()
-    with span(
-        "store.bulk_prefetch",
-        probe_keys=len(probe_keys),
-        guard_keys=len(guard_keys),
-    ):
+    probe_keys = plan_keys()
+    with span("store.bulk_prefetch", probe_keys=len(probe_keys)):
         snapshot = store.get_many(probe_keys, record=False) if probe_keys else {}
-        present = store.contains_many(guard_keys) if guard_keys else set()
-    return _ProbePlan(store, snapshot, present)
+    return _ProbePlan(store, snapshot)
 
 
-def _lane_plan_keys(root, lane: Lane, labels: dict) -> tuple:
-    """The lane's :meth:`~repro.store.SubtreeKeyer.plan_keys` over the
-    nodes the pass can reach.
+def _lane_plan_keys(root, lane: Lane, labels: dict):
+    """The lane keyer's ``plan_keys`` over the nodes the pass can reach.
 
     The walk does not descend below a node that is neutral (the pass
     short-circuits it) or known (the pass reuses its entry), so a read
@@ -253,7 +229,7 @@ def _lane_plan_keys(root, lane: Lane, labels: dict) -> tuple:
         if table_labels & label_set and node_id not in known:
             reachable[node_id] = label_set
             stack.extend(node.children)
-    return lane.keyer.plan_keys(reachable, lane.live, lane.gate)
+    return lane.keyer.plan_keys(reachable, lane.live)
 
 
 def stored_postorder(
@@ -264,17 +240,17 @@ def stored_postorder(
 ):
     """Run ``lane`` through one post-order pass over ``p``.
 
-    Returns the lane's root entry (a distribution for an unpinned lane,
-    a ``(blocked, pinned)`` pair for a pinned one, the group's entry for
-    a lane group).
+    Returns the lane's root entry (a distribution for an unpinned engine
+    lane, a ``(blocked, pinned)`` pair for a pinned one, the group's
+    entry for a lane group).
 
     Args:
         p: the p-document.
         lane: the evaluation lane (one engine's, or a session's lane
             group).
         store: the content-addressed memo store (``None`` = memo-less
-            pass: neutral subtrees still short-circuit, everything else
-            is combined).
+            pass, as every engine pass runs: neutral subtrees still
+            short-circuit, everything else is combined).
         stats: optional :class:`repro.prob.session.SessionStats`-shaped
             sink (``node_visits`` / ``memo_hits`` / ``memo_misses`` /
             ``anchored_hits`` / ``anchored_misses`` / ``neutral_skips`` /
@@ -290,7 +266,6 @@ def stored_postorder(
     live = lane.live
     known = lane.known
     keyer = lane.keyer
-    gate = lane.gate
     width = lane.width
     combine = lane.combine
     cacheable = lane.cacheable
@@ -319,10 +294,10 @@ def stored_postorder(
                     stats.subtree_skips += 1
                 continue
             elif use_memo:
-                key, anchored = keyer.token(node_id, label_set, gate)
+                key, anchored = keyer.token(node_id, label_set)
                 cached = probe(key)
                 if cached is not None:
-                    entries[node_id] = (cached, {}) if lane.pinned else cached
+                    entries[node_id] = cached
                     if stats is not None:
                         stats.memo_hits += width
                         if anchored:
@@ -338,18 +313,16 @@ def stored_postorder(
         entry = entries[node_id] = combine(node, entries)
         for child in node.children:
             del entries[child.node_id]
-        if not use_memo:
+        token = missed.pop(node_id, None) if use_memo else None
+        if token is None:  # memo-less, or a live node: never probed
             continue
-        token = missed.pop(node_id, None)
-        if token is not None and stats is not None:
+        if stats is not None:
             stats.memo_misses += width
             if token[1]:
                 stats.anchored_misses += width
-        blocked = cacheable(entry)
-        if blocked is not None:
-            if token is None:  # a live node: combined without a probe
-                token = keyer.token(node_id, labels[node_id], gate)
-            save(token[0], blocked, keyer.weight(node_id, blocked))
+        value = cacheable(entry)
+        if value is not None:
+            save(token[0], value, keyer.weight(node_id, value))
     if use_memo:
         io.flush()  # a probe plan's saves land as one put_many
     return entries.pop(p.root.node_id)

@@ -28,16 +28,15 @@ costly set-up).
 
 The *distribution kernels* of the evaluation engine — unit / convolution
 / mixture / goal-rewrite / projection over goal-set distributions — are
-grouped in an ops object the backend supplies through the optional
-``engine_ops()`` hook (resolved by :func:`distribution_ops`).
-Backends without the hook get :class:`ScalarOps`, the per-entry dict
-kernels; the ``array`` backend wraps them with its exact escape.
-
-A :class:`~repro.prob.session.QuerySession` runs every batch as one
-lane group (:mod:`repro.prob.stacked`), which reads three more hooks:
-``scalar_ops()`` (the row kernels), ``exact_ops()`` (the kernels of
-escaped rows) and ``escape(row)`` (the width rule).  Backends without
-them run :func:`distribution_ops` for both and never escape.
+:class:`ScalarOps`, per-entry dict kernels in the backend's scalar
+domain (:func:`distribution_ops`).  A backend may add an exact fallback
+with three optional hooks, which the engine's combine steps read (see
+:mod:`repro.prob.engine`): ``scalar_ops()`` (its shared row kernels),
+``escape(row)`` (the width rule: a too-wide row comes back in the exact
+:class:`Fraction` domain) and ``exact_ops()`` (the kernels of nodes above
+an escaped row).  The ``array`` backend has all three.  A backend
+without them, like ``exact``, computes every row with :class:`ScalarOps`
+and never escapes.
 """
 
 from __future__ import annotations
@@ -169,18 +168,6 @@ class ExactBackend:
     def to_fraction(value: Fraction) -> Fraction:
         return value
 
-    def engine_ops(self) -> "ScalarOps":
-        """The exact dict kernels (shared instance)."""
-        return _EXACT_OPS
-
-    # The lane group's hooks: its row kernels are the exact kernels, so
-    # no row ever escapes or needs lifting.
-    scalar_ops = exact_ops = engine_ops
-
-    @staticmethod
-    def escape(row: dict) -> dict:
-        return row
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "ExactBackend()"
 
@@ -195,11 +182,8 @@ class ScalarOps:
     :class:`ScalarOps` implements the evaluation engine's kernel surface
     — unit / convolve / mixture / mux-mixture / goal rewrite / scaled
     add-subtract / target-mass projection / root readout — with plain
-    dict loops in the backend's scalar domain.  This is the default
-    every backend gets from :func:`distribution_ops`; backends may
-    return specialized ops (e.g. the escaping kernels of
-    :mod:`repro.probability_array`) through the ``engine_ops()`` hook
-    instead.
+    dict loops in the backend's scalar domain: the kernels every
+    backend's rows are computed with (:func:`distribution_ops`).
 
     Distributions are immutable by convention: every kernel builds a
     fresh dict or returns an existing operand unmodified, so results may
@@ -407,20 +391,13 @@ def emission(
     return emitted
 
 
-def distribution_ops(backend: NumericBackend):
-    """The distribution-kernel ops for ``backend``.
-
-    Resolves the optional ``engine_ops()`` backend hook and falls back
-    to :class:`ScalarOps` for plain scalar-protocol backends.
-    """
-    hook = getattr(backend, "engine_ops", None)
+def distribution_ops(backend: NumericBackend) -> ScalarOps:
+    """The row kernels for ``backend``: its shared ``scalar_ops()``
+    when it has the hook, else fresh :class:`ScalarOps`."""
+    hook = getattr(backend, "scalar_ops", None)
     if hook is not None:
         return hook()
     return ScalarOps(backend)
-
-
-#: The exact backend's kernels (stateless, shared by every instance).
-_EXACT_OPS = ScalarOps(ExactBackend)
 
 
 #: The built-in backend registry, keyed by backend name.  Values are

@@ -7,21 +7,18 @@ is a width guard:
 
 **Session batches.**  A :class:`~repro.prob.session.QuerySession` runs
 every batch as one lane group (:mod:`repro.prob.stacked`) whose entries
-are :class:`LaneRows` — one dict per lane, shared by lane class —
-combined by :meth:`ArrayBackend.scalar_ops`.  Engine passes
-(``query_answer``, :class:`~repro.prob.engine.EvaluationEngine`) run
-over :meth:`ArrayBackend.engine_ops`.
+are :class:`LaneRows` — one dict per lane, shared by lane class.
 
 **Exact fallback.**  Supports normally stay tiny (the goal-set DP
 collapses masks aggressively), but adversarial documents can blow them
-up.  A float result whose support exceeds ``width_threshold`` escapes
-to a dict with :class:`~fractions.Fraction` values
+up.  A node's float result whose support exceeds ``width_threshold``
+escapes to a dict with :class:`~fractions.Fraction` values
 (:meth:`ArrayBackend.escape`, counted in :attr:`ArrayBackend.fallbacks`)
 — from that subtree upward the computation runs through the exact
-per-entry kernels.  The engine ops dispatch per operand: any
-``Fraction`` operand pulls a kernel into the exact domain, where float
+per-entry kernels (:meth:`ArrayBackend.exact_ops`), where float
 operands convert exactly, so fallback regions compose with float ones.
-The lane group applies the same rule per row.
+The engine's combine steps apply this one rule per node, for engine
+passes and lane groups alike (see :mod:`repro.prob.engine`).
 """
 
 from __future__ import annotations
@@ -142,83 +139,6 @@ _EXACT_PROXY = _ExactProxy()
 _EXACT_OPS = _ExactFallbackOps(_EXACT_PROXY)
 
 
-class _EngineOps:
-    """The ``array`` backend's engine kernels: float dicts, exact escape.
-
-    Each kernel dispatches per operand: a :class:`Fraction`-valued dict
-    runs the exact kernels (float operands lifted exactly), otherwise
-    the backend's float :class:`ScalarOps` run and a result wider than
-    ``width_threshold`` escapes (:meth:`ArrayBackend.escape`).
-    """
-
-    __slots__ = ("_float", "_escape")
-
-    def __init__(self, backend: "ArrayBackend") -> None:
-        self._float = backend.scalar_ops()
-        self._escape = backend.escape
-
-    def unit(self) -> dict:
-        return {0: 1.0}
-
-    def convolve(self, d1: dict, d2: dict) -> dict:
-        if _is_exact(d1) or _is_exact(d2):
-            return _EXACT_OPS.convolve(_lift(d1), _lift(d2))
-        return self._escape(self._float.convolve(d1, d2))
-
-    def mixture(self, probability, distribution: dict) -> dict:
-        if _is_exact(distribution):
-            return _EXACT_OPS.mixture(probability, distribution)
-        return self._escape(self._float.mixture(probability, distribution))
-
-    def mux_mixture(self, pairs) -> dict:
-        pairs = list(pairs)
-        if any(_is_exact(d) for _, d in pairs):
-            return _EXACT_OPS.mux_mixture((p, _lift(d)) for p, d in pairs)
-        return self._escape(self._float.mux_mixture(pairs))
-
-    def rewrite(self, distribution: dict, *goals) -> dict:
-        # A rewrite merges masks, so it never widens: no escape.
-        ops = _EXACT_OPS if _is_exact(distribution) else self._float
-        return ops.rewrite(distribution, *goals)
-
-    def scale_subtract(self, base: dict, probability, distribution: dict):
-        if _is_exact(base) or _is_exact(distribution):
-            return _EXACT_OPS.scale_subtract(
-                _lift(base), probability, _lift(distribution)
-            )
-        return self._escape(
-            self._float.scale_subtract(base, probability, distribution)
-        )
-
-    def scale_accumulate(self, base: dict, probability, distribution: dict):
-        if _is_exact(base) or _is_exact(distribution):
-            return _EXACT_OPS.scale_accumulate(
-                _lift(base), probability, _lift(distribution)
-            )
-        return self._escape(
-            self._float.scale_accumulate(base, probability, distribution)
-        )
-
-    def mass(self, distribution: dict, targets: int):
-        ops = _EXACT_OPS if _is_exact(distribution) else self._float
-        return ops.mass(distribution, targets)
-
-    def readout(self, others: dict, pins, *goals) -> dict:
-        # Per operand pair (others, pin), as ``mass(rewrite(others ⊛
-        # pin))`` would dispatch: a Fraction side makes it exact.
-        if _is_exact(others):
-            return _EXACT_OPS.readout(
-                others, [(c, _lift(pin)) for c, pin in pins], *goals
-            )
-        floats, exact = [], []
-        for item in pins:
-            (exact if _is_exact(item[1]) else floats).append(item)
-        result = self._float.readout(others, floats, *goals)
-        if exact:
-            result.update(_EXACT_OPS.readout(_lift(others), exact, *goals))
-        return result
-
-
 #: Live array backends feeding the registry pull collector below; the
 #: per-instance ``fallbacks`` counter stays a plain int slot on the hot
 #: path, retired into the process total when a backend is collected.
@@ -268,7 +188,6 @@ class ArrayBackend:
         # retire it into the process total without holding the backend.
         self._fallback_count = [0]
         self._scalar_ops: Optional[ScalarOps] = None
-        self._engine_ops: Optional[_EngineOps] = None
         _LIVE_BACKENDS.add(self)
         weakref.finalize(self, _retire_fallbacks, self._fallback_count)
 
@@ -301,12 +220,8 @@ class ArrayBackend:
         return row
 
     def scalar_ops(self) -> ScalarOps:
-        """Plain float dict kernels (shared instance).
-
-        The lane group of :mod:`repro.prob.stacked` binds every lane to
-        them and dispatches escaped rows itself: rows are tiny dicts,
-        where the engine ops' per-operand dispatch is pure overhead.
-        """
+        """Plain float dict kernels (shared instance): every float row
+        is computed with them."""
         if self._scalar_ops is None:
             self._scalar_ops = ScalarOps(self)
         return self._scalar_ops
@@ -316,13 +231,6 @@ class ArrayBackend:
         """The exact-fallback dict kernels (:class:`~fractions.Fraction`
         values; float edge probabilities are lifted exactly)."""
         return _EXACT_OPS
-
-    def engine_ops(self) -> _EngineOps:
-        """The float dict kernels with per-operand exact dispatch and
-        the width escape (shared instance)."""
-        if self._engine_ops is None:
-            self._engine_ops = _EngineOps(self)
-        return self._engine_ops
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ArrayBackend(width_threshold={self.width_threshold})"

@@ -560,7 +560,7 @@ class PDocument:
         equal rank paths in digest-equal subtrees name corresponding
         nodes under an isomorphism — which is what lets *anchored*
         subtree evaluations share canonical store keys
-        (:meth:`repro.store.keys.SubtreeKeyer.store_key`).  A node's
+        (:meth:`repro.store.keys.SubtreeKeyer.token`).  A node's
         position *relative to a subtree root* is the suffix of its rank
         path after the root's.
         """

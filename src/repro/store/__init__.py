@@ -5,10 +5,11 @@ The store subsystem turns the per-subtree memoization of
 content-addressed one.  ``digest`` computes canonical structural digests
 of p-subtrees (Merkle-style, order- and Id-insensitive); ``api`` defines
 the :class:`MemoStore` contract and the canonical ``(structure,
-fingerprint, gate, backend)`` key; ``memory`` implements cost-aware LRU
-eviction (GreedyDual-Size); ``sqlite`` persists entries across process
-restarts with graceful degradation; ``keys`` derives keys on the hot
-evaluation path.
+fingerprint, anchor, gate, backend)`` key; ``memory`` implements
+cost-aware LRU eviction (GreedyDual-Size); ``sqlite`` persists entries
+across process restarts with graceful degradation; ``keys`` derives each
+query's key parts, which a session's lane group digests into one key per
+subtree.
 
 Because keys carry no document or node identity, one store may be shared
 across queries, across documents (a document and its probabilistic

@@ -52,17 +52,15 @@ cost the entry saves — which cost-aware eviction policies
 (:class:`repro.store.memory.InMemoryStore`) use to decide what survives
 memory pressure.
 
-**The bulk protocol.**  Store-consulting traversals
-(:func:`repro.prob.traversal.stored_postorder`, for an engine's lane
-and a session's lane group alike) can compute a whole pass's key set
-*before* touching any probability — the same structural-tractability
-bet the paper's rewritings rest on — and ship it as one request instead
-of one round trip per node:
+**The bulk protocol.**  The store-consulting traversal
+(:func:`repro.prob.traversal.stored_postorder`, run by a session's lane
+group) can compute a whole pass's key set *before* touching any
+probability — the same structural-tractability bet the paper's
+rewritings rest on — and ship it as one request instead of one round
+trip per node:
 
 * :meth:`MemoStore.get_many` — one probe over many keys, returning the
   hit subset as a dict;
-* :meth:`MemoStore.contains_many` — bulk presence check (uncounted,
-  like :meth:`MemoStore.contains`), guarding redundant re-saves;
 * :meth:`MemoStore.put_many` — many entries in one write batch (for
   :class:`~repro.store.sqlite.SqliteStore`, one ``executemany``
   transaction, optionally staged through a bounded write-behind
@@ -95,8 +93,8 @@ key                       meaning
 ``spine_recomputes`` /    spine-only mutations lived through, and entries
 ``survived_entries``      cumulatively kept live across them
 ``bulk_probes`` /         bulk protocol calls (``get_many`` /
-``bulk_probe_keys``       ``contains_many`` / ``put_many``), and keys
-                          carried by them in total
+``bulk_probe_keys``       ``put_many``), and keys carried by them in
+                          total
 ``flushes``               pending-write batches made durable (write-behind
                           drains and explicit ``flush()`` commits)
 ``kind``                  ``"memory"`` / ``"sqlite"`` (implementation tag)
@@ -148,11 +146,11 @@ GATE_UNPINNED = "unpinned"
 #: ``(structure, fingerprint, Optional[anchor], Optional[gate], backend)``.
 StoreKey = tuple
 
-#: Batch sizes of bulk protocol calls (get_many / contains_many /
-#: put_many), observed once per call — a handful per traversal.
+#: Batch sizes of bulk protocol calls (get_many / put_many), observed
+#: once per call — a handful per traversal.
 _BULK_BATCH_KEYS = get_registry().histogram(
     "repro_store_bulk_batch_keys",
-    help="keys carried per bulk store call (get_many/contains_many/put_many)",
+    help="keys carried per bulk store call (get_many/put_many)",
     buckets=(1, 4, 16, 64, 256, 1024, 4096, 16384),
 )
 
@@ -191,8 +189,8 @@ class MemoStore(ABC):
             them (content addressing never purges; mutated subtrees just
             stop matching).  Surfaced by ``repro store stats``.
         bulk_probes / bulk_probe_keys / flushes: bulk-protocol traffic —
-            calls to :meth:`get_many` / :meth:`contains_many` /
-            :meth:`put_many`, the keys they carried in total, and
+            calls to :meth:`get_many` / :meth:`put_many`, the keys they
+            carried in total, and
             pending-write batches made durable (write-behind drains and
             committing ``flush()`` calls).
     """
@@ -344,13 +342,6 @@ class MemoStore(ABC):
         finally:
             counts.update(saved)
 
-    def contains_many(self, keys) -> set:
-        """The subset of ``keys`` that is cached — uncounted, like
-        :meth:`contains` (one bulk probe is still recorded)."""
-        keys = list(keys)
-        self._count_bulk(len(keys))
-        return {key for key in keys if self.contains(key)}
-
     def put_many(self, entries) -> None:
         """Write many ``(key, distribution, weight)`` entries in one batch.
 
@@ -443,7 +434,7 @@ _STORE_COUNTER_HELP = {
     "anchored_puts": "anchored-key subset of the store puts",
     "spine_recomputes": "spine-only document mutations recorded against stores",
     "survived_entries": "entries kept live across spine-only mutations",
-    "bulk_probes": "bulk store calls (get_many/contains_many/put_many)",
+    "bulk_probes": "bulk store calls (get_many/put_many)",
     "bulk_probe_keys": "keys carried by bulk store calls in total",
     "flushes": "pending-write batches made durable",
 }

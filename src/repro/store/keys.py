@@ -1,9 +1,11 @@
-"""Store-key derivation shared by the engine and session layers.
+"""Per-query store-key parts for the session layer.
 
-A :class:`SubtreeKeyer` binds one evaluation (an
+A :class:`SubtreeKeyer` describes one query's subtree evaluations (an
 :class:`~repro.prob.engine.EvaluationEngine` over one p-document and one
-numeric backend) and produces the canonical content-addressed keys of
-:mod:`repro.store.api` for its subtree evaluations:
+numeric backend) in the canonical content-addressed form of
+:mod:`repro.store.api`.  A session's lane group
+(:class:`repro.prob.stacked.StackedKeyer`) holds one keyer per lane and
+digests the lanes' parts into one combined store key per subtree:
 
 * the *structure* component comes from the document's cached
   :meth:`~repro.pxml.pdocument.PDocument.structural_index`;
@@ -43,14 +45,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .api import StoreKey
 from .digest import fingerprint_digest
 
 __all__ = ["SubtreeKeyer"]
 
 
 class SubtreeKeyer:
-    """Canonical store keys for one engine's subtree evaluations.
+    """Canonical store-key parts for one engine's subtree evaluations.
 
     Args:
         p: the p-document being traversed.
@@ -60,13 +61,13 @@ class SubtreeKeyer:
     """
 
     __slots__ = (
-        "p", "digests", "sizes", "backend_name", "table_labels",
+        "p", "digests", "backend_name", "table_labels",
         "_fingerprint", "_described", "_positions",
     )
 
     def __init__(self, p, engine, backend) -> None:
         self.p = p
-        self.digests, self.sizes = p.structural_index()
+        self.digests = p.structural_index()[0]
         self.backend_name = backend.name
         self.table_labels = engine.table_labels
         self._fingerprint = engine.goal_table_fingerprint
@@ -108,33 +109,6 @@ class SubtreeKeyer:
             True,
         )
 
-    def store_key(
-        self, node_id: int, label_set: frozenset, gate: str
-    ) -> StoreKey:
-        """The canonical store key for the subtree at ``node_id`` under
-        ``gate``."""
-        return self.token(node_id, label_set, gate)[0]
-
-    def plan_keys(self, labels: dict, live: frozenset, gate: str) -> tuple:
-        """``(probe_keys, guard_keys)`` for a whole store-consulting pass.
-
-        ``probe_keys`` are the canonical store keys of every non-neutral,
-        non-live subtree — the keys a :func:`~repro.prob.traversal.
-        stored_postorder` pass may probe; ``guard_keys`` are the keys of
-        the live-spine subtrees, whose saves are presence-guarded but
-        never probed.  ``labels`` maps every node the pass can reach to
-        its label set (a sub-map of the document's ``label_index()``).
-        """
-        probe: set = set()
-        guard: set = set()
-        table_labels = self.table_labels
-        for node_id, label_set in labels.items():
-            if node_id in live:
-                guard.add(self.token(node_id, label_set, gate)[0])
-            elif table_labels & label_set:
-                probe.add(self.token(node_id, label_set, gate)[0])
-        return probe, guard
-
     def _encode(self, root_id: int, targets: tuple) -> tuple:
         """Per-slot sorted relative rank paths of the admissible nodes."""
         positions = self._positions
@@ -152,7 +126,3 @@ class SubtreeKeyer:
             inside.sort()
             encoded.append(tuple(inside))
         return tuple(encoded)
-
-    def weight(self, node_id: int, distribution: dict) -> int:
-        """Recomputation-cost estimate: support size × subtree size."""
-        return len(distribution) * self.sizes[node_id]

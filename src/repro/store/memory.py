@@ -122,12 +122,6 @@ class InMemoryStore(MemoStore):
             out[key] = entry[_VALUE]
         return out
 
-    def contains_many(self, keys) -> set:
-        keys = list(keys)
-        self._count_bulk(len(keys))
-        entries = self._entries
-        return {key for key in keys if key in entries}
-
     def put_many(self, entries) -> None:
         entries = list(entries)
         self._count_bulk(len(entries))

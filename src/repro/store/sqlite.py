@@ -1,17 +1,19 @@
 """File-backed (SQLite) memo store: subtree distributions that survive
 process restarts.
 
-Entries are the same content-addressed ``(structure, fingerprint, gate,
-backend)`` records as :class:`repro.store.memory.InMemoryStore` holds,
-persisted in a single ``memo`` table so a restarted worker — or a
-different worker pointed at the same file — starts with every previously
-computed subtree distribution already available ("warm-from-disk"; see
-``benchmarks/bench_store.py``).
+Entries are the same content-addressed ``(structure, fingerprint,
+anchor, gate, backend)`` records as :class:`repro.store.memory.
+InMemoryStore` holds, persisted in a single ``memo`` table so a
+restarted worker — or a different worker pointed at the same file —
+starts with every previously computed subtree distribution already
+available ("warm-from-disk"; see ``benchmarks/bench_store.py``).
 
 **Payload codec.**  Distributions are JSON: exact (:class:`Fraction`)
-values as ``"num/den"`` strings, ``array`` floats as JSON numbers, goal
-masks as arbitrary-precision ints — version-tagged so a future format
-change degrades to a cache miss rather than a wrong answer.  Entries
+values as ``[numerator, denominator]`` pairs, ``array`` floats as JSON
+numbers, goal masks as arbitrary-precision ints, a lane group's
+:class:`~repro.probability_array.LaneRows` as its distinct rows plus a
+lane → row index (see :func:`_encode`) — version-tagged so a future
+format change degrades to a cache miss rather than a wrong answer.  Entries
 whose values are neither ``Fraction`` nor ``float`` (a custom backend's
 domain) are kept in memory but not persisted.
 
@@ -46,9 +48,9 @@ persistence.
 chunked row-value ``IN`` selects (``_READ_CHUNK`` keys per statement,
 sized under SQLite's 999-parameter limit) instead of one point
 ``SELECT`` per key; ``put_many`` lands a pass's saves as one
-``executemany`` transaction.  ``contains_many`` needs no SQL at all:
-on open the store scans the table *once* for ``(key, weight)`` pairs
-into an in-process row map, which thereafter answers ``contains`` /
+``executemany`` transaction.  ``contains`` needs no SQL at all: on
+open the store scans the table *once* for ``(key, weight)`` pairs into
+an in-process row map, which thereafter answers ``contains`` /
 ``__len__`` / ``stats()`` and lets the lazy read path skip the SQL
 round trip for keys known to be absent.  The map assumes this process
 is the only writer — the documented single-writer deployment; a second
@@ -485,17 +487,6 @@ class SqliteStore(MemoStore):
                 found[key] = value
             for key in doomed:
                 self._drop_row(key)
-
-    def contains_many(self, keys) -> set:
-        keys = list(keys)
-        self._count_bulk(len(keys))
-        if self.preload and not self._complete:
-            self._preload()
-        cache = self._cache
-        if self._complete or self._conn is None:
-            return {key for key in keys if key in cache}
-        row_map = self._row_weights
-        return {key for key in keys if key in cache or key in row_map}
 
     def put_many(self, entries) -> None:
         if get_tracer().enabled:

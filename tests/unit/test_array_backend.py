@@ -1,6 +1,6 @@
 """Unit tests for the ``array`` numeric backend.
 
-Covers its guarantees: the engine ops agree with the scalar backends,
+Covers its guarantees: engine passes agree with the exact backend,
 supports past ``width_threshold`` escape to exact per-subtree evaluation
 (and compose with float regions) on every path, the stacked session
 pass answers whole batches as one lane group of per-lane rows shared by
@@ -172,9 +172,9 @@ class TestEngineAgreement:
 
 class TestWidthThresholdFallback:
     def test_fallback_fires_and_stays_exact(self):
-        # A single query runs the engine ops, not the lane group, through
-        # query_answer, QuerySession.answer and a one-item boolean_many
-        # alike: each path escapes and stays within 1e-9 of exact.
+        # query_answer runs an engine pass, QuerySession.answer and a
+        # one-item boolean_many a lane group of width 1; all three apply
+        # the engine's one escape rule and stay within 1e-9 of exact.
         def session_answer(p, q, backend):
             return QuerySession(p, backend=backend).answer(q)
 
@@ -325,25 +325,23 @@ class TestLaneClasses:
         p, queries = batch_workload(persons=8, projects=4, seed=8)
         expected = [query_answer(p, q) for q in queries]
         above = []
-        single = EvaluationEngine._combine_single_gated
+        row_step = EvaluationEngine.combine_row
         pinned = EvaluationEngine.combine_pinned
         is_exact = self._is_exact
 
-        def spy_single(engine, node, memo, gate):
-            row = single(engine, node, memo, gate)
+        def spy_row(engine, node, memo, gate, exact_below=True):
+            row = row_step(engine, node, memo, gate, exact_below)
             if any(is_exact(memo[c.node_id]) for c in node.children):
                 above.append(row)
             return row
 
-        def spy_pinned(engine, node, memo, candidate_set):
-            pair = pinned(engine, node, memo, candidate_set)
+        def spy_pinned(engine, node, memo, candidate_set, exact_below=True):
+            entry = pinned(engine, node, memo, candidate_set, exact_below)
             if any(is_exact(memo[c.node_id][0]) for c in node.children):
-                above.append(pair[0])
-            return pair
+                above.append(entry[0])
+            return entry
 
-        monkeypatch.setattr(
-            EvaluationEngine, "_combine_single_gated", spy_single
-        )
+        monkeypatch.setattr(EvaluationEngine, "combine_row", spy_row)
         monkeypatch.setattr(EvaluationEngine, "combine_pinned", spy_pinned)
         got = QuerySession(p, backend=backend).answer_many(queries)
         assert backend.fallbacks > 0

@@ -139,6 +139,26 @@ class TestStoreCommands:
         stored = capsys.readouterr().out
         assert plain.splitlines() == stored.splitlines()[:-1]  # + store line
 
+    def test_eval_without_batch_reads_what_warm_wrote(self, tmp_path, capsys):
+        # A query evaluated on its own runs as a single-query batch of
+        # one session: the keys `store warm` wrote for it, so the eval
+        # misses nothing and adds no entry.
+        from repro.workloads.synthetic import batch_workload
+
+        p, queries = batch_workload(32, seed=2)
+        doc = tmp_path / "batch.pxml"
+        doc.write_text(pdocument_to_text(p), encoding="utf-8")
+        query = queries[0].xpath()
+        store_path = str(tmp_path / "memo.db")
+        assert main(["store", "warm", store_path, str(doc), query]) == 0
+        warmed = capsys.readouterr().out
+        entries = int(warmed.split(": ")[1].split(" entries")[0])
+        assert entries > 0
+        assert main(["eval", str(doc), query, "--store", store_path]) == 0
+        trailing = capsys.readouterr().out.splitlines()[-1]
+        assert " 0 misses" in trailing
+        assert f": {entries} entries," in trailing
+
     def test_warm_then_stats_then_clear(self, doc_file, tmp_path, capsys):
         store_path = str(tmp_path / "memo.db")
         assert main(["store", "warm", store_path, doc_file, self.QUERY]) == 0

@@ -211,11 +211,11 @@ class TestSubtreeKeyer:
         root_labels = labels[p_per.root.node_id]
         anchored_keyer = SubtreeKeyer(p_per, anchored, anchored.backend)
         plain_keyer = SubtreeKeyer(p_per, plain, plain.backend)
-        key = anchored_keyer.store_key(1, root_labels, GATE_BLOCKED)
+        key = anchored_keyer.token(1, root_labels, GATE_BLOCKED)[0]
         assert key is not None and key[4] == "exact"
         # one anchor slot, one admissible node, located by its rank path
         assert key[2] == ((p_per.anchor_index()[5],),)
-        plain_key = plain_keyer.store_key(1, root_labels, GATE_BLOCKED)
+        plain_key = plain_keyer.token(1, root_labels, GATE_BLOCKED)[0]
         assert plain_key is not None and plain_key[2] is None
         assert key != plain_key
 
@@ -228,7 +228,7 @@ class TestSubtreeKeyer:
         engine = EvaluationEngine(p_per, [q], {q.out: 5})
         keyer = SubtreeKeyer(p_per, engine, engine.backend)
         person2_labels = p_per.label_index()[3]
-        key = keyer.store_key(3, person2_labels, GATE_BLOCKED)
+        key = keyer.token(3, person2_labels, GATE_BLOCKED)[0]
         assert key is not None and key[2] == ((),)
 
     def test_gate_collapses_for_out_insensitive_restriction(self, p_per):
@@ -239,7 +239,7 @@ class TestSubtreeKeyer:
         # evaluations coincide, so the gate collapses to None
         mux_labels = p_per.label_index()[21]
         assert "laptop" in mux_labels and "bonus" not in mux_labels
-        key = keyer.store_key(21, mux_labels, GATE_BLOCKED)
+        key = keyer.token(21, mux_labels, GATE_BLOCKED)[0]
         assert key is not None and key[3] is None
 
 
@@ -284,13 +284,16 @@ class TestStoreBackedEvaluation:
         reopened.close()
 
     def test_engine_store_reuse_across_instances(self, p_per):
+        # Stored evaluation is a session: a fresh session over a store
+        # that another session filled answers without a miss.
         store = InMemoryStore()
         q = paper.q_bon()
-        first = query_answer(p_per, q, store=store)
-        stats = {}
-        second = query_answer(p_per, q, stats=stats, store=store)
-        assert first == second == query_answer(p_per, q)
-        assert stats["node_visits"] < p_per.size()  # subtrees skipped
+        first = QuerySession(p_per, store=store)
+        second = QuerySession(p_per, store=store)
+        assert first.answer(q) == query_answer(p_per, q)
+        assert second.answer(q) == query_answer(p_per, q)
+        assert second.stats.memo_misses == 0
+        assert second.stats.node_visits < first.stats.node_visits
 
     def test_mutation_keeps_untouched_structural_entries(self):
         p = pdoc(ordinary(1, "IT-personnel", person(1), person(2, "Ann")))
@@ -470,15 +473,20 @@ class TestAnchoredStoreBacked:
         assert len(SqliteStore(path)) == 1
 
     def test_engine_anchored_store_reuse(self, p_per):
+        # Two fresh sessions over one store: the second serves the
+        # anchored run from the entries the first one saved.
         from repro.prob.engine import node_probability
 
         store = InMemoryStore()
         q = paper.q_bon()
-        first = node_probability(p_per, q, 5, store=store)
+        first = QuerySession(p_per, store=store).node_probability(q, 5)
+        assert first == node_probability(p_per, q, 5)
         assert store.anchored_puts > 0
         hits_before = store.anchored_hits
-        assert node_probability(p_per, q, 5, store=store) == first
+        second = QuerySession(p_per, store=store)
+        assert second.node_probability(q, 5) == first
         assert store.anchored_hits > hits_before
+        assert second.stats.anchored_hits > 0
 
     def test_cache_stats_surface_anchored_counters(self):
         # Theorem 1 answers from one unanchored pass; Theorem 2's

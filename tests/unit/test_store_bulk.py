@@ -58,10 +58,9 @@ class TestDefaultFallbacks:
         assert len(store) == 4
         got = store.get_many([key_of(1), key_of(3), key_of(9)])
         assert got == {key_of(1): dist_of(1), key_of(3): dist_of(3)}
-        assert store.contains_many([key_of(0), key_of(9)]) == {key_of(0)}
         stats = store.stats()
-        assert stats["bulk_probes"] == 3
-        assert stats["bulk_probe_keys"] == 4 + 3 + 2
+        assert stats["bulk_probes"] == 2
+        assert stats["bulk_probe_keys"] == 4 + 3
         assert stats["hits"] == 2 and stats["misses"] == 1
 
     def test_uncounted_prefetch_leaves_counters_alone(self):
@@ -190,26 +189,6 @@ class TestChunkedReads:
         # computation's save repairs the entry instead of being skipped.
         assert not reopened.contains(key_of(3))
         assert len(reopened) == 5
-        reopened.close()
-
-    def test_contains_many_is_sql_free_in_lazy_mode(self, tmp_path):
-        from repro.obs import get_registry
-
-        path = tmp_path / "presence.db"
-        store = SqliteStore(path, preload=False)
-        store.put_many((key_of(i), dist_of(i), 1) for i in range(8))
-        store.close()
-        reopened = SqliteStore(path, preload=False)
-        name = "repro_store_sqlite_statements_total"
-        before = get_registry().snapshot()[name]
-        present = reopened.contains_many(
-            [key_of(i) for i in range(12)]
-        )
-        assert present == {key_of(i) for i in range(8)}
-        assert reopened.contains(key_of(2)) and not reopened.contains(
-            key_of(11)
-        )
-        assert get_registry().snapshot()[name] == before  # row map, no SQL
         reopened.close()
 
 

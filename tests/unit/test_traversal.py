@@ -13,13 +13,13 @@ from repro.store import InMemoryStore
 
 
 class DigestKeyer:
-    """A SubtreeKeyer-shaped key source: one key per structural digest."""
+    """A StackedKeyer-shaped key source: one key per structural digest."""
 
     def __init__(self, p) -> None:
         self.digests, self.sizes = p.structural_index()
 
-    def token(self, node_id, label_set, gate):
-        return (self.digests[node_id], "group", None, gate, "test"), False
+    def token(self, node_id, label_set):
+        return (self.digests[node_id], "group", None, None, "test"), False
 
     def weight(self, node_id, value) -> int:
         return self.sizes[node_id]
@@ -49,7 +49,6 @@ def group_lane(p, **overrides):
         combine=count_b_nodes,
         unit=0,
         keyer=DigestKeyer(p),
-        gate="unpinned",
         width=3,
     )
     options.update(overrides)
