@@ -10,17 +10,7 @@ sizes:
   every structural entry already resident in memory;
 * ``warm_from_disk``    — a *restarted worker*: a previous run populated
   a ``SqliteStore`` file, then a fresh store instance over that file and
-  a fresh session answer the batch, preloading the persisted entries;
-* ``warm_disk_perkey`` / ``warm_disk_bulk`` — the ISSUE-10 pair: the
-  same restarted worker in *lazy* mode (``preload=False``, the shared
-  huge-store regime where rows are fetched on demand), probing one key
-  per subtree (a benchmark-local :class:`PerKeySqliteStore` with
-  ``prefers_bulk = False``) versus the probe-plan prefetch (the
-  ``prefers_bulk`` default of a live ``SqliteStore``).  A *round-trips* column reads the
-  ``repro_store_sqlite_statements_total`` telemetry series around each
-  pass: the per-key arm issues O(probed keys) SQL statements, the bulk
-  arm a handful of chunked bulk calls, with bit-identical answers and
-  store accounting.
+  a fresh session answer the batch, preloading the persisted entries.
 
 Run standalone to emit the machine-readable comparison::
 
@@ -31,10 +21,7 @@ which writes ``BENCH_store.json`` at the repository root.  The full run
 asserts the ISSUE-3 acceptance bar: warm-from-disk startup beats cold
 evaluation on the 8-query workload at 64 persons.  Both runs also assert
 the structural-sharing bar (in a document holding isomorphic subtrees,
-the store is hit already during the first cold pass) and the ISSUE-10
-bar: the bulk arm answers the lazy disk-warm batch in a small constant
-number of SQL statements where the per-key arm scales with the probed
-key count.  Under pytest the same strategies run through
+the store is hit already during the first cold pass).  Under pytest the same strategies run through
 pytest-benchmark with exactness asserted against sequential evaluation.
 """
 
@@ -61,12 +48,6 @@ PROJECTS = 8
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_store.json"
 
 
-class PerKeySqliteStore(SqliteStore):
-    """A SQLite store whose passes take the per-key probe path."""
-
-    prefers_bulk = False
-
-
 def _setup(persons: int):
     return batch_workload(persons=persons, projects=PROJECTS, seed=persons)
 
@@ -89,48 +70,6 @@ def _populate(p, queries, path):
     store = SqliteStore(path)
     QuerySession(p, store=store).answer_many(queries)
     store.close()
-
-
-def _statement_count() -> int:
-    from repro.obs import get_registry
-
-    return get_registry().snapshot().get(
-        "repro_store_sqlite_statements_total", 0
-    )
-
-
-def warm_disk_lazy_answers(p, queries, path, store_class):
-    """A restarted worker in lazy mode, per-key (``PerKeySqliteStore``)
-    or bulk (``SqliteStore``) probing."""
-    store = store_class(path, preload=False)
-    try:
-        return QuerySession(p, store=store).answer_many(queries)
-    finally:
-        store.close()
-
-
-def round_trips(p, queries, path, store_class):
-    """One lazy disk-warm pass, instrumented.
-
-    Returns ``(answers, sql_statements, keys_probed, accounting)`` where
-    ``sql_statements`` is the telemetry delta of the store's statement
-    counter across the pass and ``keys_probed`` its hit+miss count — the
-    round-trips column of ``BENCH_store.json``.
-    """
-    store = store_class(path, preload=False)
-    try:
-        before = _statement_count()
-        session = QuerySession(p, store=store)
-        answers = session.answer_many(queries)
-        statements = _statement_count() - before
-        stats = store.stats()
-        probed = stats["hits"] + stats["misses"]
-        accounting = {
-            key: stats[key] for key in ("hits", "misses", "puts", "entries")
-        }
-    finally:
-        store.close()
-    return answers, statements, probed, accounting
 
 
 def isomorphic_cold_hits() -> int:
@@ -208,13 +147,6 @@ def run(sizes: list[int], store_dir: Path, repeats: int = 3) -> dict:
         path = store_dir / f"bench_store_{persons}.db"
         _populate(p, queries, path)
         assert warm_disk_answers(p, queries, path) == expected
-        # ISSUE-10 round-trips column: the same lazy disk-warm pass,
-        # per-key vs probe-plan — answers and store accounting must be
-        # bit-identical, only the SQL statement count may differ.
-        perkey = round_trips(p, queries, path, PerKeySqliteStore)
-        bulk = round_trips(p, queries, path, SqliteStore)
-        assert perkey[0] == bulk[0] == expected
-        assert perkey[3] == bulk[3], (perkey[3], bulk[3])
         warm_session = QuerySession(p, store=InMemoryStore())
         warm_session.answer_many(queries)
         timings = {
@@ -224,13 +156,6 @@ def run(sizes: list[int], store_dir: Path, repeats: int = 3) -> dict:
             ),
             "warm_from_disk_s": _best_of(
                 repeats, warm_disk_answers, p, queries, path
-            ),
-            "warm_disk_perkey_s": _best_of(
-                repeats, warm_disk_lazy_answers, p, queries, path,
-                PerKeySqliteStore,
-            ),
-            "warm_disk_bulk_s": _best_of(
-                repeats, warm_disk_lazy_answers, p, queries, path, SqliteStore
             ),
         }
         probe = SqliteStore(path)
@@ -247,12 +172,6 @@ def run(sizes: list[int], store_dir: Path, repeats: int = 3) -> dict:
                 / timings["warm_from_disk_s"],
                 "speedup_memory_vs_cold": timings["cold_s"]
                 / timings["warm_in_process_s"],
-                "speedup_bulk_vs_perkey": timings["warm_disk_perkey_s"]
-                / timings["warm_disk_bulk_s"],
-                "perkey_sql_statements": perkey[1],
-                "bulk_sql_statements": bulk[1],
-                "perkey_keys_probed": perkey[2],
-                "bulk_keys_probed": bulk[2],
                 "store_entries": store_gauges["entries"],
                 "store_weight": store_gauges["weight"],
             }
@@ -261,10 +180,7 @@ def run(sizes: list[int], store_dir: Path, repeats: int = 3) -> dict:
         "benchmark": "bench_store",
         "workload": "workloads/synthetic batch_workload "
         f"({PROJECTS} per-project queries, neutral profile subtrees)",
-        "strategies": [
-            "cold", "warm_in_process", "warm_from_disk",
-            "warm_disk_perkey", "warm_disk_bulk",
-        ],
+        "strategies": ["cold", "warm_in_process", "warm_from_disk"],
         "repeats": repeats,
         "isomorphic_cold_hits": isomorphic_cold_hits(),
         "results": results,
@@ -295,29 +211,10 @@ def main(argv: list[str] | None = None) -> int:
         f"{largest['store_entries']} persisted entries, "
         f"{report['isomorphic_cold_hits']} isomorphic cold hits"
     )
-    print(
-        f"round trips (lazy disk-warm): per-key "
-        f"{largest['perkey_sql_statements']} statements / "
-        f"{largest['perkey_keys_probed']} keys, bulk "
-        f"{largest['bulk_sql_statements']} statements / "
-        f"{largest['bulk_keys_probed']} keys, "
-        f"bulk vs per-key ×{largest['speedup_bulk_vs_perkey']:.1f}"
-    )
     if report["isomorphic_cold_hits"] <= 0:
         print("FAIL: isomorphic subtrees did not share work on the cold pass",
               file=sys.stderr)
         return 1
-    for row in report["results"]:
-        # The bulk arm must answer the pass in O(1) statements (a few
-        # chunked bulk calls), not the per-key O(probed keys).
-        if row["bulk_sql_statements"] >= max(8, row["perkey_sql_statements"]):
-            print(
-                f"FAIL: bulk arm issued {row['bulk_sql_statements']} SQL "
-                f"statements (per-key arm: {row['perkey_sql_statements']}) "
-                f"at persons={row['persons']}",
-                file=sys.stderr,
-            )
-            return 1
     if not args.quick and largest["speedup_disk_vs_cold"] <= 1.0:
         print("FAIL: warm-from-disk startup not faster than cold evaluation",
               file=sys.stderr)

@@ -48,9 +48,9 @@ anchor_index`), so the rewrite layer's anchored traffic (Theorem 2)
 shares entries across extensions, subdocuments, restarts and isomorphic
 twin documents.
 
-Every store call of a pass goes through its pass-scoped probe object
-(:func:`repro.prob.traversal.open_probe`), chosen by the store's
-``prefers_bulk`` alone.
+Every pass probes the store with ``get`` and lands its saves with one
+``put_many`` at its end (:func:`repro.prob.traversal.probe` /
+:func:`~repro.prob.traversal.land`).
 
 **Mutation epochs and spine-only refreshes.**  When :attr:`repro.pxml.
 pdocument.PDocument.mutation_epoch` changes (code that mutates a
@@ -97,7 +97,7 @@ from .stacked import (
     stacked_boolean_key,
     stacked_boolean_many,
 )
-from .traversal import Lane, open_probe, stored_postorder
+from .traversal import Lane, land, probe, stored_postorder
 
 __all__ = ["QuerySession", "SessionStats", "BooleanItem"]
 
@@ -210,9 +210,8 @@ class QuerySession:
             cross-restart reuse.  Default: a private
             :class:`repro.store.InMemoryStore`.  Anchored restrictions
             are keyed by canonical anchor positions like every other
-            entry; a store that ``prefers_bulk`` gets one ``get_many`` /
-            ``put_many`` per pass instead of per-node calls, with
-            identical answers and accounting.
+            entry.  Each pass lands its saves in the store with one
+            ``put_many``.
 
     Attributes:
         stats: cumulative :class:`SessionStats`.
@@ -496,13 +495,14 @@ class QuerySession:
                     "node-ids",
                 )
             )
-        # One bulk probe for every key when the store prefers it.
-        io = open_probe(self.store, lambda: keys)
         # Each distinct key is probed once; the misses share one walk and
         # are saved, and only then are repeated keys probed.  Two queries
         # sharing a key therefore count miss-then-hit and put once, as
-        # when each query probed and saved in turn (saves are
-        # presence-guarded; a probe plan also serves its pending saves).
+        # when each query probed and saved in turn.  The saves follow
+        # the pass rule (:func:`~repro.prob.traversal.probe`): pending
+        # until one ``put_many``, serving the repeats meanwhile.
+        store = self.store
+        pending: dict = {}
         found: dict = {}
         missing: dict = {}
         repeats = []
@@ -510,7 +510,7 @@ class QuerySession:
             if key in found or key in missing:
                 repeats.append(key)
                 continue
-            cached = io.probe(key)
+            cached = store.get(key)
             if cached is not None:
                 found[key] = frozenset(cached)
             else:
@@ -522,14 +522,13 @@ class QuerySession:
                 # Recomputation is a walk of the whole document, so weight
                 # by document size, not by the (often tiny) candidate
                 # count.
-                io.save(
-                    key,
+                pending[key] = (
                     {node_id: 1.0 for node_id in candidates},
                     self.p.size(),
                 )
         for key in repeats:
-            io.probe(key)
-        io.flush()
+            probe(store, pending, key)
+        land(store, pending)
         return [found[key] for key in keys]
 
     def _keyer(self, engine: EvaluationEngine) -> SubtreeKeyer:

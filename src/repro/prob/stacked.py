@@ -7,8 +7,8 @@ walk, :func:`repro.prob.traversal.stored_postorder`: every subtree's
 blocked/unpinned distributions for all ``L`` lanes (queries) form one
 :class:`~repro.probability_array.LaneRows` entry — a tuple of per-lane
 ``{mask: value}`` dicts — memoized under a single combined store key.
-Probing, saving, neutral skips, the bulk probe plan and the session
-counters all live in the skeleton; this module supplies only the
+Probing, saving, neutral skips, store I/O and the session counters
+all live in the skeleton; this module supplies only the
 group's combine step, its combined keyer and the session entry points.
 
 **Lane classes.**  At each node the lanes fall into *classes*: lanes
@@ -76,8 +76,7 @@ every lane is insensitive.  The per-lane anchor positions live in the
 parts too; the key's anchor component only marks a group with an
 anchored lane (:data:`_ANCHORED`), so stores count its traffic as
 anchored (:func:`repro.store.api.is_anchored_key`).  The keyer supplies
-the skeleton's ``token`` / ``weight`` / ``plan_keys``, so its probe
-object (:func:`repro.prob.traversal.open_probe`) serves the group.
+the skeleton's ``token`` / ``weight``.
 
 **Exact fallback.**  The engine's combine steps apply the one
 exact-fallback rule (:mod:`repro.prob.engine`): a row or pin wider than
@@ -278,18 +277,6 @@ class StackedKeyer:
     def weight(self, node_id: int, distribution) -> int:
         """Recomputation-cost estimate: support size × subtree size."""
         return len(distribution) * self.sizes[node_id]
-
-    def plan_keys(self, labels: dict, live: frozenset) -> set:
-        """The store keys one pass may probe: those of every non-neutral,
-        non-live subtree among ``labels`` (``node_id -> label set`` of
-        the nodes the pass can reach).  Live-spine nodes split into
-        per-lane pairs the store never holds."""
-        table_labels = self.table_labels
-        return {
-            self.token(node_id, label_set)[0]
-            for node_id, label_set in labels.items()
-            if node_id not in live and table_labels & label_set
-        }
 
 
 class _StackedLane:

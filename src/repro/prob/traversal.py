@@ -41,26 +41,15 @@ node found there resolves like a hit (counted in ``spine_hits``, not
 edit recombines only the dirty path.
 
 **Store I/O.**  A lane token (:meth:`repro.prob.stacked.StackedKeyer.
-token`) is a canonical content-addressed store key.  Every store call of
-a pass goes through one pass-scoped probe object (:func:`open_probe`)
-with ``probe`` / ``save`` / ``flush``.
-
-The probe object is chosen by ``store.prefers_bulk`` alone.  Against an
-in-memory store it is a thin view whose ``probe`` *is* the store's
-bound ``get`` and whose ``flush`` is a no-op.  Against a store that
-prefers bulk probing (a live :class:`~repro.store.SqliteStore`) it is
-a *probe plan* that front-loads the pass's store traffic: every key the
-pass can reach is enumerated up front (the keyer's ``plan_keys`` over
-the nodes of a walk from the root that does not descend below a
-neutral or known node) and answered by ONE
-:meth:`~repro.store.MemoStore.get_many`, and all saves collect into one
-:meth:`~repro.store.MemoStore.put_many` at pass end.  The prefetch is
-*uncounted* (``record=False``): it probes keys under subtrees the walk
-may skip, so hit/miss accounting happens per *use* through
-:meth:`~repro.store.MemoStore.record_probe`, keeping ``stats()``
-identical to the point path.  Deferred saves live in the plan's
-``pending`` map, which probes consult, so a subtree saved earlier in
-the pass serves an isomorphic one later in it.
+token`) is a canonical content-addressed store key.  Every pass over a
+store follows one rule (:func:`probe` / :func:`land`): saves collect
+in the pass's own *pending* map, a probe looks there first (a hit is
+counted through :meth:`~repro.store.MemoStore.record_probe`) and
+otherwise calls the store's ``get``, and the pending saves land as one
+:meth:`~repro.store.MemoStore.put_many` when the pass ends.  A subtree
+saved earlier in the pass therefore serves an isomorphic one later in
+it, and the store's hit/miss/put counters read as if every save had
+been an immediate ``put``.
 """
 
 from __future__ import annotations
@@ -68,10 +57,9 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
-from ..obs.trace import span
 from ..store import MemoStore
 
-__all__ = ["Lane", "open_probe", "stored_postorder"]
+__all__ = ["Lane", "land", "probe", "stored_postorder"]
 
 _EMPTY = frozenset()
 _NOTHING_KNOWN: Mapping = MappingProxyType({})
@@ -92,8 +80,8 @@ class Lane:
         unit: the entry of a neutral subtree (for an unpinned lane, the
             unit distribution ``{0: one}``).
         keyer: a :class:`~repro.prob.stacked.StackedKeyer`-shaped key
-            source (``token`` / ``weight`` / ``plan_keys``); needed only
-            when the pass runs over a store.
+            source (``token`` / ``weight``); needed only when the pass
+            runs over a store.
         live: node Ids whose subtree holds a candidate — always combined,
             never probed.
         width: how many queries the lane stands for (see module docs).
@@ -132,104 +120,23 @@ class Lane:
         self.known = known
 
 
-class _PointProbe:
-    """Per-key store I/O: ``probe`` is the store's own bound ``get``, so
-    the in-memory hot path pays no wrapper call per node."""
-
-    __slots__ = ("probe", "_store")
-
-    def __init__(self, store: MemoStore) -> None:
-        self.probe = store.get
-        self._store = store
-
-    def save(self, key, distribution, weight) -> None:
-        store = self._store
-        if not store.contains(key):
-            store.put(key, distribution, weight)
-
-    def flush(self) -> None:
-        pass
+def probe(store: MemoStore, pending: dict, key):
+    """The entry under ``key``: the pass's own pending save, else the
+    store's.  A pending hit is counted like a store hit."""
+    saved = pending.get(key)
+    if saved is None:
+        return store.get(key)
+    store.record_probe(key, True)
+    return saved[0]
 
 
-class _ProbePlan:
-    """One pass's bulk store I/O, front-loaded.
-
-    ``snapshot`` holds the answers of one *uncounted* ``get_many`` over
-    every key the pass may probe; ``pending`` the deferred saves,
-    consulted by :meth:`probe` exactly as eager per-key puts would be,
-    and landed as one ``put_many`` by :meth:`flush`.  Hit/miss
-    accounting happens per use (:meth:`~repro.store.MemoStore.
-    record_probe`), so store counters match the point path even though
-    the prefetch touched keys under skipped subtrees.
-    """
-
-    __slots__ = ("store", "snapshot", "pending")
-
-    def __init__(self, store, snapshot: dict) -> None:
-        self.store = store
-        self.snapshot = snapshot
-        self.pending: dict = {}
-
-    def probe(self, key) -> Optional[dict]:
-        value = self.snapshot.get(key)
-        if value is None:
-            entry = self.pending.get(key)
-            if entry is not None:
-                value = entry[0]
-        self.store.record_probe(key, value is not None)
-        return value
-
-    def save(self, key, distribution, weight) -> None:
-        if key in self.snapshot or key in self.pending:
-            return  # presence-guarded, like _PointProbe.save
-        self.pending[key] = (distribution, weight)
-
-    def flush(self) -> None:
-        if self.pending:
-            self.store.put_many(
-                (key, distribution, weight)
-                for key, (distribution, weight) in self.pending.items()
-            )
-
-
-def open_probe(store: MemoStore, plan_keys: Callable[[], object]):
-    """The pass-scoped probe object for one pass over ``store``.
-
-    ``plan_keys()`` returns every key the pass may probe.  It is called
-    only when ``store.prefers_bulk`` — the probe plan then answers them
-    with one uncounted ``get_many``.  Otherwise the pass gets the
-    per-key view.  Answers and store hit/miss/put accounting are
-    identical either way.  The caller must :meth:`flush` the object when
-    the pass ends.
-    """
-    if not store.prefers_bulk:
-        return _PointProbe(store)
-    probe_keys = plan_keys()
-    with span("store.bulk_prefetch", probe_keys=len(probe_keys)):
-        snapshot = store.get_many(probe_keys, record=False) if probe_keys else {}
-    return _ProbePlan(store, snapshot)
-
-
-def _lane_plan_keys(root, lane: Lane, labels: dict):
-    """The lane keyer's ``plan_keys`` over the nodes the pass can reach.
-
-    The walk does not descend below a node that is neutral (the pass
-    short-circuits it) or known (the pass reuses its entry), so a read
-    after a one-node edit enumerates the dirty path and the subtrees
-    hanging off it, not the whole document.
-    """
-    table_labels = lane.table_labels
-    known = lane.known
-    reachable: dict = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        node_id = node.node_id
-        label_set = labels[node_id]
-        if table_labels & label_set and node_id not in known:
-            reachable[node_id] = label_set
-            stack.extend(node.children)
-    return lane.keyer.plan_keys(reachable, lane.live)
+def land(store: MemoStore, pending: dict) -> None:
+    """Write a pass's pending ``key -> (value, weight)`` saves as one
+    ``put_many``."""
+    if pending:
+        store.put_many(
+            (key, value, weight) for key, (value, weight) in pending.items()
+        )
 
 
 def stored_postorder(
@@ -259,9 +166,8 @@ def stored_postorder(
     """
     labels = p.label_index()
     use_memo = store is not None
-    if use_memo:
-        io = open_probe(store, lambda: _lane_plan_keys(p.root, lane, labels))
-        probe, save = io.probe, io.save
+    # Saves of this pass, ``key -> (value, weight)`` (see module docs).
+    pending: dict = {}
     table_labels = lane.table_labels
     live = lane.live
     known = lane.known
@@ -295,7 +201,7 @@ def stored_postorder(
                 continue
             elif use_memo:
                 key, anchored = keyer.token(node_id, label_set)
-                cached = probe(key)
+                cached = probe(store, pending, key)
                 if cached is not None:
                     entries[node_id] = cached
                     if stats is not None:
@@ -322,7 +228,7 @@ def stored_postorder(
                 stats.anchored_misses += width
         value = cacheable(entry)
         if value is not None:
-            save(token[0], value, keyer.weight(node_id, value))
+            pending[token[0]] = (value, keyer.weight(node_id, value))
     if use_memo:
-        io.flush()  # a probe plan's saves land as one put_many
+        land(store, pending)
     return entries.pop(p.root.node_id)

@@ -52,28 +52,18 @@ cost the entry saves — which cost-aware eviction policies
 (:class:`repro.store.memory.InMemoryStore`) use to decide what survives
 memory pressure.
 
-**The bulk protocol.**  The store-consulting traversal
+**Write batching.**  The store-consulting traversal
 (:func:`repro.prob.traversal.stored_postorder`, run by a session's lane
-group) can compute a whole pass's key set *before* touching any
-probability — the same structural-tractability bet the paper's
-rewritings rest on — and ship it as one request instead of one round
-trip per node:
-
-* :meth:`MemoStore.get_many` — one probe over many keys, returning the
-  hit subset as a dict;
-* :meth:`MemoStore.put_many` — many entries in one write batch (for
-  :class:`~repro.store.sqlite.SqliteStore`, one ``executemany``
-  transaction, optionally staged through a bounded write-behind
-  buffer that is drained on :meth:`MemoStore.flush` / ``close``).
-
-The base class provides per-key fallback implementations, so
-third-party stores that only implement the point operations keep
-working; stores whose bulk paths genuinely beat per-key probing
-(disk- or network-backed) advertise it via
-:attr:`MemoStore.prefers_bulk`, which lets traversals auto-enable the
-probe-plan prefetch.  Every bulk call counts one ``bulk_probes``
-increment and ``len(keys)`` ``bulk_probe_keys``, and observes the
-process-wide ``repro_store_bulk_batch_keys`` batch-size histogram.
+group) probes with :meth:`MemoStore.get` and hands a whole pass's saves
+over in one :meth:`MemoStore.put_many` call (for
+:class:`~repro.store.sqlite.SqliteStore`, one ``executemany``
+transaction, optionally staged through a bounded write-behind buffer
+that is drained on :meth:`MemoStore.flush` / ``close``).  The base
+class falls back to a loop of :meth:`MemoStore.put`, so third-party
+stores that only implement the point operations keep working.  Every
+``put_many`` counts one ``bulk_probes`` increment and ``len(entries)``
+``bulk_probe_keys``, and observes the process-wide
+``repro_store_bulk_batch_keys`` batch-size histogram.
 
 **The unified ``stats()`` schema.**  Every concrete store's
 :meth:`MemoStore.stats` returns the *same key set*, so tooling
@@ -92,9 +82,8 @@ key                       meaning
 ``anchored_puts``
 ``spine_recomputes`` /    spine-only mutations lived through, and entries
 ``survived_entries``      cumulatively kept live across them
-``bulk_probes`` /         bulk protocol calls (``get_many`` /
-``bulk_probe_keys``       ``put_many``), and keys carried by them in
-                          total
+``bulk_probes`` /         ``put_many`` calls, and entries carried by
+``bulk_probe_keys``       them in total
 ``flushes``               pending-write batches made durable (write-behind
                           drains and explicit ``flush()`` commits)
 ``kind``                  ``"memory"`` / ``"sqlite"`` (implementation tag)
@@ -146,11 +135,11 @@ GATE_UNPINNED = "unpinned"
 #: ``(structure, fingerprint, Optional[anchor], Optional[gate], backend)``.
 StoreKey = tuple
 
-#: Batch sizes of bulk protocol calls (get_many / put_many), observed
-#: once per call — a handful per traversal.
+#: Batch sizes of ``put_many`` calls, observed once per call — one per
+#: pass.
 _BULK_BATCH_KEYS = get_registry().histogram(
     "repro_store_bulk_batch_keys",
-    help="keys carried per bulk store call (get_many/put_many)",
+    help="entries carried per put_many call",
     buckets=(1, 4, 16, 64, 256, 1024, 4096, 16384),
 )
 
@@ -160,7 +149,7 @@ def is_anchored_key(key: StoreKey) -> bool:
 
     Stores use this to split their hit/miss/put counters into anchored
     and unanchored traffic (surfaced by :meth:`MemoStore.stats`,
-    :meth:`repro.cache.RewritingCache.stats` and ``repro store stats``).
+    :meth:`repro.cache.RewritingCache.stats` and ``repro eval --store``).
     """
     return len(key) == 5 and key[2] is not None
 
@@ -187,24 +176,20 @@ class MemoStore(ABC):
             spine-only document mutations this store lived through, and
             the cumulative number of entries that stayed live across
             them (content addressing never purges; mutated subtrees just
-            stop matching).  Surfaced by ``repro store stats``.
-        bulk_probes / bulk_probe_keys / flushes: bulk-protocol traffic —
-            calls to :meth:`get_many` / :meth:`put_many`, the keys they
-            carried in total, and
-            pending-write batches made durable (write-behind drains and
-            committing ``flush()`` calls).
+            stop matching).  Surfaced by :meth:`stats` and the metrics
+            registry.
+        bulk_probes / bulk_probe_keys / flushes: batched write traffic —
+            calls to :meth:`put_many`, the entries they carried in total,
+            and pending-write batches made durable (write-behind drains
+            and committing ``flush()`` calls).
     """
 
     #: Implementation tag entering ``stats()["kind"]`` and the registry
     #: ``kind`` label; concrete stores override it.
     store_kind = "memory"
 
-    #: Whether this store's bulk protocol genuinely beats per-key probing
-    #: (disk- or network-backed I/O).  Traversals consult it to
-    #: auto-enable the probe-plan prefetch of
-    #: :func:`repro.prob.traversal.stored_postorder`; purely in-memory
-    #: stores leave it ``False`` — their point probes are dict lookups,
-    #: and planning every key up front would cost more than it saves.
+    #: Read by nothing in the library; kept because perfbench's traced
+    #: ``TimedStore`` proxy copies it from the store it wraps.
     prefers_bulk = False
 
     def __init__(self) -> None:
@@ -254,7 +239,7 @@ class MemoStore(ABC):
         self._counts["evictions"] += 1
 
     def _count_bulk(self, key_count: int) -> None:
-        """Count one bulk protocol call carrying ``key_count`` keys."""
+        """Count one ``put_many`` call carrying ``key_count`` entries."""
         self._counts["bulk_probes"] += 1
         self._counts["bulk_probe_keys"] += key_count
         _BULK_BATCH_KEYS.observe(key_count)
@@ -264,13 +249,12 @@ class MemoStore(ABC):
         self._counts["flushes"] += 1
 
     def record_probe(self, key: StoreKey, hit: bool) -> None:
-        """Account one probe answered from prefetched bulk results.
+        """Account one probe answered outside :meth:`get`.
 
-        A probe-plan traversal fetches every candidate key up front with
-        ``get_many(keys, record=False)`` — an uncounted snapshot, since
-        the per-key path would never probe keys under skipped subtrees —
-        and then calls this per probe it actually resolves, so hit/miss
-        accounting stays *identical* to the per-key path's.
+        A traversal answers a probe from its own pending saves (which
+        reach the store only at pass end, in one :meth:`put_many`) and
+        counts it here, so hit/miss accounting is the same as if every
+        save had been an immediate :meth:`put`.
         """
         self._count_get(key, hit)
 
@@ -280,8 +264,8 @@ class MemoStore(ABC):
         ``survived`` is the number of entries still live after the
         mutation (all of them, for a content-addressed store — nothing
         is purged; stale digests simply stop matching).  Sessions call
-        this from their spine refresh so ``repro store stats`` can show
-        how much cached work churn preserved.
+        this from their spine refresh so :meth:`stats` and the metrics
+        registry can show how much cached work churn preserved.
         """
         self._counts["spine_recomputes"] += 1
         self._counts["survived_entries"] += survived
@@ -294,62 +278,14 @@ class MemoStore(ABC):
     def put(self, key: StoreKey, distribution: dict, weight: int = 1) -> None:
         """Cache ``distribution`` under ``key`` with recomputation ``weight``."""
 
-    @abstractmethod
-    def contains(self, key: StoreKey) -> bool:
-        """Whether ``key`` is cached — no hit/miss counting, no LRU touch.
-
-        Writers use this to skip redundant ``put`` calls: equal keys map
-        to equal distributions, so re-storing a present entry is wasted
-        work (for persistent stores, a wasted disk write per node).
-        """
-
-    # ------------------------------------------------------------------
-    # Bulk protocol (see the module docstring).  The defaults fall back
-    # to the point operations so third-party stores keep working; the
-    # built-in stores override them with genuinely batched I/O.
-    # ------------------------------------------------------------------
-    def get_many(self, keys, record: bool = True) -> dict:
-        """Probe many keys at once; returns ``{key: distribution}`` hits.
-
-        With ``record`` (the default) every key counts one hit or miss,
-        exactly as a loop of :meth:`get` calls would.  ``record=False``
-        is the probe-plan *prefetch* mode: the snapshot is taken without
-        touching the hit/miss counters, and the consuming traversal
-        accounts each probe it actually resolves via
-        :meth:`record_probe`.  Either way the call itself counts as one
-        bulk probe over ``len(keys)`` keys.
-        """
-        keys = list(keys)
-        self._count_bulk(len(keys))
-        if record:
-            return {
-                key: value
-                for key in keys
-                if (value := self.get(key)) is not None
-            }
-        # Per-key fallback for stores without a native uncounted path:
-        # restore the get-side counters around the loop (they live in
-        # the shared ``_counts`` bag, so this is exact for every
-        # MemoStore subclass).
-        counts = self._counts
-        saved = {field: counts[field] for field in _GET_COUNTER_FIELDS}
-        try:
-            return {
-                key: value
-                for key in keys
-                if (value := self.get(key)) is not None
-            }
-        finally:
-            counts.update(saved)
-
     def put_many(self, entries) -> None:
         """Write many ``(key, distribution, weight)`` entries in one batch.
 
         Counts one put per entry (identical to a loop of :meth:`put`
-        calls) plus one bulk probe over the batch.  Persistent stores
-        override this to issue a single write transaction — optionally
-        staged through a bounded write-behind buffer drained on
-        :meth:`flush` / :meth:`close`.
+        calls) plus one ``bulk_probes`` call over the batch.  Persistent
+        stores override this to issue a single write transaction —
+        optionally staged through a bounded write-behind buffer drained
+        on :meth:`flush` / :meth:`close`.
         """
         entries = list(entries)
         self._count_bulk(len(entries))
@@ -420,10 +356,6 @@ COUNTER_FIELDS = (
     "flushes",
 )
 
-#: The get-side counters restored by the uncounted bulk-prefetch
-#: fallback (``get_many(..., record=False)``).
-_GET_COUNTER_FIELDS = ("hits", "misses", "anchored_hits", "anchored_misses")
-
 _STORE_COUNTER_HELP = {
     "hits": "memo store get probes answered",
     "misses": "memo store get probes missed",
@@ -434,8 +366,8 @@ _STORE_COUNTER_HELP = {
     "anchored_puts": "anchored-key subset of the store puts",
     "spine_recomputes": "spine-only document mutations recorded against stores",
     "survived_entries": "entries kept live across spine-only mutations",
-    "bulk_probes": "bulk store calls (get_many/put_many)",
-    "bulk_probe_keys": "keys carried by bulk store calls in total",
+    "bulk_probes": "batched store writes (put_many calls)",
+    "bulk_probe_keys": "entries carried by put_many calls in total",
     "flushes": "pending-write batches made durable",
 }
 

@@ -68,7 +68,13 @@ class InMemoryStore(MemoStore):
             self._count_get(key, hit=False)
             return None
         self._count_get(key, hit=True)
-        self._touch(entry, key)
+        # Refresh the entry's GreedyDual-Size priority.
+        priority = self._clock + entry[_WEIGHT]
+        if priority > entry[_PRIORITY]:
+            self._stamp += 1
+            entry[_PRIORITY] = priority
+            entry[_STAMP] = self._stamp
+            heapq.heappush(self._heap, (priority, self._stamp, key))
         return entry[_VALUE]
 
     def put(self, key: StoreKey, distribution: dict, weight: int = 1) -> None:
@@ -88,61 +94,6 @@ class InMemoryStore(MemoStore):
             entry[_STAMP] = self._stamp
         heapq.heappush(self._heap, (priority, self._stamp, key))
         self._evict()
-
-    def contains(self, key: StoreKey) -> bool:
-        return key in self._entries
-
-    def _touch(self, entry: list, key: StoreKey) -> None:
-        """Refresh an entry's GreedyDual-Size priority (a hit's side
-        effect, shared by the point and bulk read paths)."""
-        priority = self._clock + entry[_WEIGHT]
-        if priority > entry[_PRIORITY]:
-            self._stamp += 1
-            entry[_PRIORITY] = priority
-            entry[_STAMP] = self._stamp
-            heapq.heappush(self._heap, (priority, self._stamp, key))
-
-    # ------------------------------------------------------------------
-    # Bulk protocol: O(len(keys)) direct dict operations
-    # ------------------------------------------------------------------
-    def get_many(self, keys, record: bool = True) -> dict:
-        keys = list(keys)
-        self._count_bulk(len(keys))
-        entries = self._entries
-        out = {}
-        for key in keys:
-            entry = entries.get(key)
-            if entry is None:
-                if record:
-                    self._count_get(key, hit=False)
-                continue
-            if record:
-                self._count_get(key, hit=True)
-            self._touch(entry, key)
-            out[key] = entry[_VALUE]
-        return out
-
-    def put_many(self, entries) -> None:
-        entries = list(entries)
-        self._count_bulk(len(entries))
-        for key, distribution, weight in entries:
-            self.put(key, distribution, weight)
-
-    def discard(self, predicate) -> int:
-        """Drop every entry whose key satisfies ``predicate``.
-
-        Targeted invalidation: drop the keys naming stale state (e.g.
-        dirty node Ids after a spine-only mutation), keep the rest.  Heap
-        records of dropped keys go stale
-        and are skipped by the usual lazy-eviction pop.  Returns the
-        number of entries removed (not counted as evictions — these are
-        invalidations, not pressure).
-        """
-        doomed = [key for key in self._entries if predicate(key)]
-        for key in doomed:
-            entry = self._entries.pop(key)
-            self._weight -= entry[_WEIGHT]
-        return len(doomed)
 
     def _evict(self) -> None:
         while (

@@ -27,16 +27,22 @@ Store files written before the anchor column existed are detected by
 schema inspection and dropped — a cache format upgrade costs one cold
 fill, never a wrong answer.
 
-**Read caching.**  Decoded entries are cached in memory write-through.
-By default the whole table is decoded on first access (``preload=True``)
-— memo tables are tiny next to the evaluation work they encode, and one
-bulk ``SELECT`` is far cheaper than per-subtree point lookups on the hot
-path.  Pass ``preload=False`` for very large shared stores to fall back
-to per-key lookups; note this bounds *startup* cost only — the read
-cache still grows with the entries actually touched (the working set),
-so a worker that sweeps an entire huge store should recycle the store
-instance (or front it with an :class:`~repro.store.memory.InMemoryStore`
-tier) to bound steady-state memory.
+**Read caching.**  Decoded entries, and every entry this instance
+writes, are cached in memory.  By default the whole table is decoded on
+first access (``preload=True``) — memo tables are tiny next to the
+evaluation work they encode, and one bulk ``SELECT`` is far cheaper
+than per-subtree point lookups on the hot path.  Pass ``preload=False``
+for very large shared stores to fall back to one point ``SELECT`` per
+hit; note this bounds *startup* cost only — the read cache still grows
+with the entries actually touched (the working set), so a worker that
+sweeps an entire huge store should recycle the store instance (or
+front it with an :class:`~repro.store.memory.InMemoryStore` tier) to
+bound steady-state memory.  On open the store scans the table *once*
+for ``(key, weight)`` pairs into an in-process row map, which
+thereafter answers ``__len__`` / ``stats()`` and lets a lazy ``get``
+answer a miss without SQL.  The map assumes this process is the only
+writer — the documented single-writer deployment; a second concurrent
+writer's rows become visible after reopen.
 
 **Degradation, not failure.**  A corrupt, unreadable or write-locked
 store file must never break query evaluation: every SQLite error demotes
@@ -44,25 +50,15 @@ the store to memory-only operation with a :class:`RuntimeWarning`
 (``degraded`` is set), keeping results correct and merely losing
 persistence.
 
-**Bulk I/O.**  ``get_many`` answers a whole probe plan in a handful of
-chunked row-value ``IN`` selects (``_READ_CHUNK`` keys per statement,
-sized under SQLite's 999-parameter limit) instead of one point
-``SELECT`` per key; ``put_many`` lands a pass's saves as one
-``executemany`` transaction.  ``contains`` needs no SQL at all: on
-open the store scans the table *once* for ``(key, weight)`` pairs into
-an in-process row map, which thereafter answers ``contains`` /
-``__len__`` / ``stats()`` and lets the lazy read path skip the SQL
-round trip for keys known to be absent.  The map assumes this process
-is the only writer — the documented single-writer deployment; a second
-concurrent writer's rows become visible after reopen.
-
-**Write-behind.**  ``write_behind=N`` buffers puts in process and
-drains them with one ``executemany`` + commit when N accumulate, at
-``flush()``, or at ``close()``.  Readers of the *same* store instance
-see buffered entries immediately (they sit in the read cache); other
-processes see them only after a flush.  A crash before the flush loses
-the pending puts — they were never sent to SQLite, so the file is
-merely stale, never corrupt.
+**Writes.**  ``put`` and ``put_many`` stage rows the same way, and
+staged rows land as one ``executemany`` + commit: at the end of each
+call by default, or — with ``write_behind=N`` — once N rows have
+accumulated, and always at ``flush()`` and ``close()``.  A pass's saves
+arrive as one ``put_many``, so a pass costs one statement, not one per
+node.  Readers of the *same* store instance see staged entries
+immediately (they sit in the read cache); other processes see them
+only after they land.  A crash before that loses the staged puts — they
+were never sent to SQLite, so the file is merely stale, never corrupt.
 """
 
 from __future__ import annotations
@@ -94,12 +90,10 @@ _PUT_SECONDS = get_registry().histogram(
 )
 _BULK_SECONDS = get_registry().histogram(
     "repro_store_sqlite_bulk_seconds",
-    help="SqliteStore bulk-call latency (recorded while tracing is enabled)",
+    help="SqliteStore.put_many latency (recorded while tracing is enabled)",
 )
 # Counts every statement handed to SQLite (execute or executemany) — the
-# store's round-trip proxy.  bench_store's round-trips column reads the
-# delta of this series across a pass to show bulk probing issuing O(1)
-# statements where per-key probing issues O(nodes).
+# store's round-trip proxy: a pass's writes land as one statement.
 _STATEMENTS = get_registry().counter(
     "repro_store_sqlite_statements_total",
     help="SQL statements issued by SqliteStore (execute + executemany)",
@@ -244,21 +238,15 @@ class SqliteStore(MemoStore):
     Args:
         path: the store file (created if missing).
         preload: decode the whole table into memory on first access.
-        commit_every: pending writes accumulated before an implicit
-            commit; :meth:`flush`/:meth:`close` always commit.
-        write_behind: when positive, buffer puts in process and drain
-            them with one ``executemany`` + commit once this many
-            accumulate (or on :meth:`flush`/:meth:`close`).  ``0``
-            (default) writes through per put.
+        write_behind: when positive, staged rows land once this many
+            have accumulated (or on :meth:`flush`/:meth:`close`).  ``0``
+            (default) lands each ``put`` / ``put_many`` call's rows at
+            its end.
 
     Attributes:
         degraded: true once persistence failed and the store fell back
             to memory-only operation (a warning was emitted).
     """
-
-    # Keys per IN-clause chunk in bulk reads: 5 bound parameters per key,
-    # kept well under SQLite's historical 999-variable ceiling.
-    _READ_CHUNK = 160
 
     _INSERT_SQL = (
         "INSERT OR REPLACE INTO memo"
@@ -270,22 +258,19 @@ class SqliteStore(MemoStore):
         self,
         path: Union[str, "object"],
         preload: bool = True,
-        commit_every: int = 256,
         write_behind: int = 0,
     ) -> None:
         super().__init__()
         self.path = str(path)
         self.preload = preload
-        self.commit_every = commit_every
         self.write_behind = max(0, int(write_behind))
         self.degraded = False
         self._cache: dict[StoreKey, dict] = {}
         self._complete = False  # cache mirrors the whole table
-        self._pending = 0
-        self._buffer: list[tuple] = []  # write-behind rows awaiting drain
+        self._buffer: list[tuple] = []  # staged rows awaiting a flush
         # In-process row gauges, maintained from one scan on open and
-        # updated on put/delete/clear — ``contains``/``__len__``/``stats``
-        # never re-run COUNT(*)/SUM(weight) against the file.
+        # updated on put/delete/clear — ``__len__``/``stats`` never
+        # re-run COUNT(*)/SUM(weight) against the file.
         self._row_weights: dict[StoreKey, int] = {}
         self._row_count = 0
         self._row_weight = 0
@@ -357,7 +342,7 @@ class SqliteStore(MemoStore):
 
     def _fetch_one(self, key: StoreKey) -> Optional[dict]:
         """Point-read one row known to exist (per the row map); repairs
-        undecodable rows by dropping them so ``contains`` agrees and the
+        undecodable rows by dropping them so the row map agrees and the
         next computation's ``put`` refills the entry."""
         row = self._execute(
             "SELECT payload FROM memo WHERE structure = ? AND fingerprint = ?"
@@ -387,106 +372,8 @@ class SqliteStore(MemoStore):
     def _put(self, key: StoreKey, distribution: dict, weight: int = 1) -> None:
         if self.preload and not self._complete:
             self._preload()
-        self._count_put(key)
-        self._cache[key] = distribution
-        if self._conn is None:
-            return
-        payload = _encode(distribution)
-        if payload is None:
-            return  # non-serializable backend domain: memory-only entry
-        weight = max(1, int(weight))
-        self._account_row(key, weight)
-        row = self._row_key(key) + (payload, weight)
-        if self.write_behind:
-            self._buffer.append(row)
-            if len(self._buffer) >= self.write_behind:
-                self.flush()
-            return
-        self._execute(self._INSERT_SQL, row)
-        self._pending += 1
-        if self._pending >= self.commit_every:
-            self.flush()
-
-    def contains(self, key: StoreKey) -> bool:
-        if self.preload and not self._complete:
-            self._preload()
-        if key in self._cache:
-            return True
-        if self._complete or self._conn is None:
-            return False
-        return key in self._row_weights  # row map: presence without SQL
-
-    @property
-    def prefers_bulk(self) -> bool:
-        """Traversals should plan bulk probes while rows are reachable."""
-        return self._conn is not None
-
-    # ------------------------------------------------------------------
-    # Bulk protocol: chunked IN-clause reads, executemany writes
-    # ------------------------------------------------------------------
-    def get_many(self, keys, record: bool = True) -> dict:
-        if get_tracer().enabled:
-            start = perf_counter()
-            try:
-                return self._get_many(keys, record)
-            finally:
-                _BULK_SECONDS.observe(perf_counter() - start)
-        return self._get_many(keys, record)
-
-    def _get_many(self, keys, record: bool) -> dict:
-        keys = list(keys)
-        self._count_bulk(len(keys))
-        if self.preload and not self._complete:
-            self._preload()
-        found: dict[StoreKey, dict] = {}
-        missing: list[StoreKey] = []
-        cache = self._cache
-        lazy = not self._complete and self._conn is not None
-        for key in keys:
-            value = cache.get(key)
-            if value is not None:
-                found[key] = value
-            elif lazy and key in self._row_weights:
-                missing.append(key)
-        if missing:
-            self._fetch_rows(missing, found)
-        if record:
-            for key in keys:
-                self._count_get(key, hit=key in found)
-        return found
-
-    def _fetch_rows(self, keys: list, found: dict) -> None:
-        """Chunked row-value ``IN`` reads for keys the row map says exist."""
-        for lo in range(0, len(keys), self._READ_CHUNK):
-            chunk = keys[lo : lo + self._READ_CHUNK]
-            row_keys = [self._row_key(key) for key in chunk]
-            by_row = dict(zip(row_keys, chunk))
-            placeholders = ", ".join(["(?, ?, ?, ?, ?)"] * len(chunk))
-            rows = self._execute(
-                "SELECT structure, fingerprint, anchor, gate, backend,"
-                " payload FROM memo WHERE"
-                " (structure, fingerprint, anchor, gate, backend)"
-                f" IN (VALUES {placeholders})",
-                tuple(value for row_key in row_keys for value in row_key),
-            )
-            if rows is None:
-                return  # degraded mid-plan: remaining keys become misses
-            doomed = []
-            for structure, fingerprint, anchor, gate, backend, payload in (
-                rows.fetchall()
-            ):
-                key = by_row.get((structure, fingerprint, anchor, gate, backend))
-                if key is None:  # pragma: no cover - IN returns only asked rows
-                    continue
-                try:
-                    value = _decode(payload)
-                except (ValueError, TypeError, KeyError):
-                    doomed.append(key)
-                    continue
-                self._cache[key] = value
-                found[key] = value
-            for key in doomed:
-                self._drop_row(key)
+        self._stage(key, distribution, weight)
+        self._land_if_due()
 
     def put_many(self, entries) -> None:
         if get_tracer().enabled:
@@ -502,28 +389,26 @@ class SqliteStore(MemoStore):
         self._count_bulk(len(entries))
         if self.preload and not self._complete:
             self._preload()
-        rows = []
         for key, distribution, weight in entries:
-            self._count_put(key)
-            self._cache[key] = distribution
-            if self._conn is None:
-                continue
-            payload = _encode(distribution)
-            if payload is None:
-                continue  # non-serializable: memory-only entry
-            weight = max(1, int(weight))
-            self._account_row(key, weight)
-            rows.append(self._row_key(key) + (payload, weight))
-        if not rows or self._conn is None:
+            self._stage(key, distribution, weight)
+        self._land_if_due()
+
+    def _stage(self, key: StoreKey, distribution: dict, weight: int) -> None:
+        """Count and cache one put, and stage its row for the next flush."""
+        self._count_put(key)
+        self._cache[key] = distribution
+        if self._conn is None:
             return
-        if self.write_behind:
-            self._buffer.extend(rows)
-            if len(self._buffer) >= self.write_behind:
-                self.flush()
-            return
-        # One executemany + one commit: the whole batch is one transaction.
-        if self._executemany(self._INSERT_SQL, rows) is not None:
-            self._pending += len(rows)
+        payload = _encode(distribution)
+        if payload is None:
+            return  # non-serializable backend domain: memory-only entry
+        weight = max(1, int(weight))
+        self._account_row(key, weight)
+        self._buffer.append(self._row_key(key) + (payload, weight))
+
+    def _land_if_due(self) -> None:
+        """Flush once ``write_behind`` rows are staged (any, when 0)."""
+        if self._buffer and len(self._buffer) >= self.write_behind:
             self.flush()
 
     def clear(self) -> None:
@@ -578,26 +463,24 @@ class SqliteStore(MemoStore):
         return gauges
 
     def flush(self) -> None:
-        """Drain the write-behind buffer (if any) and commit.
+        """Land the staged rows (if any) and commit.
 
-        Counted in ``stats()["flushes"]`` only when work was pending —
+        Counted in ``stats()["flushes"]`` only when rows were staged —
         an idle flush is free and invisible.
         """
         if self._conn is None:
             return
         rows = self._buffer
-        flushed = bool(rows) or self._pending > 0
         if rows:
             self._buffer = []
             if self._executemany(self._INSERT_SQL, rows) is None:
-                return  # degraded: the pending puts are lost, file intact
+                return  # degraded: the staged puts are lost, file intact
         try:
             self._conn.commit()
         except sqlite3.Error as exc:
             self._degrade(exc)
             return
-        self._pending = 0
-        if flushed:
+        if rows:
             self._count_flush()
 
     def close(self) -> None:
@@ -696,8 +579,7 @@ class SqliteStore(MemoStore):
             except sqlite3.Error:  # pragma: no cover - best-effort cleanup
                 pass
             self._conn = None
-        self._pending = 0
-        self._buffer.clear()  # pending write-behind puts are lost, not corrupt
+        self._buffer.clear()  # staged puts are lost, not corrupt
         self._row_weights.clear()
         self._row_count = 0
         self._row_weight = 0

@@ -1,13 +1,13 @@
-"""Property tests for the bulk store protocol (ISSUE-10).
+"""Property tests for the one store I/O path.
 
-The acceptance bar: a probe-plan (bulk) pass is *observably identical*
-to the per-key pass — same answers (bit-exact on ``exact``, within
-``1e-9`` on ``array``) AND the same ``stats()`` hit/miss/put accounting
-— on random p-documents and query batches, against memory and SQLite
-stores, cold, warm, warm-from-disk, and across spine-only in-place
-mutations (``mark_mutated(node)``).  Only the round-trip *shape* (the
-``bulk_probes``/``bulk_probe_keys``/``flushes`` counters) may differ
-between the arms.
+Every pass probes with ``get`` and lands its saves with one
+``put_many``, whatever the store.  So an in-memory store and a SQLite
+store must be *observably identical* to a session: same answers
+(bit-exact on ``exact``, within ``1e-9`` relative on ``array``) AND the
+same ``stats()`` hit/miss/put accounting — on random p-documents and
+query batches, cold, warm, and across spine-only in-place mutations
+(``mark_mutated(node)``).  A lazy SQLite store reopened from disk must
+answer a warmed batch without a single miss.
 """
 
 import random
@@ -23,26 +23,15 @@ from repro.workloads.synthetic import random_pdocument, random_tree_pattern
 LABELS = ("a", "b", "c")
 TOLERANCE = 1e-9
 
-#: The stats() keys that must match between the bulk and per-key arms.
-#: (bulk_probes / bulk_probe_keys / flushes are the round-trip shape —
-#: exactly what the two arms legitimately differ in.)
+#: The stats() keys that must match between the two stores.  (The
+#: ``flushes`` counter is the write shape — a memory store never
+#: flushes.)
 ACCOUNTING = (
     "hits", "misses", "puts",
     "anchored_hits", "anchored_misses", "anchored_puts",
+    "bulk_probes", "bulk_probe_keys",
     "entries",
 )
-
-
-class BulkMemoryStore(InMemoryStore):
-    """An in-memory store whose passes take the probe-plan (bulk) path."""
-
-    prefers_bulk = True
-
-
-class PerKeySqliteStore(SqliteStore):
-    """A SQLite store whose passes take the per-key (point) path."""
-
-    prefers_bulk = False
 
 
 def make_batch(seed: int, max_queries: int = 3):
@@ -77,72 +66,72 @@ def accounting(store) -> dict:
     return {key: stats[key] for key in ACCOUNTING}
 
 
+def assert_relatively_close(got: dict, want: dict) -> None:
+    assert set(got) == set(want)
+    for node_id, exact in want.items():
+        assert abs(got[node_id] - float(exact)) <= TOLERANCE * float(exact)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
-def test_bulk_matches_perkey_on_memory_store(seed):
-    # Same document, same batch, one session per arm on its own store;
-    # interleaved node-scoped mutations churn the digests under both.
+def test_memory_and_sqlite_agree_across_mutations(tmp_path_factory, seed):
+    # Same document, same batch, one session per store; the batch runs
+    # cold, then warm, and interleaved node-scoped mutations churn the
+    # digests under both.
     p, queries, rng = make_batch(seed)
-    perkey = QuerySession(p, store=InMemoryStore())
-    bulk = QuerySession(p, store=BulkMemoryStore())
-    for round_ in range(3):
-        expected = [query_answer(p, q) for q in queries]
-        assert perkey.answer_many(queries) == expected
-        assert bulk.answer_many(queries) == expected
-        assert accounting(perkey.store) == accounting(bulk.store)
-        if round_ < 2:
-            mutate_node(p, rng)
+    path = tmp_path_factory.mktemp("agree") / f"{seed}.db"
+    memory = QuerySession(p, store=InMemoryStore())
+    sqlite = QuerySession(p, store=SqliteStore(path))
+    try:
+        for round_ in range(3):
+            expected = [query_answer(p, q) for q in queries]
+            for _ in range(2):
+                assert memory.answer_many(queries) == expected
+                assert sqlite.answer_many(queries) == expected
+                assert accounting(memory.store) == accounting(sqlite.store)
+            if round_ < 2:
+                mutate_node(p, rng)
+    finally:
+        sqlite.store.close()
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
-def test_bulk_matches_perkey_on_sqlite_warm_from_disk(
+def test_lazy_sqlite_reopened_from_disk_answers_without_misses(
     tmp_path_factory, seed
 ):
-    # Cold fill, then a simulated restart (fresh lazy store over the
-    # same file): the warm-from-disk pass must serve identical answers
-    # and identical hit/miss/put counts whichever probe shape runs.
+    # Cold fill, then a simulated restart: a fresh lazy store over the
+    # same file serves the whole batch from disk by point reads.
     p, queries, _ = make_batch(seed)
     expected = [query_answer(p, q) for q in queries]
-    tmp = tmp_path_factory.mktemp("bulk")
-    snapshots = {}
-    for arm, store_class in (("perkey", PerKeySqliteStore), ("bulk", SqliteStore)):
-        # A live SqliteStore prefers bulk probing — the production
-        # default takes the bulk path.
-        path = tmp / f"{arm}_{seed}.db"
-        store = store_class(path, preload=False)
-        assert store.prefers_bulk == (arm == "bulk")
-        cold = QuerySession(p, store=store)
-        assert cold.answer_many(queries) == expected
-        cold_counts = accounting(store)
-        store.close()
-        reopened = store_class(path, preload=False)
-        warm = QuerySession(p, store=reopened)
-        assert warm.answer_many(queries) == expected
-        warm_counts = accounting(reopened)
-        if arm == "bulk":
-            assert reopened.bulk_probes > 0
-        reopened.close()
-        snapshots[arm] = (cold_counts, warm_counts)
-    assert snapshots["perkey"] == snapshots["bulk"]
+    path = tmp_path_factory.mktemp("lazy") / f"{seed}.db"
+    store = SqliteStore(path, preload=False)
+    assert QuerySession(p, store=store).answer_many(queries) == expected
+    store.close()
+    reopened = SqliteStore(path, preload=False)
+    warm = QuerySession(p, store=reopened)
+    assert warm.answer_many(queries) == expected
+    assert reopened.misses == 0
+    assert reopened.puts == 0
+    reopened.close()
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
-def test_bulk_matches_perkey_on_stacked_array_pass(seed):
-    # The stacked (array-backend) pass uses the same probe object; its
-    # bulk plan must preserve answers within 1e-9 of exact and keep the
-    # combined-key store accounting identical to per-key stacked runs.
-    p, queries, rng = make_batch(seed)
+def test_memory_and_sqlite_agree_on_array_pass(tmp_path_factory, seed):
+    # The array backend's pass takes the same I/O path: answers within
+    # 1e-9 relative of exact on both stores, cold and warm, with the
+    # same combined-key store accounting.
+    p, queries, _ = make_batch(seed)
     exact = [query_answer(p, q) for q in queries]
-    perkey = QuerySession(p, backend="array", store=InMemoryStore())
-    bulk = QuerySession(p, backend="array", store=BulkMemoryStore())
-    for session in (perkey, bulk):
-        for answers in (session.answer_many(queries),
-                        session.answer_many(queries)):
-            for got, want in zip(answers, exact):
-                for node_id in set(got) | set(want):
-                    assert abs(
-                        got.get(node_id, 0.0) - float(want.get(node_id, 0))
-                    ) < TOLERANCE
-    assert accounting(perkey.store) == accounting(bulk.store)
+    path = tmp_path_factory.mktemp("array") / f"{seed}.db"
+    memory = QuerySession(p, backend="array", store=InMemoryStore())
+    sqlite = QuerySession(p, backend="array", store=SqliteStore(path))
+    try:
+        for _ in range(2):
+            for session in (memory, sqlite):
+                for got, want in zip(session.answer_many(queries), exact):
+                    assert_relatively_close(got, want)
+            assert accounting(memory.store) == accounting(sqlite.store)
+    finally:
+        sqlite.store.close()

@@ -171,6 +171,22 @@ class TestStoreCommands:
         assert main(["store", "stats", store_path]) == 0
         assert "entries  0" in capsys.readouterr().out
 
+    def test_stats_on_a_warmed_store_prints_only_file_gauges(
+        self, doc_file, tmp_path, capsys
+    ):
+        store_path = str(tmp_path / "memo.db")
+        assert main(["store", "warm", store_path, doc_file, self.QUERY]) == 0
+        warmed = capsys.readouterr().out
+        entries = int(warmed.split(": ")[1].split(" entries")[0])
+        weight = int(warmed.rsplit("weight ", 1)[1])
+        assert main(["store", "stats", store_path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"entries  {entries}" in lines
+        assert f"weight   {weight}" in lines
+        # The store was just opened: no counter of this process says
+        # anything about the file.
+        assert not any("(this process)" in line for line in lines)
+
     def test_store_stats_missing_file(self, tmp_path, capsys):
         assert main(["store", "stats", str(tmp_path / "absent.db")]) == 1
         assert "no store file" in capsys.readouterr().err

@@ -1,18 +1,13 @@
-"""Unit tests for the bulk store protocol (ISSUE-10).
+"""Unit tests for batched store writes.
 
-Covers the tentpole mechanics the property suite can't pin down one by
-one: write-behind buffering (flush ordering, crash-before-flush
-durability — pending puts are lost, the file is never corrupt), chunked
-``IN``-clause reads above SQLite's bound-parameter limit, the
-uncounted-prefetch / ``record_probe`` accounting split, and the default
-per-key fallbacks that keep third-party ``MemoStore`` subclasses
-working unchanged.
+Covers the mechanics the property suite can't pin down one by one:
+write-behind buffering (flush ordering, crash-before-flush durability —
+pending puts are lost, the file is never corrupt), ``record_probe``
+accounting, and the default ``put_many`` fallback that keeps
+third-party ``MemoStore`` subclasses working unchanged.
 """
 
-import sqlite3
 from fractions import Fraction
-
-import pytest
 
 from repro.store import MemoStore, SqliteStore
 
@@ -41,9 +36,6 @@ class MinimalStore(MemoStore):
         self._count_put(key)
         self._data[key] = distribution
 
-    def contains(self, key):
-        return key in self._data
-
     def clear(self):
         self._data.clear()
 
@@ -56,20 +48,16 @@ class TestDefaultFallbacks:
         store = MinimalStore()
         store.put_many((key_of(i), dist_of(i), 1) for i in range(4))
         assert len(store) == 4
-        got = store.get_many([key_of(1), key_of(3), key_of(9)])
-        assert got == {key_of(1): dist_of(1), key_of(3): dist_of(3)}
         stats = store.stats()
-        assert stats["bulk_probes"] == 2
-        assert stats["bulk_probe_keys"] == 4 + 3
-        assert stats["hits"] == 2 and stats["misses"] == 1
+        assert stats["bulk_probes"] == 1
+        assert stats["bulk_probe_keys"] == 4
+        assert stats["puts"] == 4
 
     def test_uncounted_prefetch_leaves_counters_alone(self):
         store = MinimalStore()
         store.put(key_of(0), dist_of(0))
         before = (store.hits, store.misses)
-        store.get_many([key_of(0), key_of(7)], record=False)
-        assert (store.hits, store.misses) == before
-        # ...and record_probe supplies the per-use accounting afterwards.
+        # record_probe accounts probes answered outside ``get``.
         store.record_probe(key_of(0), hit=True)
         store.record_probe(key_of(7), hit=False)
         assert (store.hits, store.misses) == (before[0] + 1, before[1] + 1)
@@ -83,8 +71,7 @@ class TestWriteBehind:
         store = SqliteStore(path, write_behind=64)
         store.put(key_of(0), {0: Fraction(1, 3)}, 1)
         store.put(key_of(1), dist_of(1), 1)
-        # Overwrite key 0 while both rows still sit in the buffer; the
-        # presence-guard lives in the traversal, not the store, so a
+        # Overwrite key 0 while both rows still sit in the buffer: a
         # direct re-put is legal and must not resurrect the old value.
         store.put(key_of(0), {0: Fraction(2, 3)}, 5)
         assert store.stats()["write_behind_pending"] == 3
@@ -148,48 +135,6 @@ class TestWriteBehind:
         assert store.flushes == 1
         assert store.puts == 50
         store.close()
-
-
-class TestChunkedReads:
-    def test_get_many_above_the_parameter_limit(self, tmp_path):
-        # 1200 keys × 5 bound parameters = 6000 ≫ SQLite's classic 999
-        # ceiling: the read must chunk, and every row must come back.
-        count = 1200
-        path = tmp_path / "wide.db"
-        store = SqliteStore(path, preload=False)
-        store.put_many((key_of(i), dist_of(i), 1) for i in range(count))
-        store.close()
-        reopened = SqliteStore(path, preload=False)
-        asked = [key_of(i) for i in range(count + 50)]  # 50 sure misses
-        got = reopened.get_many(asked)
-        assert len(got) == count
-        assert got[key_of(0)] == dist_of(0)
-        assert got[key_of(count - 1)] == dist_of(count - 1)
-        assert reopened.hits == count
-        assert reopened.misses == 50
-        assert reopened.bulk_probe_keys == count + 50
-        reopened.close()
-
-    def test_chunked_read_repairs_undecodable_rows(self, tmp_path):
-        path = tmp_path / "repair.db"
-        store = SqliteStore(path, preload=False)
-        store.put_many((key_of(i), dist_of(i), 1) for i in range(6))
-        store.close()
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "UPDATE memo SET payload = 'garbage' WHERE structure = ?",
-            ("digest3",),
-        )
-        conn.commit()
-        conn.close()
-        reopened = SqliteStore(path, preload=False)
-        got = reopened.get_many([key_of(i) for i in range(6)])
-        assert key_of(3) not in got and len(got) == 5
-        # The broken row was dropped: contains agrees, so the next
-        # computation's save repairs the entry instead of being skipped.
-        assert not reopened.contains(key_of(3))
-        assert len(reopened) == 5
-        reopened.close()
 
 
 class TestCheapGauges:
