@@ -61,8 +61,8 @@ transaction, optionally staged through a bounded write-behind buffer
 that is drained on :meth:`MemoStore.flush` / ``close``).  The base
 class falls back to a loop of :meth:`MemoStore.put`, so third-party
 stores that only implement the point operations keep working.  Every
-``put_many`` counts one ``bulk_probes`` increment and ``len(entries)``
-``bulk_probe_keys``, and observes the process-wide
+``put_many`` counts one ``bulk_puts`` increment and ``len(entries)``
+``bulk_put_keys``, and observes the process-wide
 ``repro_store_bulk_batch_keys`` batch-size histogram.
 
 **The unified ``stats()`` schema.**  Every concrete store's
@@ -82,8 +82,8 @@ key                       meaning
 ``anchored_puts``
 ``spine_recomputes`` /    spine-only mutations lived through, and entries
 ``survived_entries``      cumulatively kept live across them
-``bulk_probes`` /         ``put_many`` calls, and entries carried by
-``bulk_probe_keys``       them in total
+``bulk_puts`` /           ``put_many`` calls, and entries carried by
+``bulk_put_keys``         them in total
 ``flushes``               pending-write batches made durable (write-behind
                           drains and explicit ``flush()`` commits)
 ``kind``                  ``"memory"`` / ``"sqlite"`` (implementation tag)
@@ -178,7 +178,7 @@ class MemoStore(ABC):
             them (content addressing never purges; mutated subtrees just
             stop matching).  Surfaced by :meth:`stats` and the metrics
             registry.
-        bulk_probes / bulk_probe_keys / flushes: batched write traffic —
+        bulk_puts / bulk_put_keys / flushes: batched write traffic —
             calls to :meth:`put_many`, the entries they carried in total,
             and pending-write batches made durable (write-behind drains
             and committing ``flush()`` calls).
@@ -212,8 +212,8 @@ class MemoStore(ABC):
     anchored_puts = property(lambda self: self._counts["anchored_puts"])
     spine_recomputes = property(lambda self: self._counts["spine_recomputes"])
     survived_entries = property(lambda self: self._counts["survived_entries"])
-    bulk_probes = property(lambda self: self._counts["bulk_probes"])
-    bulk_probe_keys = property(lambda self: self._counts["bulk_probe_keys"])
+    bulk_puts = property(lambda self: self._counts["bulk_puts"])
+    bulk_put_keys = property(lambda self: self._counts["bulk_put_keys"])
     flushes = property(lambda self: self._counts["flushes"])
 
     def _count_get(self, key: StoreKey, hit: bool) -> None:
@@ -240,8 +240,8 @@ class MemoStore(ABC):
 
     def _count_bulk(self, key_count: int) -> None:
         """Count one ``put_many`` call carrying ``key_count`` entries."""
-        self._counts["bulk_probes"] += 1
-        self._counts["bulk_probe_keys"] += key_count
+        self._counts["bulk_puts"] += 1
+        self._counts["bulk_put_keys"] += key_count
         _BULK_BATCH_KEYS.observe(key_count)
 
     def _count_flush(self) -> None:
@@ -282,7 +282,7 @@ class MemoStore(ABC):
         """Write many ``(key, distribution, weight)`` entries in one batch.
 
         Counts one put per entry (identical to a loop of :meth:`put`
-        calls) plus one ``bulk_probes`` call over the batch.  Persistent
+        calls) plus one ``bulk_puts`` call over the batch.  Persistent
         stores override this to issue a single write transaction —
         optionally staged through a bounded write-behind buffer drained
         on :meth:`flush` / :meth:`close`.
@@ -317,8 +317,8 @@ class MemoStore(ABC):
             "anchored_puts": self.anchored_puts,
             "spine_recomputes": self.spine_recomputes,
             "survived_entries": self.survived_entries,
-            "bulk_probes": self.bulk_probes,
-            "bulk_probe_keys": self.bulk_probe_keys,
+            "bulk_puts": self.bulk_puts,
+            "bulk_put_keys": self.bulk_put_keys,
             "flushes": self.flushes,
             "kind": self.store_kind,
             "weight": None,
@@ -351,8 +351,8 @@ COUNTER_FIELDS = (
     "anchored_puts",
     "spine_recomputes",
     "survived_entries",
-    "bulk_probes",
-    "bulk_probe_keys",
+    "bulk_puts",
+    "bulk_put_keys",
     "flushes",
 )
 
@@ -366,8 +366,8 @@ _STORE_COUNTER_HELP = {
     "anchored_puts": "anchored-key subset of the store puts",
     "spine_recomputes": "spine-only document mutations recorded against stores",
     "survived_entries": "entries kept live across spine-only mutations",
-    "bulk_probes": "batched store writes (put_many calls)",
-    "bulk_probe_keys": "entries carried by put_many calls in total",
+    "bulk_puts": "batched store writes (put_many calls)",
+    "bulk_put_keys": "entries carried by put_many calls in total",
     "flushes": "pending-write batches made durable",
 }
 

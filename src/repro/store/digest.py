@@ -1,4 +1,4 @@
-"""Canonical Merkle digests for p-document subtrees, from one walk.
+"""Canonical Merkle digests for p-document subtrees, from one loop.
 
 **Structural digests.**  The structural digest of a subtree is a
 Merkle-style hash over everything the goal-set dynamic program of
@@ -37,18 +37,23 @@ payload prefix keeps it apart from every structural digest, and from
 candidate keys that store files hold under the earlier ``id:``
 identity payload.
 
-:func:`compute_indexes` derives, in one iterative post-order walk, the
-structural digest, subtree size, world digest and interned label set of
-every node.  The results live in the owning document's epoch-tagged
-cache — there are no per-node stamps — and are rebuilt lazily after a
-whole-document :meth:`PDocument.mark_all_mutated`; a *node-scoped*
+:func:`compute_indexes` derives, in one iterative post-order loop that
+reads each node's children once, the structural digest, subtree size,
+world digest and interned label set of every node; a per-walk cache
+keyed by label resolves each ordinary leaf's structural digest, label
+set and world-payload tail, so a leaf costs one hash.  The results live
+in the owning document's epoch-tagged cache — there are no per-node
+stamps — and are rebuilt lazily after a whole-document
+:meth:`PDocument.mark_all_mutated`; a *node-scoped*
 :meth:`PDocument.mark_mutated` instead calls :func:`splice_indexes`,
 which re-derives the mutated subtree with the same walk and then
-rehashes the ancestor chain with separate early exits for the
-structural and the world side.  This module is deliberately ignorant of
-the pxml classes — it reads ``node_id`` / ``kind`` / ``label`` /
-``children`` / ``probabilities`` / ``parent`` duck-typed, so the store
-package never imports the document layer.
+rehashes the ancestor chain one side at a time (:func:`_structural`,
+:func:`_world`, :func:`_labels`, formatting the same payload constants),
+with separate early exits for the structural and the world side.  This
+module is deliberately ignorant of the pxml classes — it reads
+``node_id`` / ``kind`` / ``label`` / ``children`` / ``probabilities`` /
+``parent`` duck-typed, so the store package never imports the document
+layer.
 
 **Canonical anchor positions.**  :func:`compute_positions` derives, from
 the structural digests, a canonical *rank path* for every node: at each
@@ -84,10 +89,27 @@ __all__ = [
 #: even for stores holding billions of subtree entries.
 DIGEST_SIZE = 16
 
-# Payloads are built as text and hashed as UTF-8.  Fields are separated
-# by \x1f and siblings by \x1e; labels are parsed tokens and never
-# contain control characters, so the encoding is prefix-free in
-# practice.  Sorting text sorts its UTF-8 bytes the same way.
+# Payloads are built as text and hashed as UTF-8.  A node's *body* is
+# its kind (with the label, for ordinary nodes) and its sorted child
+# entries, fields separated by \x1f and siblings by \x1e.  The
+# structural payload is the body over child digests — each suffixed with
+# its edge probability under a distributional parent — and the world
+# payload prefixes the node Id to the body over child world digests,
+# each zero-probability edge flagged ``:0``.  A leaf's structural payload
+# and world body coincide.  Labels are not escaped and may hold the
+# separators themselves (the builder accepts ``"a\x1fb"``): keys stay
+# unambiguous only because every child entry is a fixed-width hex digest
+# (plus an edge suffix), not because labels are control-free.
+# Length-prefixing each field is the planned fix (ROADMAP item 4, a store
+# schema bump).  Sorting text sorts its UTF-8 bytes the same way.  The
+# walk and the splice steps below format payloads from these constants
+# only.
+_ORDINARY = "ordinary\x1f%s\x1f%s"  # label, sorted child entries
+_DISTRIBUTIONAL = "%s\x1f%s"  # kind, sorted child entries
+_WORLD = "world:%d\x1f%s"  # node Id, body over child world digests
+_EDGE = "%s:%s"  # child digest, edge probability
+_ZERO_EDGE = ":0"  # suffix of a zero-probability child's world digest
+_SIBLINGS = "\x1e"
 
 
 def _hash(text: str) -> str:
@@ -106,35 +128,29 @@ def fingerprint_digest(table: tuple) -> str:
     return _hash(repr(table))
 
 
-def _structural(
-    node, digests: dict, sizes: dict, hashed: dict
-) -> tuple[str, int]:
-    """One node's structural digest and subtree size, given its children's.
+def _body(node, entries: list) -> str:
+    """One node's payload body over its child entries (sorted in place)."""
+    entries.sort()
+    if node.probabilities is None:
+        return _ORDINARY % (node.label, _SIBLINGS.join(entries))
+    return _DISTRIBUTIONAL % (node.kind.value, _SIBLINGS.join(entries))
 
-    ``hashed`` maps payloads already hashed in this walk to their
-    digests: isomorphic subtrees (most leaves, repeated records) share
-    one payload and are hashed once.
-    """
+
+def _structural(node, digests: dict, sizes: dict) -> tuple[str, int]:
+    """One node's structural digest and subtree size, given its children's."""
     children = node.children
     probabilities = node.probabilities
     if probabilities is None:  # ordinary node
-        head = "ordinary\x1f%s" % node.label
         entries = [digests[c.node_id] for c in children]
     else:  # the edge probability is part of the child entry
-        head = node.kind.value
         entries = [
-            "%s:%s" % (digests[c.node_id], probabilities[c.node_id])
+            _EDGE % (digests[c.node_id], probabilities[c.node_id])
             for c in children
         ]
-    entries.sort()
     size = 1
     for child in children:
         size += sizes[child.node_id]
-    payload = "%s\x1f%s" % (head, "\x1e".join(entries))
-    digest = hashed.get(payload)
-    if digest is None:
-        digest = hashed[payload] = _hash(payload)
-    return digest, size
+    return _hash(_body(node, entries)), size
 
 
 def _world(node, worlds: dict) -> str:
@@ -142,17 +158,14 @@ def _world(node, worlds: dict) -> str:
     children = node.children
     probabilities = node.probabilities
     if probabilities is None:
-        head = "world:%d\x1fordinary\x1f%s" % (node.node_id, node.label)
         entries = [worlds[c.node_id] for c in children]
     else:
-        head = "world:%d\x1f%s" % (node.node_id, node.kind.value)
         entries = [
             worlds[c.node_id] if probabilities[c.node_id]
-            else worlds[c.node_id] + ":0"
+            else worlds[c.node_id] + _ZERO_EDGE
             for c in children
         ]
-    entries.sort()
-    return _hash("%s\x1f%s" % (head, "\x1e".join(entries)))
+    return _hash(_WORLD % (node.node_id, _body(node, entries)))
 
 
 def _labels(node, labels: dict) -> frozenset:
@@ -172,10 +185,18 @@ def _labels(node, labels: dict) -> frozenset:
 def compute_indexes(root) -> tuple[dict, dict, dict, dict]:
     """Structural digests, sizes, world digests and label sets under ``root``.
 
-    One iterative post-order pass: a parent-before-child list of the
-    subtree, processed in reverse.  Label sets are interned (subtrees
-    with equal label sets share one frozenset).  Returns ``(digests,
-    sizes, worlds, labels)``, each keyed by ``node_id``.
+    One iterative post-order pass — a parent-before-child list of the
+    subtree, processed in reverse — reads each node's children once and
+    fills all four entries in that one loop.  The entries equal what the
+    splice's per-ancestor steps :func:`_structural`, :func:`_world` and
+    :func:`_labels` give: both format the same payload constants.  Two
+    caches live for one walk: structural payloads already hashed, so
+    isomorphic subtrees (repeated records) are hashed once; and one entry
+    per leaf label holding an ordinary leaf's structural digest, its body
+    (its world payload after the Id) and its interned label set, so a
+    leaf costs one hash.  Label sets are interned: subtrees with equal
+    label sets share one frozenset.  Returns ``(digests, sizes, worlds,
+    labels)``, each keyed by ``node_id``.
     """
     digests: dict[int, str] = {}
     sizes: dict[int, int] = {}
@@ -183,17 +204,83 @@ def compute_indexes(root) -> tuple[dict, dict, dict, dict]:
     labels: dict[int, frozenset] = {}
     interned: dict[frozenset, frozenset] = {}
     hashed: dict[str, str] = {}
+    leaves: dict[str, tuple[str, str, frozenset]] = {}
     order = [root]
     for node in order:
         order.extend(node.children)
     for node in reversed(order):
         node_id = node.node_id
-        digests[node_id], sizes[node_id] = _structural(
-            node, digests, sizes, hashed
-        )
-        worlds[node_id] = _world(node, worlds)
-        frozen = _labels(node, labels)
-        labels[node_id] = interned.setdefault(frozen, frozen)
+        children = node.children
+        probabilities = node.probabilities
+        label = node.label
+        if probabilities is None and not children:
+            leaf = leaves.get(label)
+            if leaf is None:
+                body = _ORDINARY % (label, "")
+                frozen = frozenset((label,))
+                leaf = leaves[label] = (
+                    _hash(body), body, interned.setdefault(frozen, frozen)
+                )
+            digest, body, frozen = leaf
+            digests[node_id] = digest
+            sizes[node_id] = 1
+            # World payloads hold the Id, so they are never cached; their
+            # hash is inlined (one call frame less per node).
+            worlds[node_id] = blake2b(
+                (_WORLD % (node_id, body)).encode(), digest_size=DIGEST_SIZE
+            ).hexdigest()
+            labels[node_id] = frozen
+            continue
+        if len(children) == 1:  # a chain link may keep its child's set
+            below = labels[children[0].node_id]
+            accumulated = None if label is None or label in below else {label}
+        else:
+            accumulated = set() if label is None else {label}
+        size = 1
+        entries = []
+        world_entries = []
+        if probabilities is None:
+            for child in children:
+                child_id = child.node_id
+                entries.append(digests[child_id])
+                world_entries.append(worlds[child_id])
+                size += sizes[child_id]
+                if accumulated is not None:
+                    accumulated |= labels[child_id]
+            entries.sort()
+            world_entries.sort()
+            payload = _ORDINARY % (label, _SIBLINGS.join(entries))
+            body = _ORDINARY % (label, _SIBLINGS.join(world_entries))
+        else:
+            for child in children:
+                child_id = child.node_id
+                probability = probabilities[child_id]
+                entries.append(_EDGE % (digests[child_id], probability))
+                world_entries.append(
+                    worlds[child_id] if probability
+                    else worlds[child_id] + _ZERO_EDGE
+                )
+                size += sizes[child_id]
+                if accumulated is not None:
+                    accumulated |= labels[child_id]
+            entries.sort()
+            world_entries.sort()
+            kind = node.kind.value
+            payload = _DISTRIBUTIONAL % (kind, _SIBLINGS.join(entries))
+            body = _DISTRIBUTIONAL % (kind, _SIBLINGS.join(world_entries))
+        digest = hashed.get(payload)
+        if digest is None:
+            digest = hashed[payload] = _hash(payload)
+        digests[node_id] = digest
+        sizes[node_id] = size
+        worlds[node_id] = blake2b(
+            (_WORLD % (node_id, body)).encode(), digest_size=DIGEST_SIZE
+        ).hexdigest()
+        if accumulated is None:
+            labels[node_id] = below
+        else:
+            frozen = frozenset(accumulated)
+            labels[node_id] = interned.setdefault(frozen, frozen)
     return digests, sizes, worlds, labels
 
 
@@ -238,7 +325,7 @@ def splice_indexes(
     while current is not None and (structural_live or world_live):
         node_id = current.node_id
         if structural_live:
-            digest, size = _structural(current, digests, sizes, {})
+            digest, size = _structural(current, digests, sizes)
             if digests[node_id] == digest and sizes[node_id] == size:
                 structural_live = False
             else:

@@ -29,7 +29,7 @@ TOLERANCE = 1e-9
 ACCOUNTING = (
     "hits", "misses", "puts",
     "anchored_hits", "anchored_misses", "anchored_puts",
-    "bulk_probes", "bulk_probe_keys",
+    "bulk_puts", "bulk_put_keys",
     "entries",
 )
 

@@ -1,5 +1,6 @@
 """Unit tests for the RewritingCache facade."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -102,7 +103,7 @@ class TestAnswering:
         result = cache.answer(paper.q_bon())
         assert result.source is AnswerSource.SINGLE_VIEW
         assert set(result.answer) == {5}
-        assert abs(result.answer[5] - 0.9) < 1e-9
+        assert math.isclose(result.answer[5], 0.9, rel_tol=1e-9)
 
     def test_fast_backend_multi_view(self, p_per, v1_bon, v2_bon):
         cache = RewritingCache(p_per, strict=True, backend="array")
@@ -110,7 +111,7 @@ class TestAnswering:
         cache.materialize(v1_bon)
         result = cache.answer(paper.q_rbon())
         assert set(result.answer) == {5}
-        assert abs(result.answer[5] - 27 / 40) < 1e-9
+        assert math.isclose(result.answer[5], 27 / 40, rel_tol=1e-9)
 
     def test_fast_backend_direct(self, p_per):
         cache = RewritingCache(p_per, backend="array")
@@ -119,7 +120,9 @@ class TestAnswering:
         exact = query_answer(p_per, q)
         assert set(result.answer) == set(exact)
         for node_id in exact:
-            assert abs(result.answer[node_id] - float(exact[node_id])) < 1e-9
+            assert math.isclose(
+                result.answer[node_id], float(exact[node_id]), rel_tol=1e-9
+            )
 
 
 class TestAnswerMany:

@@ -5,6 +5,7 @@ interned bitmask goal sets behind the classic semantics, and pluggable
 numeric backends — plus the stable anchoring API.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -212,12 +213,12 @@ class TestBackends:
             assert set(fast) == set(exact)
             for node_id, value in exact.items():
                 assert isinstance(fast[node_id], float)
-                assert abs(fast[node_id] - float(value)) < 1e-9
+                assert math.isclose(fast[node_id], float(value), rel_tol=1e-9)
 
     def test_fast_boolean_probability(self, p_per):
         exact = boolean_probability(p_per, paper.q_bon())
         fast = boolean_probability(p_per, paper.q_bon(), backend="array")
-        assert abs(fast - float(exact)) < 1e-9
+        assert math.isclose(fast, float(exact), rel_tol=1e-9)
 
     def test_backend_conversions(self):
         assert ExactBackend().convert(0.1) == Fraction(1, 10)

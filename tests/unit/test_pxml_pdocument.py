@@ -151,14 +151,20 @@ class TestStructuralIdentity:
 
 
 class TestGoldenDigests:
-    """Structural digests pinned as literals: memo-store keys are built
-    from them, so any drift would silently turn every existing store
-    file cold."""
+    """Digests pinned as literals: memo-store keys are built from the
+    structural digests and candidate-set keys from the identity digest,
+    so any drift would silently turn every existing store file cold."""
 
     def test_document_digest(self):
         assert (
             paper.p_per().document_digest
             == "4592308b4acebc1c73088e3c6ad3ea4b"
+        )
+
+    def test_identity_digest(self):
+        assert (
+            paper.p_per().identity_digest()
+            == "576f5a892bab9d99907c87b2855ba609"
         )
 
     @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ structurally identical queries), and memo invalidation through the
 p-document mutation epoch.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -115,7 +116,9 @@ class TestAnswerMany:
         for d_exact, d_fast in zip(exact, fast):
             assert set(d_exact) == set(d_fast)
             for node_id in d_exact:
-                assert abs(float(d_exact[node_id]) - d_fast[node_id]) < 1e-9
+                assert math.isclose(
+                    d_fast[node_id], float(d_exact[node_id]), rel_tol=1e-9
+                )
 
     def test_backend_without_group_hooks(self, p_per):
         # The scalar protocol alone: the lane group runs the backend's

@@ -6,6 +6,7 @@ O(depth) index splicing vs scratch rebuilds, whole-document
 memo/plan retention across spine refreshes.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -353,10 +354,9 @@ class TestSessionSpineRefresh:
         scratch = p.subdocument(p.root.node_id)
         expected = [query_answer(scratch, q) for q in queries]
         for want, got in zip(expected, session.answer_many(queries)):
-            for key in set(want) | set(got):
-                assert abs(
-                    float(got.get(key, 0.0)) - float(want.get(key, 0))
-                ) < 1e-9
+            assert set(got) == set(want)
+            for key in want:
+                assert math.isclose(got[key], float(want[key]), rel_tol=1e-9)
         assert session.stats.spine_refreshes == 1
         assert session.stats.survived_plans >= 1
 

@@ -534,7 +534,7 @@ class TestUnifiedStatsSchema:
         "spine_recomputes", "survived_entries",
         "kind", "weight", "anchored_entries", "path", "degraded",
         "cached_entries", "max_weight", "max_entries",
-        "bulk_probes", "bulk_probe_keys", "flushes", "write_behind_pending",
+        "bulk_puts", "bulk_put_keys", "flushes", "write_behind_pending",
     }
 
     def test_memory_store_schema(self):

@@ -49,8 +49,8 @@ class TestDefaultFallbacks:
         store.put_many((key_of(i), dist_of(i), 1) for i in range(4))
         assert len(store) == 4
         stats = store.stats()
-        assert stats["bulk_probes"] == 1
-        assert stats["bulk_probe_keys"] == 4
+        assert stats["bulk_puts"] == 1
+        assert stats["bulk_put_keys"] == 4
         assert stats["puts"] == 4
 
     def test_uncounted_prefetch_leaves_counters_alone(self):
