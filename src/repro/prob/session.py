@@ -23,21 +23,21 @@ tables agree on a subtree share one row there.
 
 **Structural cross-query memoization.**  Per-subtree *blocked*
 distributions (the candidate-free evaluations of the single-pass answer
-DP) of a whole batch are cached in a :class:`repro.store.MemoStore` as
-one :class:`~repro.probability_array.LaneRows` entry under one combined
-key, ``(structural digest, parts digest, anchor mark, None, backend)``
-(see :mod:`repro.prob.stacked` and :mod:`repro.store.api`): the digest
+DP) are cached in a :class:`repro.store.MemoStore`, one row per lane
+class under that class's per-query key, ``(structural digest,
+fingerprint, anchor positions, gate, backend)`` (see
+:mod:`repro.prob.stacked` and :mod:`repro.store.api`): the digest
 identifies the subtree by *shape* (kind, labels, distribution parameters
-— not node Ids), the parts digest hashes each lane's goal table
+— not node Ids), the fingerprint hashes the query's goal table
 restricted to the labels occurring in the subtree
-(:meth:`EvaluationEngine.goal_table_fingerprint`), with its anchor
-positions and gate.  Both components are semantic, so one entry serves
-(i) batches of structurally identical queries that differ only in
-labels absent from the subtree, (ii) two *isomorphic subtrees* — of one
+(:meth:`EvaluationEngine.goal_table_fingerprint`).  All components are
+semantic, so one entry serves (i) every batch holding the query — or
+one that differs only in labels absent from the subtree — whatever the
+batch's order or other members, (ii) two *isomorphic subtrees* — of one
 document, or of a document and its probabilistic extensions — already
 within a single cold pass, and (iii) with a shared or persistent store
 (:class:`repro.store.SqliteStore`), other sessions and restarted
-processes running the same batch.  The default store is a private
+processes.  The default store is a private
 :class:`repro.store.InMemoryStore` whose cost-aware LRU eviction
 (weight = support size × subtree size) keeps expensive hot entries under
 memory pressure instead of the old clear-at-capacity purge.  *Anchored*

@@ -6,10 +6,11 @@ runs as ONE *lane group* (``width = L``) of the one store-consulting
 walk, :func:`repro.prob.traversal.stored_postorder`: every subtree's
 blocked/unpinned distributions for all ``L`` lanes (queries) form one
 :class:`~repro.probability_array.LaneRows` entry — a tuple of per-lane
-``{mask: value}`` dicts — memoized under a single combined store key.
-Probing, saving, neutral skips, store I/O and the session counters
-all live in the skeleton; this module supplies only the
-group's combine step, its combined keyer and the session entry points.
+``{mask: value}`` dicts — and the store holds one row per lane class
+under that class's own per-query key.  Probing, saving, neutral skips,
+store I/O and the session counters all live in the skeleton; this
+module supplies only the group's combine step, its keyer and the
+session entry points.
 
 **Lane classes.**  At each node the lanes fall into *classes*: lanes
 whose keyer parts agree — the restricted goal-table fingerprint, the
@@ -19,7 +20,7 @@ shares entries (:mod:`repro.store.keys`).  The group therefore combines
 one row per class and lets every lane of the class share that row
 object; neutral lanes share the unit dict.  In a batch of queries that
 differ in one label, most subtrees see one or two classes.
-:class:`StackedKeyer` derives the classes with the combined key and
+:class:`StackedKeyer` derives the classes and their store keys and
 caches both per node id.
 
 **One combine kernel.**  Every row comes out of the engine's own
@@ -67,16 +68,17 @@ are pruned: when the table outgrows ``_INTERN_PER_SPINE`` rows per
 spine entry it is rebuilt from the rows the spine still holds.
 Boolean passes have no live nodes and intern nothing.
 
-**Combined store keys.**  A subtree is memoized under ONE key instead of
-L: ``(structural digest, digest of the tagged per-lane parts, anchor
-mark, None, backend)``.  The per-lane gate is folded *inside* the parts
-(collapsing to ``None`` for gate-insensitive lanes), so a blocked
-pinned-pass entry and an unpinned Boolean-pass entry share whenever
-every lane is insensitive.  The per-lane anchor positions live in the
-parts too; the key's anchor component only marks a group with an
-anchored lane (:data:`_ANCHORED`), so stores count its traffic as
-anchored (:func:`repro.store.api.is_anchored_key`).  The keyer supplies
-the skeleton's ``token`` / ``weight``.
+**Per-class store keys.**  A subtree's lane class is stored under its
+first lane's own 5-part key, ``(structural digest, restricted-table
+fingerprint, anchor positions, effective gate, backend)``
+(:class:`~repro.store.SubtreeKeyer`), as the single plain row of that
+lane.  So an entry depends on neither the batch nor the lane order: a
+store warmed by one batch serves the same queries in any order or
+grouping, on every subtree no lane held live.  The walk probes one key
+per class and counts a hit only when every class hits; otherwise the
+node is combined in full and each class whose probe missed saves its
+row.  A blocked pinned-pass row and an unpinned Boolean-pass row share
+an entry whenever the lane's restriction is gate-insensitive.
 
 **Exact fallback.**  The engine's combine steps apply the one
 exact-fallback rule (:mod:`repro.prob.engine`): a row or pin wider than
@@ -87,8 +89,8 @@ or pin combines exactly.  The group only keeps one flag per entry
 below an entry that holds one.  On a backend without the ``escape``
 hook (``exact``) nothing escapes, and the group skips the flag.
 
-Per-lane stats are necessarily approximate here (one combined probe
-covers L lanes); the skeleton counts a group's hits/misses/skips
+Per-lane stats are necessarily approximate here (one probe per class
+covers all its lanes); the skeleton counts a group's hits/misses/skips
 ``× L`` so cumulative session counters read per query.
 """
 
@@ -99,12 +101,7 @@ from typing import Optional
 
 from ..obs.trace import span as trace_span
 from ..probability_array import LaneRows, _is_exact
-from ..store import (
-    GATE_BLOCKED,
-    GATE_UNPINNED,
-    SubtreeKeyer,
-    fingerprint_digest,
-)
+from ..store import GATE_BLOCKED, GATE_UNPINNED, SubtreeKeyer
 from .engine import (
     _GRANT_ALL,
     _GRANT_NONE,
@@ -117,14 +114,6 @@ __all__ = ["StackedKeyer", "stacked_answer_many", "stacked_boolean_many"]
 
 #: Shared empty pinned map (never mutated by the engine's combines).
 _EMPTY: dict = {}
-#: Tag of the combined key's fingerprint part.  It names the entry form,
-#: so entries of an earlier form are never probed.
-_KEY_TAG = "lane-rows"
-#: Anchor component of a combined key with an anchored lane: one slot
-#: pinned to nothing.  The positions themselves are in the parts digest;
-#: the mark makes the key anchored for the stores' counters and
-#: round-trips through the SQLite anchor codec.
-_ANCHORED = ((),)
 _ratio = Fraction.as_integer_ratio
 #: An answer plan's row intern table is pruned once it holds more than
 #: this many rows per retained spine entry.
@@ -143,11 +132,6 @@ def _row_key(row: dict) -> tuple:
     return (_is_exact(row), tuple(row.items()))
 
 
-def _storable(entry):
-    """The store holds blocked/unpinned rows, never split entries."""
-    return entry if entry.__class__ is LaneRows else None
-
-
 class _SplitRows:
     """Per-lane ``(blocked, pinned)`` pairs at a live-spine node."""
 
@@ -160,46 +144,49 @@ class _SplitRows:
 
 
 class StackedKeyer:
-    """Combined content-addressed store keys and lane classes.
+    """Per-class content-addressed store keys and lane classes.
 
     Wraps one :class:`~repro.store.SubtreeKeyer` per lane.  Per node it
-    derives the ordered per-lane ``(fingerprint, anchors, effective
-    gate)`` parts (``None`` for lanes neutral below the subtree), groups
-    equal parts into lane classes (:meth:`classes`), and digests the
-    parts into a single 5-part key (:meth:`token`).  Keys are cached per
+    derives the ``(fingerprint, anchors, effective gate, backend)`` part
+    of each lane not neutral below the subtree and groups equal parts
+    into lane classes (:meth:`classes`); each class's
+    store key is its first lane's own 5-part key (:meth:`token`), so a
+    class row is shared with every batch — and every single query — whose
+    lane restricts to the same table on the subtree.  Keys are cached per
     node id, so a warm pass resolves each node with one dict lookup;
-    classes are cached per relevant label set (per node id when a lane
-    is anchored).  The session caches whole keyers per batch signature,
+    classes are cached per relevant label set (per node id when a lane is
+    anchored).  The session caches whole keyers per batch signature,
     making the caches effective across passes within a document epoch
     (:meth:`forget` prunes mutated nodes).
     """
 
     __slots__ = (
-        "digests", "sizes", "keyers", "labels", "table_labels", "gate",
+        "digests", "keyers", "labels", "table_labels", "gate",
         "_cache", "_classes", "_by_labels",
     )
 
     def __init__(self, p, keyers: list, gate: str) -> None:
-        self.digests, self.sizes = p.structural_index()
+        self.digests = p.structural_index()[0]
         self.keyers = keyers
         self.labels = [keyer.table_labels for keyer in keyers]
         #: The group's label support: the union of the lanes'.
         self.table_labels = frozenset().union(*self.labels)
         self.gate = gate
-        # node_id -> (key, anchored)
+        # node_id -> (class keys, anchored, lane_class)
         self._cache: dict[int, tuple] = {}
         # node_id (anchored) / relevant labels (unanchored) -> classes
         self._classes: dict[int, tuple] = {}
         self._by_labels: dict[frozenset, tuple] = {}
 
     def classes(self, node_id: int, label_set) -> tuple:
-        """``(lane_class, representatives, shared, parts digest,
-        anchored, backend name)`` at a subtree.
+        """``(lane_class, representatives, shared, parts, anchored)`` at
+        a subtree.
 
         ``lane_class[i]`` is lane ``i``'s class index (``-1`` when the
         lane is neutral below the subtree), ``representatives[c]`` the
-        first lane of class ``c``, and ``shared`` the number of
-        non-neutral lanes that are not their class's first lane.
+        first lane of class ``c``, ``shared`` the number of non-neutral
+        lanes that are not their class's first lane, and ``parts[c]``
+        class ``c``'s store key without its structural digest.
         Without anchors the parts depend on the subtree's labels alone,
         so they are cached per group-relevant label set; anchored parts
         name positions inside the subtree and are cached per node.
@@ -216,30 +203,26 @@ class StackedKeyer:
         representatives = []
         index: dict = {}
         anchored = False
-        backend_name = None
         for lane, (keyer, labels) in enumerate(zip(self.keyers, self.labels)):
             if not (labels & relevant):
-                parts.append(None)
                 lane_class.append(-1)
                 continue
             token, is_anchored = keyer.token(node_id, relevant, self.gate)
-            part = (token[1], token[2], token[3])
-            parts.append(part)
-            backend_name = token[4]
+            part = token[1:]
             anchored |= is_anchored
             cls = index.get(part)
             if cls is None:
                 cls = index[part] = len(representatives)
                 representatives.append(lane)
+                parts.append(part)
             lane_class.append(cls)
         active = len(lane_class) - lane_class.count(-1)
         entry = (
             tuple(lane_class),
             tuple(representatives),
             active - len(representatives),
-            fingerprint_digest((_KEY_TAG, tuple(parts))),
+            tuple(parts),
             anchored,
-            backend_name,
         )
         if anchored:
             self._classes[node_id] = entry
@@ -248,24 +231,20 @@ class StackedKeyer:
         return entry
 
     def token(self, node_id: int, label_set) -> tuple:
-        """``(combined key, is_anchored)`` for a subtree where at least
-        one lane is non-neutral (callers shortcut all-neutral ones)."""
+        """``(class keys, is_anchored, lane_class)`` for a subtree where
+        at least one lane is non-neutral (callers shortcut all-neutral
+        ones): one store key per lane class, whether any lane's
+        restriction is anchored, and the lane → class map."""
         entry = self._cache.get(node_id)
         if entry is not None:
             return entry
-        _, _, _, parts, anchored, backend_name = self.classes(
-            node_id, label_set
-        )
-        entry = self._cache[node_id] = (
-            (
-                self.digests[node_id],
-                parts,
-                _ANCHORED if anchored else None,
-                None,
-                backend_name,
-            ),
-            anchored,
-        )
+        lane_class, _, _, parts, anchored = self.classes(node_id, label_set)
+        digest = (self.digests[node_id],)
+        if len(parts) == 1:  # the common case: one lane class
+            keys = (digest + parts[0],)
+        else:
+            keys = tuple([digest + part for part in parts])
+        entry = self._cache[node_id] = (keys, anchored, lane_class)
         return entry
 
     def forget(self, node_ids) -> None:
@@ -273,10 +252,6 @@ class StackedKeyer:
         for node_id in node_ids:
             self._cache.pop(node_id, None)
             self._classes.pop(node_id, None)
-
-    def weight(self, node_id: int, distribution) -> int:
-        """Recomputation-cost estimate: support size × subtree size."""
-        return len(distribution) * self.sizes[node_id]
 
 
 class _StackedLane:
@@ -309,8 +284,8 @@ class _StackedGroup:
     * :attr:`unit_entry` — all lanes neutral below: every row is the
       unit dict.
     * a :class:`~repro.probability_array.LaneRows` — blocked/unpinned
-      rows, one per lane, shared by lane class; the only form the store
-      holds.
+      rows, one per lane, shared by lane class; the store holds its
+      class rows.
     * a :class:`_SplitRows` — per-lane ``(blocked, pinned)`` pairs at
       live-spine nodes of an answer pass.
 
@@ -326,7 +301,7 @@ class _StackedGroup:
         "labels", "lanes", "keyer", "grant", "union_live",
         "mixed", "row_key", "unit_dict",
         "unit_entry", "rows_combined", "rows_shared", "spine", "interned",
-        "stats", "spine_before", "root_forms",
+        "stats", "spine_before", "root_forms", "one_class",
     )
 
     def __init__(
@@ -347,6 +322,8 @@ class _StackedGroup:
         self.interned = {} if plan is None else plan.interned
         self.unit_dict = self._intern({0: backend.one})
         self.unit_entry = LaneRows((self.unit_dict,) * len(lanes))
+        #: The lane → class map of a node where every lane is in class 0.
+        self.one_class = (0,) * len(lanes)
         self.rows_combined = 0
         self.rows_shared = 0
         self.spine = {} if plan is None else plan.spine
@@ -364,7 +341,7 @@ class _StackedGroup:
             keyer=keyer,
             live=self.union_live,
             width=len(self.lanes),
-            cacheable=_storable,
+            assemble=self.assemble,
             known=self.spine,
         )
 
@@ -420,9 +397,20 @@ class _StackedGroup:
             class_rows = list(map(self._intern, class_rows))
         self.rows_combined += len(class_rows)
         self.rows_shared += shared
+        return self.assemble(lane_class, class_rows)
+
+    def assemble(self, lane_class: tuple, class_rows) -> LaneRows:
+        """The entry whose lanes take their class's row (neutral lanes
+        the unit dict): a combined node's, or a node whose every class
+        row was a store hit."""
+        if lane_class == self.one_class:  # the common case
+            row = class_rows[0]
+            return LaneRows(
+                (row,) * len(lane_class), self.mixed and _is_exact(row)
+            )
         unit = self.unit_dict
         return LaneRows(
-            tuple(unit if c < 0 else class_rows[c] for c in lane_class),
+            tuple([unit if c < 0 else class_rows[c] for c in lane_class]),
             self.mixed and any(map(_is_exact, class_rows)),
         )
 
@@ -494,7 +482,7 @@ class _StackedGroup:
 # Session entry points
 # ----------------------------------------------------------------------
 class _AnswerPlan:
-    """A cached stacked ``answer_many`` batch: the lanes, the combined
+    """A cached stacked ``answer_many`` batch: the lanes, the group's
     keyer, the union live set, the answer memo (empty, or the one answer
     list of the current epoch), the retained spine (``node_id -> split
     entry``) and the row intern table (see the module docstring)."""
@@ -555,7 +543,7 @@ def _run_group(
 
 def stacked_answer_many(session, queries: list) -> list:
     """``answer_many`` as one lane group.  Caches the batch plan
-    (engines, candidate and live sets, combined keyer) on the session
+    (engines, candidate and live sets, keyer) on the session
     per document epoch.
 
     The plan also memoizes its *answers*: within a document epoch a

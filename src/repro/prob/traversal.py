@@ -15,20 +15,23 @@ goal-table label support (for the neutral short-circuit), its *live* set
 maps can be assembled), its keyer, and its combine callback.  A *lane
 group* is a lane standing for ``width`` queries at once: its entries
 carry every query of the group (the stacked pass's per-lane rows), its
-keyer issues one combined key per subtree, and its hits, misses and
-neutral skips count ``× width`` so the counters read as if each query
-had run its own lane.
+keyer sorts the queries into *lane classes* per subtree and issues one
+per-query store key per class, and its hits, misses and neutral skips
+count ``× width`` so the counters read as if each query had run its own
+lane.
 
 **Per node** the skeleton either
 
 * short-circuits a *neutral* subtree (no goal-table label below ⇒ the
   distribution is the unit ``{∅: 1}``) without touching any memo,
-* reuses a memoized blocked/unpinned distribution (a *hit*), or
-* calls the lane's combine and saves the cacheable part of the result
-  under the lane's token (a *miss*).
+* reuses the memoized blocked/unpinned row of every class (a *hit*),
+  assembled into the node's entry by the lane's ``assemble``, or
+* calls the lane's combine and saves the row of each class whose probe
+  missed under that class's key (a *miss*; a node where only some
+  classes hit is combined in full).
 
-The probe happens when the walk first reaches a node, so a hit skips
-the whole subtree; a miss remembers its key for the save after the
+The probes happen when the walk first reaches a node, so a hit skips
+the whole subtree; a miss remembers its keys for the save after the
 combine, and the node is never probed twice.
 
 **Live spine.**  A live node's entry names candidate node Ids, so the
@@ -41,15 +44,16 @@ node found there resolves like a hit (counted in ``spine_hits``, not
 edit recombines only the dirty path.
 
 **Store I/O.**  A lane token (:meth:`repro.prob.stacked.StackedKeyer.
-token`) is a canonical content-addressed store key.  Every pass over a
-store follows one rule (:func:`probe` / :func:`land`): saves collect
-in the pass's own *pending* map, a probe looks there first (a hit is
-counted through :meth:`~repro.store.MemoStore.record_probe`) and
-otherwise calls the store's ``get``, and the pending saves land as one
-:meth:`~repro.store.MemoStore.put_many` when the pass ends.  A subtree
-saved earlier in the pass therefore serves an isomorphic one later in
-it, and the store's hit/miss/put counters read as if every save had
-been an immediate ``put``.
+token`) holds one canonical content-addressed store key per lane class,
+and an entry's weight is its row's support × the subtree size.  Every
+pass over a store follows one rule (:func:`probe` / :func:`land`):
+saves collect in the pass's own *pending* map, a probe looks there
+first (a hit is counted through :meth:`~repro.store.MemoStore.
+record_probe`) and otherwise calls the store's ``get``, and the pending
+saves land as one :meth:`~repro.store.MemoStore.put_many` when the pass
+ends.  A subtree saved earlier in the pass therefore serves an
+isomorphic one later in it, and the store's hit/miss/put counters read
+as if every save had been an immediate ``put``.
 """
 
 from __future__ import annotations
@@ -65,10 +69,6 @@ _EMPTY = frozenset()
 _NOTHING_KNOWN: Mapping = MappingProxyType({})
 
 
-def _whole(entry):
-    return entry
-
-
 class Lane:
     """One engine's (or one lane group's) view of a pass.
 
@@ -80,14 +80,14 @@ class Lane:
         unit: the entry of a neutral subtree (for an unpinned lane, the
             unit distribution ``{0: one}``).
         keyer: a :class:`~repro.prob.stacked.StackedKeyer`-shaped key
-            source (``token`` / ``weight``); needed only when the pass
-            runs over a store.
+            source (``token``); needed only when the pass runs over a
+            store.
         live: node Ids whose subtree holds a candidate — always combined,
             never probed.
         width: how many queries the lane stands for (see module docs).
-        cacheable: ``entry -> value or None`` — what the store may hold
-            of a combined entry (``None``: nothing).  Default: the entry
-            itself.
+        assemble: ``(lane_class, class_rows) -> entry`` — the entry of a
+            node whose every class row was a hit; needed only when the
+            pass runs over a store.
         known: ``node_id -> entry`` for live nodes whose entry an earlier
             pass combined and that is still valid (see module docs).
             Such a node resolves like a hit, and its subtree is not
@@ -96,7 +96,7 @@ class Lane:
 
     __slots__ = (
         "table_labels", "combine", "keyer", "live", "unit_entry", "width",
-        "cacheable", "known",
+        "assemble", "known",
     )
 
     def __init__(
@@ -107,7 +107,7 @@ class Lane:
         keyer=None,
         live: frozenset = _EMPTY,
         width: int = 1,
-        cacheable: Callable = _whole,
+        assemble: Optional[Callable] = None,
         known: Mapping = _NOTHING_KNOWN,
     ) -> None:
         self.table_labels = table_labels
@@ -116,7 +116,7 @@ class Lane:
         self.live = live
         self.unit_entry = unit
         self.width = width
-        self.cacheable = cacheable
+        self.assemble = assemble
         self.known = known
 
 
@@ -174,10 +174,11 @@ def stored_postorder(
     keyer = lane.keyer
     width = lane.width
     combine = lane.combine
-    cacheable = lane.cacheable
+    assemble = lane.assemble
+    sizes = p.structural_index()[1] if use_memo else None
     entries: dict = {}
-    # The store key of every node whose pre-check missed, for the save
-    # after its combine (live nodes are never probed, so absent here).
+    # The token and probed rows of every node whose pre-check missed, for
+    # the save after its combine (live nodes are never probed).
     missed: dict = {}
     stack = [(p.root, False)]
     while stack:
@@ -200,17 +201,20 @@ def stored_postorder(
                     stats.subtree_skips += 1
                 continue
             elif use_memo:
-                key, anchored = keyer.token(node_id, label_set)
-                cached = probe(store, pending, key)
-                if cached is not None:
-                    entries[node_id] = cached
+                keys, anchored, lane_class = keyer.token(node_id, label_set)
+                if len(keys) == 1:  # the common case: one lane class
+                    rows = [probe(store, pending, keys[0])]
+                else:
+                    rows = [probe(store, pending, key) for key in keys]
+                if None not in rows:
+                    entries[node_id] = assemble(lane_class, rows)
                     if stats is not None:
                         stats.memo_hits += width
                         if anchored:
                             stats.anchored_hits += width
                         stats.subtree_skips += 1
                     continue
-                missed[node_id] = (key, anchored)
+                missed[node_id] = (keys, anchored, lane_class, rows)
             stack.append((node, True))
             stack.extend((child, False) for child in node.children)
             continue
@@ -222,13 +226,18 @@ def stored_postorder(
         token = missed.pop(node_id, None) if use_memo else None
         if token is None:  # memo-less, or a live node: never probed
             continue
+        keys, anchored, lane_class, rows = token
         if stats is not None:
             stats.memo_misses += width
-            if token[1]:
+            if anchored:
                 stats.anchored_misses += width
-        value = cacheable(entry)
-        if value is not None:
-            pending[token[0]] = (value, keyer.weight(node_id, value))
+        # Every class whose probe missed saves its row (a partial hit
+        # was recombined in full).
+        size = sizes[node_id]
+        for cls, key in enumerate(keys):
+            if rows[cls] is None:
+                row = entry.rows[lane_class.index(cls)]
+                pending[key] = (row, len(row) * size)
     if use_memo:
         land(store, pending)
     return entries.pop(p.root.node_id)

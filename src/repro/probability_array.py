@@ -7,7 +7,8 @@ is a width guard:
 
 **Session batches.**  A :class:`~repro.prob.session.QuerySession` runs
 every batch as one lane group (:mod:`repro.prob.stacked`) whose entries
-are :class:`LaneRows` — one dict per lane, shared by lane class.
+are :class:`LaneRows` — one dict per lane, shared by lane class; the
+store holds each class's row.
 
 **Exact fallback.**  Supports normally stay tiny (the goal-set DP
 collapses masks aggressively), but adversarial documents can blow them
@@ -41,7 +42,7 @@ class LaneRows:
 
     The lane group of :mod:`repro.prob.stacked` advances every query
     lane of a batch through a subtree in one combine step; this is the
-    memoized result — ``rows[i]`` is lane ``i``'s blocked (or unpinned)
+    result — ``rows[i]`` is lane ``i``'s blocked (or unpinned)
     distribution as a plain ``{mask: value}`` dict.  Lanes of one *lane
     class* (equal restricted goal table, anchor positions and gate)
     share one row object, and neutral lanes share the unit dict.
@@ -49,9 +50,7 @@ class LaneRows:
     Values are floats, or :class:`~fractions.Fraction` in rows that
     escaped the width threshold or were combined above such a row
     (``exact`` is set when any row is).  Immutable by convention, like
-    every engine distribution.  ``__len__`` is the total support over
-    all lanes (shared rows count once per lane): the store's eviction
-    weight.
+    every engine distribution.
     """
 
     __slots__ = ("rows", "exact")
@@ -59,9 +58,6 @@ class LaneRows:
     def __init__(self, rows: tuple, exact: bool = False) -> None:
         self.rows = rows
         self.exact = exact
-
-    def __len__(self) -> int:
-        return sum(map(len, self.rows))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LaneRows(lanes={len(self.rows)}, exact={self.exact})"
@@ -169,9 +165,9 @@ class ArrayBackend:
 
     Scalar values are plain floats.  A
     :class:`repro.prob.session.QuerySession` runs every batch as one
-    lane group of :mod:`repro.prob.stacked`: one combined store key and
-    one :class:`LaneRows` entry per subtree, each row computed once per
-    lane class with float dict kernels.
+    lane group of :mod:`repro.prob.stacked`: one :class:`LaneRows`
+    entry per subtree, each row computed once per lane class with float
+    dict kernels and stored under that class's own key.
 
     Args:
         width_threshold: support width beyond which a float result

@@ -4,8 +4,9 @@ A :class:`SubtreeKeyer` describes one query's subtree evaluations (an
 :class:`~repro.prob.engine.EvaluationEngine` over one p-document and one
 numeric backend) in the canonical content-addressed form of
 :mod:`repro.store.api`.  A session's lane group
-(:class:`repro.prob.stacked.StackedKeyer`) holds one keyer per lane and
-digests the lanes' parts into one combined store key per subtree:
+(:class:`repro.prob.stacked.StackedKeyer`) holds one keyer per lane,
+groups lanes with equal parts into lane classes, and stores each class's
+row under its first lane's key:
 
 * the *structure* component comes from the document's cached
   :meth:`~repro.pxml.pdocument.PDocument.structural_index`;

@@ -10,12 +10,13 @@ available ("warm-from-disk"; see ``benchmarks/bench_store.py``).
 
 **Payload codec.**  Distributions are JSON: exact (:class:`Fraction`)
 values as ``[numerator, denominator]`` pairs, ``array`` floats as JSON
-numbers, goal masks as arbitrary-precision ints, a lane group's
-:class:`~repro.probability_array.LaneRows` as its distinct rows plus a
-lane → row index (see :func:`_encode`) — version-tagged so a future
-format change degrades to a cache miss rather than a wrong answer.  Entries
-whose values are neither ``Fraction`` nor ``float`` (a custom backend's
-domain) are kept in memory but not persisted.
+numbers, goal masks as arbitrary-precision ints (see :func:`_encode`) —
+version-tagged so a format change degrades to a cache miss rather than
+a wrong answer.  Only the v1 generation (one ``{mask: value}`` row) is
+written and read; the retired v2 packed arrays and v3 combined lane
+rows read as misses.  Entries whose values are neither ``Fraction`` nor
+``float`` (a custom backend's domain) are kept in memory but not
+persisted.
 
 **Anchored-entry codec.**  The key's anchor-position component (one
 tuple of relative rank paths per anchor slot, ``None`` when unanchored —
@@ -72,7 +73,6 @@ from typing import Optional, Union
 
 from ..obs.registry import get_registry
 from ..obs.trace import get_tracer
-from ..probability_array import LaneRows
 from .api import MemoStore, StoreKey, is_anchored_key
 
 __all__ = ["SqliteStore", "open_store"]
@@ -152,8 +152,14 @@ def _decode_anchor(text: str):
     return tuple(slots)
 
 
-def _encode_items(distribution: dict) -> Optional[list]:
-    """v1 ``[mask, value]`` items, or ``None`` for a foreign domain."""
+def _encode(distribution) -> Optional[str]:
+    """v1 JSON payload for a distribution, or ``None`` if not
+    serializable (a foreign domain).
+
+    Exact values travel as ``[numerator, denominator]`` pairs (faster to
+    revive than ``"num/den"`` strings — decode speed is what bounds the
+    warm-from-disk preload), floats as plain JSON numbers.
+    """
     items = []
     for mask, value in distribution.items():
         if isinstance(value, Fraction):
@@ -162,74 +168,21 @@ def _encode_items(distribution: dict) -> Optional[list]:
             items.append((mask, value))
         else:
             return None
-    return items
-
-
-def _decode_items(items) -> dict:
-    return {
-        int(mask): Fraction(*value) if isinstance(value, list) else float(value)
-        for mask, value in items
-    }
-
-
-def _encode(distribution) -> Optional[str]:
-    """JSON payload for a distribution, or ``None`` if not serializable.
-
-    Two payload generations are written:
-
-    * **v1** — scalar dicts.  Exact values travel as ``[numerator,
-      denominator]`` pairs (faster to revive than ``"num/den"`` strings
-      — decode speed is what bounds the warm-from-disk preload), floats
-      as plain JSON numbers.
-    * **v3** — a lane group's
-      :class:`~repro.probability_array.LaneRows`: each distinct row
-      object once, as v1 items (so exact rows keep their pairs), plus a
-      lane → row index.  Lanes of one class share one row, on disk as
-      in memory.
-
-    The retired v2 generation (packed arrays) is no longer written.
-    """
-    if distribution.__class__ is LaneRows:
-        slots: dict = {}
-        rows = []
-        index = []
-        for row in distribution.rows:
-            slot = slots.get(id(row))
-            if slot is None:
-                items = _encode_items(row)
-                if items is None:
-                    return None
-                slot = slots[id(row)] = len(rows)
-                rows.append(items)
-            index.append(slot)
-        return json.dumps({"v": 3, "r": rows, "i": index})
-    items = _encode_items(distribution)
-    if items is None:
-        return None
     return json.dumps({"v": _PAYLOAD_VERSION, "d": items})
 
 
-def _decode(payload: str):
+def _decode(payload: str) -> dict:
     """Inverse of :func:`_encode`; raises ``ValueError`` on foreign data,
-    which includes every retired v2 payload (a miss, not a failure)."""
+    which includes every retired payload generation — v2 packed arrays
+    and v3 combined lane rows — so those rows read as misses, not
+    failures."""
     data = json.loads(payload)
-    if not isinstance(data, dict):
+    if not isinstance(data, dict) or data.get("v") != _PAYLOAD_VERSION:
         raise ValueError(f"unsupported memo payload: {payload[:40]!r}")
-    version = data.get("v")
-    if version == 3:
-        rows = [_decode_items(items) for items in data["r"]]
-        try:
-            lanes = tuple(rows[slot] for slot in data["i"])
-        except IndexError as exc:
-            raise ValueError(f"malformed lane-row payload: {payload[:40]!r}") from exc
-        # A row is all float or all Fraction: its first value tells.
-        exact = any(
-            isinstance(next(iter(row.values()), None), Fraction) for row in rows
-        )
-        return LaneRows(lanes, exact)
-    if version != _PAYLOAD_VERSION:
-        raise ValueError(f"unsupported memo payload version: {payload[:40]!r}")
-    return _decode_items(data["d"])
+    return {
+        int(mask): Fraction(*value) if isinstance(value, list) else float(value)
+        for mask, value in data["d"]
+    }
 
 
 class SqliteStore(MemoStore):

@@ -9,6 +9,7 @@ memo store (bit-exactly on ``exact``, within ``1e-9`` on ``array``), and
 entries warmed by the first twin.
 """
 
+import math
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -105,7 +106,8 @@ def test_store_backed_array_plan_within_tolerance(seed):
         q, view, backend="array", store=InMemoryStore()
     )
     approximate = array_plan.evaluate(ext)
-    for node_id in set(exact) | set(approximate):
-        assert abs(
-            float(approximate.get(node_id, 0.0)) - float(exact.get(node_id, 0))
-        ) < TOLERANCE
+    assert set(approximate) == set(exact)
+    for node_id, value in exact.items():
+        assert math.isclose(
+            float(approximate[node_id]), float(value), rel_tol=TOLERANCE
+        )

@@ -8,6 +8,7 @@ runs exercise cross-call memo reuse, where a stale or over-shared
 distribution would surface immediately).
 """
 
+import math
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -47,10 +48,11 @@ def test_answer_many_fast_within_tolerance(seed):
     exact = [query_answer(p, q) for q in queries]
     fast = QuerySession(p, backend="array").answer_many(queries)
     for d_exact, d_fast in zip(exact, fast):
-        for node_id in set(d_exact) | set(d_fast):
-            assert abs(
-                d_fast.get(node_id, 0.0) - float(d_exact.get(node_id, 0))
-            ) < TOLERANCE
+        assert set(d_fast) == set(d_exact)
+        for node_id, value in d_exact.items():
+            assert math.isclose(
+                d_fast[node_id], float(value), rel_tol=TOLERANCE
+            )
 
 
 @settings(max_examples=25, deadline=None)

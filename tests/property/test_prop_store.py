@@ -9,6 +9,7 @@ between lookalike subtrees), and across interleaved in-place mutations
 that must invalidate digests and memo entries.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -81,10 +82,38 @@ def test_store_backed_fast_within_tolerance(seed):
         queries
     )
     for d_exact, d_fast in zip(exact, fast):
-        for node_id in set(d_exact) | set(d_fast):
-            assert abs(
-                d_fast.get(node_id, 0.0) - float(d_exact.get(node_id, 0))
-            ) < TOLERANCE
+        assert set(d_fast) == set(d_exact)
+        for node_id, value in d_exact.items():
+            assert math.isclose(
+                d_fast[node_id], float(value), rel_tol=TOLERANCE
+            )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.data())
+def test_warm_store_serves_any_permutation(seed, data):
+    # Entries are per lane class under per-query keys, so the order of
+    # the warming batch is not part of any key: a permutation of that
+    # batch misses nothing and answers the same.
+    p, queries, _ = make_batch(seed)
+    order = data.draw(st.permutations(range(len(queries))))
+    permuted = [queries[i] for i in order]
+    exact = [query_answer(p, q) for q in permuted]
+    for backend in ("exact", "array"):
+        store = InMemoryStore()
+        QuerySession(p, backend=backend, store=store).answer_many(queries)
+        session = QuerySession(p, backend=backend, store=store)
+        got = session.answer_many(permuted)
+        assert session.stats.memo_misses == 0
+        if backend == "exact":
+            assert got == exact
+            continue
+        for d_exact, d_fast in zip(exact, got):
+            assert set(d_fast) == set(d_exact)
+            for node_id, value in d_exact.items():
+                assert math.isclose(
+                    d_fast[node_id], float(value), rel_tol=TOLERANCE
+                )
 
 
 @settings(max_examples=25, deadline=None)

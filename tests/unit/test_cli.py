@@ -159,6 +159,21 @@ class TestStoreCommands:
         assert " 0 misses" in trailing
         assert f": {entries} entries," in trailing
 
+    def test_reordered_batch_reads_what_warm_wrote(
+        self, doc_file, tmp_path, capsys
+    ):
+        # `store warm` saves one entry per lane class under per-query
+        # keys, so the same queries in another order miss nothing.
+        name = "IT-personnel//person/name"
+        store_path = str(tmp_path / "memo.db")
+        assert main(["store", "warm", store_path, doc_file,
+                     self.QUERY, name]) == 0
+        capsys.readouterr()
+        assert main(["eval", doc_file, name, self.QUERY, "--batch",
+                     "--store", store_path]) == 0
+        trailing = capsys.readouterr().out.splitlines()[-1]
+        assert " 0 misses" in trailing
+
     def test_warm_then_stats_then_clear(self, doc_file, tmp_path, capsys):
         store_path = str(tmp_path / "memo.db")
         assert main(["store", "warm", store_path, doc_file, self.QUERY]) == 0
