@@ -1,8 +1,8 @@
 """Telemetry-overhead micro-benchmark: the disabled path must be free.
 
-The ISSUE-8 guard: with tracing *disabled* (the default), the telemetry
-layer may cost at most **2%** on a warm batch pass: a fresh session
-answering the ``bench_batch`` queries over a warm shared store.  Three
+The guard: with tracing *disabled* (the default), the telemetry layer
+may cost at most **2%** on a warm batch pass: a fresh session answering
+the ``batch_workload`` per-project queries over a warm shared store.  Three
 measurements establish it:
 
 * ``disabled_overhead_fraction`` — the *measured* cost of the no-op
@@ -31,15 +31,15 @@ non-zero when the disabled-path bar is missed.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
 
-from common import best_of, write_report
-
 from repro.obs import (
     disable_tracing,
     enable_tracing,
+    get_registry,
     span,
     take_spans,
     tracing_enabled,
@@ -53,6 +53,16 @@ QUICK_PERSONS = 12
 PROJECTS = 8
 OVERHEAD_BAR = 0.02
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
+
+
+def best_of(repeats: int, fn, *args) -> float:
+    """Minimum wall time of ``fn(*args)`` over ``repeats`` runs."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def _count_spans(spans) -> int:
@@ -151,7 +161,10 @@ def main(argv: list[str] | None = None) -> int:
         QUICK_PERSONS if args.quick else PERSONS,
         repeats=3 if args.quick else 5,
     )
-    write_report(args.output, report)
+    # The registry snapshot records the session / store / backend
+    # counters that produced the numbers.
+    report["telemetry"] = get_registry().snapshot()
+    args.output.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.output}")
     print(
         f"spans/batch={report['spans_per_batch']}, "

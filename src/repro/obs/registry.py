@@ -237,8 +237,8 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """Flat ``{"name{a=b,...}": value}`` dict of :meth:`collect`.
 
-        The form embedded into the ``BENCH_*.json`` reports and asserted
-        in tests; histogram values stay as their ``read()`` dicts.
+        The form embedded into ``BENCH_obs.json`` and asserted in
+        tests; histogram values stay as their ``read()`` dicts.
         """
         flat = {}
         for sample in self.collect():

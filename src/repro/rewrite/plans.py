@@ -36,7 +36,7 @@ none), but keeps the goal table identical across candidates — anchor
 values are abstracted out of the memo fingerprints and re-bound to
 canonical anchor *positions* (:mod:`repro.store.keys`), so that anchored
 traffic is content-addressed store traffic instead of always-cold
-node-keyed work (measured by ``benchmarks/bench_anchored.py``).
+node-keyed work.
 """
 
 from __future__ import annotations

@@ -37,9 +37,7 @@ subtree nodes each anchored entry admits — all preserved — so equal
 keys imply equal distributions, exactly as in the unanchored case.
 
 Every restriction — anchored or not — therefore gets one canonical
-store key; there is no node-identity keying.  The node-keyed baseline
-that anchored keys replaced survives only as a recorded arm of
-``BENCH_anchored.json``.
+store key; there is no node-identity keying.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ anchor, gate, backend)`` records as :class:`repro.store.memory.
 InMemoryStore` holds, persisted in a single ``memo`` table so a
 restarted worker — or a different worker pointed at the same file —
 starts with every previously computed subtree distribution already
-available ("warm-from-disk"; see ``benchmarks/bench_store.py``).
+available ("warm-from-disk").
 
 **Payload codec.**  Distributions are JSON: exact (:class:`Fraction`)
 values as ``[numerator, denominator]`` pairs, ``array`` floats as JSON

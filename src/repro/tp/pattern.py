@@ -110,9 +110,6 @@ class TreePattern:
         """``|mb(q)|`` = the depth of the output node (root has depth 1)."""
         return len(self.main_branch())
 
-    def is_main_branch(self, node: PatternNode) -> bool:
-        return node in self.main_branch()
-
     def label(self) -> str:
         """``lbl(q)`` = the label of the output node (paper shorthand)."""
         return self.out.label

@@ -97,9 +97,6 @@ class ProbabilisticViewExtension:
         every result subtree (provenance-derived)."""
         return self.provenance.copy_index
 
-    def selected_ids(self) -> list[int]:
-        return sorted(self.selection)
-
     def result_subdocument(self, original_id: int) -> PDocument:
         """``P̂_v^{n}``: the p-subdocument rooted at ``n``'s own result copy.
 

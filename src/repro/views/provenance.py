@@ -108,10 +108,6 @@ class ProvenanceTable:
         """The selected original whose result subtree holds ``copy_id``."""
         return self._holders.get(copy_id)
 
-    def occurrences_of(self, original_id: int) -> frozenset:
-        """Holders whose result subtree contains a copy of ``original_id``."""
-        return frozenset(self._occurrences.get(original_id, ()))
-
     def copy_within(self, holder: int, original_id: int) -> Optional[int]:
         """The unique copy of ``original_id`` inside ``holder``'s result
         subtree, or ``None`` when the original does not occur below it."""

@@ -262,14 +262,11 @@ def churn_workload(
     * ``("queries", [TreePattern, ...])`` — evaluate the per-project
       batch (through a session, a cache, or per-query calls), or
     * ``("mutate", mutate)`` — ``mutate()`` edits the document in place
-      and records the mutated node via ``p.mark_mutated(node)``;
-      ``mutate(full=True)`` performs the identical edit but invalidates
-      the whole document (``mark_all_mutated()``), the baseline arm of
-      ``benchmarks/bench_churn.py``.  Two edit kinds occur: scaling a
-      mux child probability by 3/4 (changes answer probabilities *and*
-      the digests on the mutated path, but not the maximal world) and
-      bumping a bonus-amount label (changes digests and the world —
-      answer probabilities must stay put).
+      and records the mutated node via ``p.mark_mutated(node)``.  Two
+      edit kinds occur: scaling a mux child probability by 3/4 (changes
+      answer probabilities *and* the digests on the mutated path, but
+      not the maximal world) and bumping a bonus-amount label (changes
+      digests and the world — answer probabilities must stay put).
 
     With the default ``write_ratio=None`` the historical shape is kept:
     ``rounds`` rounds of exactly ``mutate(prob), queries, mutate(label),
@@ -299,25 +296,19 @@ def churn_workload(
         key=lambda n: n.node_id,
     )
 
-    def scale_probability(target: PNode) -> Callable[..., None]:
-        def mutate(full: bool = False) -> None:
+    def scale_probability(target: PNode) -> Callable[[], None]:
+        def mutate() -> None:
             child = target.children[0]
             assert target.probabilities is not None
             target.probabilities[child.node_id] *= Fraction(3, 4)
-            if full:
-                p.mark_all_mutated()
-            else:
-                p.mark_mutated(target)
+            p.mark_mutated(target)
 
         return mutate
 
-    def bump_amount(target: PNode) -> Callable[..., None]:
-        def mutate(full: bool = False) -> None:
+    def bump_amount(target: PNode) -> Callable[[], None]:
+        def mutate() -> None:
             target.label = str(int(target.label) + 1)
-            if full:
-                p.mark_all_mutated()
-            else:
-                p.mark_mutated(target)
+            p.mark_mutated(target)
 
         return mutate
 

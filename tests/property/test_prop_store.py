@@ -177,7 +177,7 @@ def _check_anchored(session, p, queries, offset, backend, tolerance):
             if tolerance is None:
                 assert value == expected
             else:
-                assert abs(value - expected) < tolerance
+                assert math.isclose(value, expected, rel_tol=tolerance)
 
 
 @settings(max_examples=20, deadline=None)

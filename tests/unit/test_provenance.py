@@ -222,18 +222,26 @@ class TestDigestSharing:
 
     def test_twin_extensions_hit_same_entries_cold(self, p_per):
         # Extensions of isomorphic twin documents are digest-identical:
-        # the second twin's *first* store-backed pass must already hit.
+        # the second twin's *first* store-backed pass must already hit,
+        # and must recompute nothing (0 misses), on every backend.
         view = View("v2BON", paper.v2_bon())
         ext1 = probabilistic_extension(p_per, view)
         ext2 = probabilistic_extension(isomorphic_twin(p_per), view)
         assert ext1.pdocument.document_digest == ext2.pdocument.document_digest
         q = parse_pattern("doc(v2BON)/bonus[laptop]")
-        store = InMemoryStore()
-        first = QuerySession(ext1.pdocument, store=store).answer_many([q])
-        before = store.stats()["hits"]
-        second = QuerySession(ext2.pdocument, store=store).answer_many([q])
-        assert store.stats()["hits"] > before
-        assert first == second
+        for backend in ("exact", "array"):
+            store = InMemoryStore()
+            first = QuerySession(
+                ext1.pdocument, backend=backend, store=store
+            ).answer_many([q])
+            before = store.stats()
+            second = QuerySession(
+                ext2.pdocument, backend=backend, store=store
+            ).answer_many([q])
+            after = store.stats()
+            assert after["hits"] > before["hits"]
+            assert after["misses"] == before["misses"]
+            assert first == second
 
 
 class TestRankPaths:

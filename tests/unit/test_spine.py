@@ -292,17 +292,6 @@ class TestChurnWorkload:
         )
         assert [kind for kind, _ in steps[1:]] == ["queries"] * 6
 
-    def test_mutate_full_flag_invalidates_document(self):
-        p, steps = churn_workload(
-            persons=3, rounds=4, seed=7, write_ratio=1.0
-        )
-        start = p.mutation_epoch
-        mutations = [payload for kind, payload in steps if kind == "mutate"]
-        mutations[0]()
-        assert p.dirty_since(start) is not None
-        mutations[1](full=True)
-        assert p.dirty_since(start) is None
-
     def test_legacy_signature_unchanged(self):
         p, steps = churn_workload(persons=2, projects=2, rounds=2, seed=3)
         kinds = [kind for kind, _ in steps]
