@@ -1,16 +1,22 @@
 """Single-pass evaluation engine for TP / TP∩ queries over p-documents.
 
 This module is the probability path.  It runs the classic goal-set
-dynamic program — for every pattern node ``u`` a goal ``D(u)`` ("the
-pattern subtree at ``u`` embeds with ``u`` mapped to *this* document
-node") and a goal ``A(u)`` ("... to this node or a proper descendant"),
-union-convolution at ordinary and ``ind`` nodes, probability mixtures at
-``mux`` nodes — with three refinements:
+dynamic program — goals ``D(u)`` ("the pattern subtree at ``u`` embeds
+with ``u`` mapped to *this* document node") and ``A(u)`` ("... to this
+node or a proper descendant"), union-convolution at ordinary and ``ind``
+nodes, probability mixtures at ``mux`` nodes — with four refinements:
+
+**One live goal per pattern node.**  Each pattern node carries only the
+goal some reader consumes: ``D`` for the root (read by the readout) and
+for a ``/`` child (read by the rewrite one ordinary level up), ``A`` for
+a ``//`` child (read by the rewrite at any ordinary ancestor).  Only the
+``A`` goals propagate upward, so no row holds a goal nothing reads.
 
 **Interned goal-set bitmasks.**  Goal sets are machine integers instead of
-``frozenset[int]``: goal ``i`` owns bit ``1 << i``, union-convolution is
-``int | int``, the subset tests of the ordinary-node rewrite are
-``mask & need == need``, and distribution keys hash as small ints.
+``frozenset[int]``: pattern node ``i``'s goal owns bit ``1 << i``,
+union-convolution is ``int | int``, the subset tests of the ordinary-node
+rewrite are ``mask & need == need``, and distribution keys hash as small
+ints.
 
 **Pluggable numeric backends.**  All arithmetic goes through a
 :class:`repro.probability.NumericBackend` — ``exact`` (:class:`Fraction`,
@@ -24,10 +30,10 @@ formulation (``Pr(n ∈ q(P̂))`` = one anchored bottom-up pass per candidate
 :meth:`EvaluationEngine.answer` carries, for every p-document node ``x``,
 
 * ``blocked(x)`` — the goal-set distribution of ``x``'s subtree where the
-  output nodes' ``D`` goals are never granted (equivalently: the anchored
+  output nodes' goals are never granted (equivalently: the anchored
   run restricted to a subtree that does not contain the anchor), and
 * ``pinned(x)[n]`` — for each candidate ``n`` in ``x``'s subtree, the
-  distribution where output ``D`` goals are granted *only* at ``n``
+  distribution where output goals are granted *only* at ``n``
   (exactly the distribution of the classic anchored run),
 
 and combines them in a single post-order traversal: a node's ``pinned``
@@ -124,8 +130,8 @@ the interpreter and break on copied patterns.
 """
 
 # Output-goal gates for the ordinary-node rewrite (identity-compared).
-_GRANT_ALL = object()   # unpinned evaluation: out D-goals behave normally
-_GRANT_NONE = object()  # blocked evaluation: out D-goals never granted
+_GRANT_ALL = object()   # unpinned evaluation: out goals behave normally
+_GRANT_NONE = object()  # blocked evaluation: out goals never granted
 
 
 def normalize_anchors(
@@ -247,7 +253,13 @@ class EvaluationEngine:
         self._zero = self.backend.zero
         self._one = self.backend.one
         self._convert = self.backend.convert
-        # Goal numbering: index i gets D-bit 1 << 2i and A-bit 1 << (2i+1).
+        # Goal numbering: pattern node i owns the one bit 1 << i, the bit
+        # its reader reads.  The root's bit is its match bit ("embeds
+        # here"), read by the readout (_targets); a ``/`` child's is its
+        # match bit, read by its parent's ``need`` one ordinary level up
+        # and never propagated; a ``//`` child's is its "here or below"
+        # bit, the only kind in a_mask, which every ordinary node passes
+        # upward.  No other goal has a reader, so no row carries one.
         self._goal_index: dict[int, int] = {}
         self._pattern_nodes: list[PatternNode] = []
         for pattern in self.patterns:
@@ -256,28 +268,23 @@ class EvaluationEngine:
                 self._pattern_nodes.append(u)
         out_ids = {id(pattern.out) for pattern in self.patterns}
         a_mask = 0
-        # label -> [(d_bit, a_bit, needed-below mask, anchor, is_out), ...]
-        self._by_label: dict[str, list[tuple[int, int, int, Optional[int], bool]]] = {}
+        # label -> [(bit, needed-below mask, anchor, is_out), ...]
+        self._by_label: dict[str, list[tuple[int, int, Optional[int], bool]]] = {}
         for u in self._pattern_nodes:
-            index = self._goal_index[id(u)]
-            d_bit, a_bit = 1 << (2 * index), 1 << (2 * index + 1)
-            a_mask |= a_bit
+            bit = 1 << self._goal_index[id(u)]
+            if u.parent is not None and u.axis is Axis.DESC:
+                a_mask |= bit
             need = 0
             for child in u.children:
-                child_index = self._goal_index[id(child)]
-                need |= (
-                    1 << (2 * child_index)
-                    if child.axis is Axis.CHILD
-                    else 1 << (2 * child_index + 1)
-                )
+                need |= 1 << self._goal_index[id(child)]
             self._by_label.setdefault(u.label, []).append(
-                (d_bit, a_bit, need, self.anchors.get(id(u)), id(u) in out_ids)
+                (bit, need, self.anchors.get(id(u)), id(u) in out_ids)
             )
         self._a_mask = a_mask
         self._table_labels = frozenset(self._by_label)
         self._targets = 0
         for pattern in self.patterns:
-            self._targets |= 1 << (2 * self._goal_index[id(pattern.root)])
+            self._targets |= 1 << self._goal_index[id(pattern.root)]
         # Distribution kernels: the backend's row kernels (float dict
         # kernels on "array").  The hot per-entry kernels are bound as
         # engine attributes.  ``_escape`` is the backend's width rule
@@ -309,7 +316,7 @@ class EvaluationEngine:
     def mass(self, distribution: Distribution, targets: Optional[int] = None):
         """Total probability of goal sets covering ``targets``.
 
-        ``targets`` defaults to the joint root ``D``-goals of all evaluated
+        ``targets`` defaults to the joint root goals of all evaluated
         patterns (the TP∩ semantics of :meth:`match_probability`).
         """
         if targets is None:
@@ -330,8 +337,12 @@ class EvaluationEngine:
         occurring in it (``need`` masks referencing absent-label goals can
         never be satisfied below, and absent goals' bits never enter the
         masks, so the surrounding table is inert), and on which concrete
-        subtree nodes the anchored entries admit.  This is the cross-query
-        memo key of :class:`repro.prob.session.QuerySession`.
+        subtree nodes the anchored entries admit.  Each entry holds its
+        goal bit twice, as emitted and as passed upward (the bit itself
+        for a ``//`` child's ``A`` goal, 0 for a ``D`` goal): the same
+        bit stops at the parent in one table and travels up in another,
+        and the rows differ.  This is the cross-query memo key of
+        :class:`repro.prob.session.QuerySession`.
 
         Anchor *values* are abstracted out of the fingerprint: an anchored
         entry carries a slot index instead of its document node Ids, and
@@ -350,9 +361,10 @@ class EvaluationEngine:
         items = []
         targets: list[tuple] = []
         out_sensitive = False
+        a_mask = self._a_mask
         for label in sorted(self._table_labels & labels):
             entries = []
-            for d_bit, a_bit, need, anchor, is_out in self._by_label[label]:
+            for bit, need, anchor, is_out in self._by_label[label]:
                 if is_out:
                     out_sensitive = True
                 if anchor is None:
@@ -360,7 +372,7 @@ class EvaluationEngine:
                 else:
                     slot = len(targets)
                     targets.append(tuple(sorted(anchor)))
-                entries.append((d_bit, a_bit, need, slot, is_out))
+                entries.append((bit, bit & a_mask, need, slot, is_out))
             items.append((label, tuple(entries)))
         return tuple(items), out_sensitive, tuple(targets)
 
@@ -826,8 +838,10 @@ def candidate_sets(
 
     * **bottom-up**, the engine's goal rewrite on plain int masks, over
       the goals of every pattern node *off* the main branches (numbered
-      jointly: D-bit ``1 << 2g``, A-bit ``1 << (2g + 1)``).  Distributional
-      nodes are transparent: they pass up the OR of their children.
+      jointly, one live bit ``1 << g`` each, as in the engine: a ``/``
+      predicate's match bit stops at its parent, a ``//`` predicate's
+      "here or below" bit propagates).  Distributional nodes are
+      transparent: they pass up the OR of their children.
     * **top-down**, one bit per main-branch node (each pattern's branch
       numbered consecutively, root → out).  A node holds bit ``k`` when
       its label is main-branch node ``k``'s, ``k``'s predicate goals hold
@@ -842,11 +856,11 @@ def candidate_sets(
     Anchors play no part: an anchored evaluation's candidates are a
     subset of these.
     """
-    # label -> [(D|A bits, need)] for predicate goals; label -> [(branch
+    # label -> [(goal bit, need)] for predicate goals; label -> [(branch
     # bit, predicate need)] for main-branch nodes.
     goal_entries: dict[str, list[tuple[int, int]]] = {}
     branch_entries: dict[str, list[tuple[int, int]]] = {}
-    a_mask = first_bits = child_bits = desc_bits = out_mask = 0
+    a_mask = first_bits = child_axis_bits = desc_axis_bits = out_mask = 0
     outs: list[tuple[int, int]] = []
     goal_count = branch_count = 0
     for index, pattern in enumerate(patterns):
@@ -860,10 +874,11 @@ def candidate_sets(
         }
         goal_count += len(predicates)
         for u in predicates:
-            goal = goal_of[id(u)]
-            a_mask |= 1 << (2 * goal + 1)
+            bit = 1 << goal_of[id(u)]
+            if u.axis is Axis.DESC:
+                a_mask |= bit
             goal_entries.setdefault(u.label, []).append(
-                (3 << (2 * goal), _predicate_need(u, goal_of))
+                (bit, _predicate_need(u, goal_of))
             )
         for position, u in enumerate(branch):
             bit = 1 << (branch_count + position)
@@ -873,9 +888,9 @@ def candidate_sets(
             if position == 0:
                 first_bits |= bit
             elif u.axis is Axis.CHILD:
-                child_bits |= bit
+                child_axis_bits |= bit
             else:
-                desc_bits |= bit
+                desc_axis_bits |= bit
         out_bit = 1 << (branch_count + len(branch) - 1)
         out_mask |= out_bit
         outs.append((out_bit, index))
@@ -905,9 +920,9 @@ def candidate_sets(
                 emitted = mask & a_mask
                 entries = goal_entries.get(label)
                 if entries:
-                    for bits, need in entries:
+                    for bit, need in entries:
                         if mask & need == need:
-                            emitted |= bits
+                            emitted |= bit
             if emitted and node is not root:
                 parent_id = node.parent.node_id
                 below[parent_id] = below.get(parent_id, 0) | emitted
@@ -940,7 +955,9 @@ def candidate_sets(
                             results[index].add(node.node_id)
         up |= here
         if up:
-            admitted = ((here << 1) & child_bits) | ((up << 1) & desc_bits)
+            admitted = ((here << 1) & child_axis_bits) | (
+                (up << 1) & desc_axis_bits
+            )
             for child in node.children:
                 if not branch_labels.isdisjoint(labels[child.node_id]):
                     stack.append((child, admitted, up))
@@ -950,14 +967,15 @@ def candidate_sets(
 def _predicate_need(u: PatternNode, goal_of: dict) -> int:
     """The goals ``u``'s predicate children must hold below a node.
 
-    A ``/`` child needs its D-bit, a ``//`` child its A-bit; the
-    main-branch continuation has no goal and is skipped.
+    Each predicate child's one bit: a ``/`` child's match bit, a ``//``
+    child's "here or below" bit; the main-branch continuation has no
+    goal and is skipped.
     """
     need = 0
     for child in u.children:
         goal = goal_of.get(id(child))
         if goal is not None:
-            need |= 1 << (2 * goal + (child.axis is Axis.DESC))
+            need |= 1 << goal
     return need
 
 

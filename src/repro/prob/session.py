@@ -81,6 +81,7 @@ Boolean (TP / TP∩) probabilities through the same shared pass and memo.
 
 from __future__ import annotations
 
+import copy
 import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -542,7 +543,9 @@ class QuerySession:
         Traced, the pass runs under span ``name`` recording per-pass
         deltas of the session counters (node visits, memo and store
         hit/miss traffic, and the array backend's exact fallbacks) —
-        cheap because the snapshots happen once per pass, never per node.
+        cheap because the snapshots happen once per pass, never per node
+        — and ``max_support``, the support of the widest row the pass
+        combined (measured per combine only while the span is live).
         ``counters``, when given, returns further span attributes once
         the pass is done.
         """
@@ -553,6 +556,8 @@ class QuerySession:
             stats_before = self.stats.snapshot()
             store_before = (store.hits, store.misses)
             fallbacks_before = getattr(backend, "fallbacks", None)
+            widest = [0]
+            lane = _measure_support(lane, widest)
         with sp:
             root = stored_postorder(self.p, lane, store, self.stats)
         self.stats.traversals += 1
@@ -573,7 +578,25 @@ class QuerySession:
             )
             sp.set("store_hits", store.hits - store_before[0])
             sp.set("store_misses", store.misses - store_before[1])
+            sp.set("max_support", widest[0])
             if counters is not None:
                 for key, value in counters().items():
                     sp.set(key, value)
         return root
+
+
+def _measure_support(lane: Lane, widest: list) -> Lane:
+    """A copy of ``lane`` whose combine also keeps in ``widest[0]`` the
+    support of the widest row (``entry.rows``) it has combined."""
+    combine = lane.combine
+
+    def measured(node, entries):
+        entry = combine(node, entries)
+        support = max(map(len, entry.rows))
+        if support > widest[0]:
+            widest[0] = support
+        return entry
+
+    measured_lane = copy.copy(lane)
+    measured_lane.combine = measured
+    return measured_lane

@@ -274,10 +274,11 @@ class ScalarOps:
     ) -> dict:
         """Apply an ordinary node's goal rewrite to every mask.
 
-        ``entries`` is the engine's per-label goal list ``[(d_bit, a_bit,
-        need, anchor, is_out), ...]`` (possibly ``None``); ``grant_out``
-        gates output-node ``D`` goals (the blocked evaluations suppress
-        them); ``a_mask`` selects the ``A`` goals that propagate upward.
+        ``entries`` is the engine's per-label goal list ``[(bit, need,
+        anchor, is_out), ...]`` (possibly ``None``), one live goal bit
+        per pattern node; ``grant_out`` gates the output nodes' goals
+        (the blocked evaluations suppress them); ``a_mask`` selects the
+        goals that propagate upward (the ``//`` children's ``A`` goals).
         """
         zero = self.zero
         result: dict = {}
@@ -373,21 +374,22 @@ def emission(
 ) -> int:
     """The goal set an ordinary node emits for the child goal set ``mask``.
 
-    ``A`` goals in ``a_mask`` propagate upward; each applicable entry of
-    ``entries`` (see :meth:`ScalarOps.rewrite`) adds its ``D`` and
-    ``A`` bits when ``mask`` holds the goals it needs below.  The one
-    emission rule of :meth:`ScalarOps.rewrite` and
+    The goals in ``a_mask`` (the ``//`` children's ``A`` goals)
+    propagate upward, every other goal of ``mask`` stops here; each
+    applicable entry of ``entries`` (see :meth:`ScalarOps.rewrite`)
+    adds its one goal bit when ``mask`` holds the goals it needs below.
+    The one emission rule of :meth:`ScalarOps.rewrite` and
     :meth:`ScalarOps.readout`.
     """
     emitted = mask & a_mask
     if entries:
-        for d_bit, a_bit, need, anchor, is_out in entries:
+        for bit, need, anchor, is_out in entries:
             if anchor is not None and node_id not in anchor:
                 continue
             if is_out and not grant_out:
                 continue
             if mask & need == need:
-                emitted |= d_bit | a_bit
+                emitted |= bit
     return emitted
 
 

@@ -126,10 +126,10 @@ __all__ = [
     "is_anchored_key",
 ]
 
-#: Gate tag: output-node D-goals suppressed (the "blocked" evaluations of
+#: Gate tag: output-node goals suppressed (the "blocked" evaluations of
 #: the single-pass answer DP).
 GATE_BLOCKED = "blocked"
-#: Gate tag: output-node D-goals granted normally (Boolean / anchored runs).
+#: Gate tag: output-node goals granted normally (Boolean / anchored runs).
 GATE_UNPINNED = "unpinned"
 
 #: ``(structure, fingerprint, Optional[anchor], Optional[gate], backend)``.

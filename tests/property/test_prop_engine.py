@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.prob import (
     EvaluationEngine,
+    brute_force_query_answer,
     intersection_node_probability,
     node_probability,
     query_answer,
@@ -30,6 +31,7 @@ from repro.prob.engine import (
 from repro.pxml.builder import ind, ordinary
 from repro.tp.embedding import evaluate
 from repro.tp.parser import parse_pattern
+from repro.tp.pattern import Axis
 from repro.workloads.synthetic import random_pdocument, random_tree_pattern
 
 LABELS = ("a", "b", "c")
@@ -177,3 +179,79 @@ def test_candidate_sets_skip_label_disjoint_subtrees_soundly(seed):
     patterns = _draw_patterns(rng)
     world = p.max_world()
     assert candidate_sets(p, patterns) == [evaluate(q, world) for q in patterns]
+
+
+def _live_goals(patterns) -> tuple[int, dict]:
+    """The one live goal bit per pattern node, numbered ``1 << i`` in
+    pattern order: ``(bits that propagate upward, label -> bits)``.
+    Only a ``//`` child's bit propagates; the root's and every ``/``
+    child's bit are read one level up and stop there."""
+    propagating = 0
+    by_label: dict = {}
+    nodes = [u for q in patterns for u in q.root.iter_subtree()]
+    for index, u in enumerate(nodes):
+        bit = 1 << index
+        if u.parent is not None and u.axis is Axis.DESC:
+            propagating |= bit
+        by_label[u.label] = by_label.get(u.label, 0) | bit
+    return propagating, by_label
+
+
+def _top_labels(node, memo: dict) -> frozenset:
+    """The labels of the ordinary nodes a row at ``node`` speaks for:
+    its own, or its children's through distributional nodes."""
+    labels = memo.get(node.node_id)
+    if labels is None:
+        if node.label is not None:
+            labels = frozenset((node.label,))
+        else:
+            labels = frozenset().union(
+                *(_top_labels(child, memo) for child in node.children)
+            )
+        memo[node.node_id] = labels
+    return labels
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_rows_carry_only_live_goal_bits(seed):
+    # Mixed-axis shapes (FIXED_PATTERNS) and random patterns: every mask
+    # of every blocked, pinned and unpinned row holds only the bits that
+    # propagate plus the match bits of the node's own label(s).
+    rng = random.Random(seed)
+    p = random_pdocument(
+        rng, labels=LABELS, max_depth=rng.randint(1, 3), max_children=2
+    )
+    patterns = _draw_patterns(rng)
+    engine = EvaluationEngine(p, patterns)
+    rows = []
+    combine_pinned = engine.combine_pinned
+    combine_row = engine.combine_row
+
+    def spy_pinned(node, entries, candidate_set, exact_below=True):
+        result = combine_pinned(node, entries, candidate_set, exact_below)
+        rows.append((node, result[0]))
+        if node.parent is not None:  # the root's pins are its readout
+            rows.extend((node, pin) for pin in result[1].values())
+        return result
+
+    def spy_row(node, memo, gate, exact_below=True):
+        row = combine_row(node, memo, gate, exact_below)
+        rows.append((node, row))
+        return row
+
+    engine.combine_pinned = spy_pinned
+    engine.combine_row = spy_row
+    answer = engine.answer()
+    engine.match_probability()
+    propagating, by_label = _live_goals(patterns)
+    memo: dict = {}
+    for node, row in rows:
+        live = propagating
+        for label in _top_labels(node, memo):
+            live |= by_label.get(label, 0)
+        assert all(mask & ~live == 0 for mask in row), (node.node_id, row)
+    if len({id(q) for q in patterns}) == 1:
+        assert answer == brute_force_query_answer(p, patterns[0])
+    for q in patterns:
+        assert query_answer(p, q) == brute_force_query_answer(p, q)

@@ -181,7 +181,9 @@ class TestWidthThresholdFallback:
     def test_live_lanes_escape_in_a_batch(self):
         # Candidate-bearing (live) rows escape like class rows: their
         # exact pins carry every answer up to an exact root readout.
-        backend = ArrayBackend(width_threshold=2)
+        # Rows carry only live goal bits, so none here is wider than 2:
+        # a threshold of 1 makes them escape.
+        backend = ArrayBackend(width_threshold=1)
         p, queries = batch_workload(64, seed=1)
         got = QuerySession(p, backend=backend).answer_many(queries)
         assert backend.fallbacks > 0

@@ -186,6 +186,71 @@ class TestPinnedCombinators:
             assert all(isinstance(pr, Fraction) for pr in answer.values())
 
 
+class TestGoalLiveness:
+    """Each pattern node carries one goal bit, the one its reader reads,
+    so a goal nothing above can consume never widens a row."""
+
+    WIDTH = 2048
+
+    def wide_ind(self):
+        # a -> ind over WIDTH b's, each with a certain c child.  Under the
+        # ind every c's match bit is consumed at its b, and the out node
+        # b is blocked, so nothing live is left for the ind to convolve.
+        children = [
+            (
+                ordinary(10 + 2 * i, "b", ordinary(11 + 2 * i, "c")),
+                Fraction(i % 7 + 1, 8),
+            )
+            for i in range(self.WIDTH)
+        ]
+        return pdoc(ordinary(0, "a", ind(1, *children)))
+
+    def test_wide_ind_blocked_row_has_support_one(self):
+        p = self.wide_ind()
+        q = parse_pattern("a/b[c]")
+        engine = EvaluationEngine(p, [q])
+        seen = {}
+        combine = engine.combine_pinned
+
+        def spy(node, entries, candidate_set, exact_below=True):
+            seen[node.node_id] = result = combine(
+                node, entries, candidate_set, exact_below
+            )
+            return result
+
+        engine.combine_pinned = spy
+        answer = engine.answer()
+        blocked, pinned, _ = seen[1]
+        assert blocked == {0: 1}
+        assert len(pinned) == self.WIDTH
+        for pin in pinned.values():
+            # {∅: 1 - p, {b}: p}: the other children add nothing.
+            assert len(pin) == 2
+            assert all(value.denominator <= 8 for value in pin.values())
+        # Small exact answers: Pr(b) is its own edge probability.
+        assert answer == {
+            10 + 2 * i: Fraction(i % 7 + 1, 8) for i in range(self.WIDTH)
+        }
+
+    def test_session_pass_reports_max_support(self):
+        from repro.obs.trace import capture
+
+        p = self.wide_ind()
+        queries = [parse_pattern("a/b[c]"), parse_pattern("a//b[c]")]
+        with capture() as captured:
+            answers = QuerySession(p).answer_many(queries)
+        stack = list(captured.spans)
+        passes = []
+        while stack:
+            span = stack.pop()
+            if span.name == "stacked.pass":
+                passes.append(span)
+            stack.extend(span.children)
+        assert [span.attrs["max_support"] for span in passes] == [1]
+        for q, answer in zip(queries, answers):
+            assert answer == query_answer(p, q)
+
+
 class TestBackends:
     def test_registry(self):
         assert {"exact", "array"} <= set(BACKENDS)

@@ -188,6 +188,19 @@ class TestBooleanMany:
         got = session.boolean_many([(patterns, anchors)])[0]
         assert got == intersection_node_probability(p_per, patterns, 5)
 
+    def test_child_and_descendant_axes_never_share_a_row(self):
+        # ``a/b`` and ``a//b`` number their goals alike, but only the
+        # ``//`` goal passes upward: below ``x`` their rows differ, so
+        # neither a lane class nor a store entry may serve both.
+        p = pdoc(ordinary(0, "a", ordinary(1, "x", ind(2, (ordinary(3, "b"), "0.5")))))
+        child, desc = parse_pattern("a/b"), parse_pattern("a//b")
+        expected = [boolean_probability(p, child), boolean_probability(p, desc)]
+        assert expected == [0, Fraction(1, 2)]
+        assert QuerySession(p).boolean_many([child, desc]) == expected
+        store = InMemoryStore()
+        QuerySession(p, store=store).boolean_many([child])
+        assert QuerySession(p, store=store).boolean_many([desc]) == expected[1:]
+
     def test_memo_shared_between_boolean_and_answer(self, p_per):
         session = QuerySession(p_per)
         session.answer(paper.q_bon())
