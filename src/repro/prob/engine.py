@@ -90,6 +90,7 @@ from .traversal import Lane, stored_postorder
 
 __all__ = [
     "EvaluationEngine",
+    "PinnedState",
     "candidate_sets",
     "AnchorsLike",
     "normalize_anchors",
@@ -132,6 +133,40 @@ the interpreter and break on copied patterns.
 # Output-goal gates for the ordinary-node rewrite (identity-compared).
 _GRANT_ALL = object()   # unpinned evaluation: out goals behave normally
 _GRANT_NONE = object()  # blocked evaluation: out goals never granted
+
+
+class _RowGroup:
+    """The children of an ordinary node that share one blocked row
+    object: the row, how many children hold it, their non-empty pinned
+    maps by child id, and ``others`` — the convolution of every child but
+    one of the group (kept while the group holds pins)."""
+
+    __slots__ = ("row", "count", "pins", "others")
+
+    def __init__(self, row: dict) -> None:
+        self.row = row
+        self.count = 1
+        self.pins: Optional[dict] = None
+        self.others: Optional[dict] = None
+
+
+
+class PinnedState:
+    """What an ordinary node's pinned combine keeps for its next delta
+    (:meth:`EvaluationEngine._combine_ordinary_pinned`): each child's
+    ``(blocked, pinned)`` entry by child id, the row groups by
+    ``id(row)``, the node's blocked row and pinned map, and ``fresh`` —
+    the candidates the last combine computed (every one, unless a delta
+    kept the others)."""
+
+    __slots__ = ("children", "groups", "blocked", "pinned", "fresh")
+
+    def __init__(self) -> None:
+        self.children: dict = {}
+        self.groups: dict = {}
+        self.blocked: Optional[dict] = None
+        self.pinned: dict = {}
+        self.fresh = ()
 
 
 def normalize_anchors(
@@ -387,6 +422,7 @@ class EvaluationEngine:
         entries: Mapping,
         candidate_set: frozenset,
         exact_below: bool = True,
+        state: Optional["PinnedState"] = None,
     ) -> tuple[Distribution, dict, bool]:
         """One pinned-DP combine step: ``(blocked, pinned, exact)`` for
         ``node``.
@@ -397,6 +433,15 @@ class EvaluationEngine:
         ``{candidate: Pr}`` over every pattern's root goal: the root
         readout (:meth:`_combine_ordinary_pinned`) never builds the
         root's pinned distributions.
+
+        At an ordinary node, ``state`` is the :class:`PinnedState` the
+        combine reads and updates (a throwaway one when omitted).  With
+        a state, ``entries`` maps exactly the children it adds: every
+        child for an empty state, and for a state an earlier combine of
+        ``node`` built, the children whose entries changed since — the
+        combine then applies that delta.  Callers only pass a built
+        state when no entry, old or new, is exact (``exact_below=False``)
+        and the node's own label and child list are unchanged.
 
         The exact-fallback rule (module docstring): when ``exact_below``
         and a child's blocked row or one of its pins is exact, the node
@@ -425,20 +470,32 @@ class EvaluationEngine:
                     for child, entry in zip(node.children, children)
                 }
         if node.kind is PNodeKind.ORDINARY:
+            if state is None:
+                state = PinnedState()
+                changes = {
+                    child.node_id: entries[child.node_id]
+                    for child in node.children
+                }
+            else:
+                changes = entries
             blocked, pinned = engine._combine_ordinary_pinned(
-                node, entries, candidate_set
+                node, state, changes, candidate_set
             )
+            fresh = state.fresh
         elif node.kind is PNodeKind.MUX:
             blocked, pinned = engine._combine_mux_pinned(node, entries)
+            fresh = pinned
         else:
             blocked, pinned = engine._combine_ind_pinned(node, entries)
+            fresh = pinned
         if exact or escape is None:
             return blocked, pinned, exact
         escaped = escape(blocked)
         exact = escaped is not blocked
         if node.parent is not None:  # the root's pins are its readout
             wide = {}
-            for n, d in pinned.items():
+            for n in fresh:
+                d = pinned[n]
                 e = escape(d)
                 if e is not d:
                     wide[n] = e
@@ -661,43 +718,98 @@ class EvaluationEngine:
         return stored_postorder(self.p, lane, None)
 
     def _combine_ordinary_pinned(
-        self, node: PNode, memo: dict, candidate_set: frozenset
+        self, node: PNode, state: "PinnedState", changes: dict, candidate_set
     ) -> tuple[Distribution, dict]:
-        # Children whose blocked distributions are one object (store hits
-        # of one key, the lane group's interned rows) form a group: its m
-        # equal factors enter as one power by repeated squaring, and the
-        # prefix/suffix products run over the k groups, not the children.
-        # Identity, not content, keys the groups: hashing every narrow
-        # node's distribution would cost more than the grouping saves.
-        # With every group of size 1 this is the plain prefix/suffix pass.
-        convolve = self._convolve
-        index: dict = {}  # id(row) -> group
-        factors: list = []  # per group: its row, then the row ** m
-        rests: dict = {}  # group -> m, then row ** (m - 1); only m > 1
-        pins_of: dict = {}  # group -> its children's non-empty pinned maps
-        for child in node.children:
-            blocked_child, child_pinned = memo[child.node_id]
-            key = id(blocked_child)
-            g = index.get(key)
-            if g is None:
-                g = index[key] = len(factors)
-                factors.append(blocked_child)
+        """The one ordinary pinned kernel: apply ``changes`` — ``child id
+        -> (blocked, pinned)`` of children added to ``state`` or
+        replacing their old entry there — and return the node's
+        ``(blocked, pinned)``.  A from-scratch combine is an empty
+        ``state`` with every child added (the state adopts ``changes``
+        as its child map).
+
+        Children whose blocked distributions are one object (store hits
+        of one key, the lane group's interned rows) form a group: its m
+        equal factors enter as one power by repeated squaring, and the
+        prefix/suffix products run over the k groups, not the children.
+        Identity, not content, keys the groups — hashing every narrow
+        node's distribution would cost more than the grouping saves —
+        and each group keeps its row, so no ``id()`` in the state is
+        reused while the state lives.  With every group of size 1 this
+        is the plain prefix/suffix pass.
+
+        When every changed child keeps its blocked row object, no group
+        changes: the factors, the blocked row and each group's
+        ``others`` stand, and only the changed children's candidates are
+        read again against their group's ``others``.  Otherwise the
+        group counts move and the products are rebuilt over the k
+        groups, and every group's candidates are read again.
+        """
+        children = state.children
+        groups = state.groups
+        delta = bool(children)
+        if not delta:
+            state.children = changes
+        regroup = not delta
+        moved = []  # (old pins, new pins, group) of children that kept their row
+        for child_id, entry in changes.items():
+            row, pins = entry
+            if delta:
+                old = children.get(child_id)
+                children[child_id] = entry
+                if old is not None:
+                    old_row, old_pins = old
+                    group = groups[id(old_row)]
+                    if old_pins:
+                        del group.pins[child_id]
+                    if old_row is row:
+                        if pins:
+                            if group.pins is None:
+                                group.pins = {}
+                            group.pins[child_id] = pins
+                        moved.append((old_pins, pins, group))
+                        continue
+                    group.count -= 1
+                    if not group.count:
+                        del groups[id(old_row)]
+                regroup = True
+            key = id(row)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = _RowGroup(row)
             else:
-                rests[g] = rests.get(g, 1) + 1
-            if child_pinned:
-                pins_of.setdefault(g, []).append(child_pinned)
-        for g, count in rests.items():
-            rest = rests[g] = self._power(factors[g], count - 1)
-            factors[g] = convolve(rest, factors[g])
+                group.count += 1
+            if pins:
+                if group.pins is None:
+                    group.pins = {}
+                group.pins[child_id] = pins
+        # The root's pinned distributions are only ever read for their
+        # mass: there the readout replaces each rewrite + mass.
+        at_root = node.parent is None
+        if not regroup:
+            pinned = self._reread(node, state, moved, at_root)
+            if pinned is not None:
+                return state.blocked, pinned
+        convolve = self._convolve
+        order = list(groups.values())
+        factors = []  # per group: its row ** m
+        rests = []  # per group: its row ** (m - 1), None when m == 1
+        pinned_groups = False
+        for group in order:
+            pinned_groups = pinned_groups or group.pins
+            row, count = group.row, group.count
+            if count > 1:
+                rest = self._power(row, count - 1)
+                rests.append(rest)
+                factors.append(convolve(rest, row))
+            else:
+                rests.append(None)
+                factors.append(row)
         # pre[g] = convolution of the first g groups' factors
         pre = [self._unit()]
         for factor in factors:
             pre.append(convolve(pre[-1], factor))
         combined_all = pre[-1]
         blocked = self._rewrite(node, combined_all, _GRANT_NONE)
-        # The root's pinned distributions are only ever read for their
-        # mass: there the readout replaces each rewrite + mass.
-        at_root = node.parent is None
         pinned: dict = {}
         if node.node_id in candidate_set:
             # Pinning at the node itself: out goals may be granted here and
@@ -711,32 +823,73 @@ class EvaluationEngine:
                 pinned[node.node_id] = self._rewrite(
                     node, combined_all, _GRANT_ALL
                 )
-        if pins_of:
+        if pinned_groups:
             count = len(factors)
             # suf[g] = convolution of groups g.. 's factors
             suf = [self._unit()] * (count + 1)
             for g in range(count - 1, -1, -1):
                 suf[g] = convolve(factors[g], suf[g + 1])
-            for g, maps in pins_of.items():
+            for g, group in enumerate(order):
+                if not group.pins:
+                    group.others = None
+                    continue
                 # others: every child but one of group g.
                 others = convolve(pre[g], suf[g + 1])
-                if g in rests:
+                if rests[g] is not None:
                     others = convolve(others, rests[g])
-                # The pin lives strictly below, so out goals are not
-                # granted at this node: the blocked gate is exact.
-                if at_root:
-                    pinned.update(self._readout(
-                        node, others,
-                        [item for m in maps for item in m.items()],
-                        _GRANT_NONE,
-                    ))
-                    continue
-                for child_pinned in maps:
-                    for candidate, distribution in child_pinned.items():
-                        pinned[candidate] = self._rewrite(
-                            node, convolve(others, distribution), _GRANT_NONE
-                        )
+                group.others = others
+                self._read_pins(
+                    node, others, group.pins.values(), at_root, pinned
+                )
+        else:
+            for group in order:
+                group.others = None
+        state.blocked = blocked
+        state.pinned = state.fresh = pinned
         return blocked, pinned
+
+    def _reread(
+        self, node: PNode, state: "PinnedState", moved: list, at_root: bool
+    ) -> Optional[dict]:
+        """The pinned map after changes that kept every group: the last
+        one with each changed child's candidates read again against its
+        group's ``others``.  ``None`` when a group that held no pins
+        gains some, so it has no ``others`` yet."""
+        pinned = dict(state.pinned)
+        fresh: list = []
+        for old_pins, pins, group in moved:
+            for candidate in old_pins:
+                del pinned[candidate]
+            if pins:
+                if group.others is None:
+                    return None
+                self._read_pins(node, group.others, (pins,), at_root, pinned)
+                fresh.extend(pins)
+        state.pinned = pinned
+        state.fresh = fresh
+        return pinned
+
+    def _read_pins(
+        self, node: PNode, others: Distribution, maps, at_root: bool,
+        pinned: dict,
+    ) -> None:
+        """Fill ``pinned`` with the candidates of the children's pinned
+        ``maps`` that share ``others``.  The pin lives strictly below, so
+        out goals are not granted at this node: the blocked gate is
+        exact."""
+        if at_root:
+            pinned.update(self._readout(
+                node, others,
+                [item for m in maps for item in m.items()],
+                _GRANT_NONE,
+            ))
+            return
+        convolve = self._convolve
+        for child_pinned in maps:
+            for candidate, distribution in child_pinned.items():
+                pinned[candidate] = self._rewrite(
+                    node, convolve(others, distribution), _GRANT_NONE
+                )
 
     def _power(self, distribution: Distribution, exponent: int) -> Distribution:
         """``distribution`` convolved with itself ``exponent`` times, by

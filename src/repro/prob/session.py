@@ -401,28 +401,35 @@ class QuerySession:
         # the slice of it keyed on dirty node Ids.
         dirty_since = getattr(self.p, "dirty_since", None)
         dirty = dirty_since(self._epoch) if dirty_since is not None else None
-        touched = None
-        if dirty is not None and dirty[1]:
-            labels_since = getattr(self.p, "dirty_labels_since", None)
-            if labels_since is not None:
-                touched = labels_since(self._epoch)
+        touched = targets = None
+        if dirty is not None:
+            targets_since = getattr(self.p, "dirty_targets_since", None)
+            if targets_since is not None:
+                targets = targets_since(self._epoch)
+            if dirty[1]:
+                labels_since = getattr(self.p, "dirty_labels_since", None)
+                if labels_since is not None:
+                    touched = labels_since(self._epoch)
         self._epoch = epoch
         with trace_span(
             "session.refresh", spine=dirty is not None
         ) as sp:
-            self._apply_refresh(dirty, touched, sp)
+            self._apply_refresh(dirty, touched, targets, sp)
 
-    def _apply_refresh(self, dirty, touched, sp) -> None:
+    def _apply_refresh(self, dirty, touched, targets, sp) -> None:
         """Absorb the edits since the last refresh.
 
         ``dirty`` is :meth:`PDocument.dirty_since`'s ``(changed,
-        world_changed)`` (``None``: full reset) and ``touched`` the
-        labels the world-changing edits touched (``None``: unknown).
+        world_changed)`` (``None``: full reset), ``touched`` the labels
+        the world-changing edits touched and ``targets`` the nodes the
+        edits named (``None``: unknown).
         A batch plan whose lanes read none of those labels keeps its
         candidate and live sets — no pattern node maps into a subtree
         without its labels — and is refreshed like a probability-only
-        edit: only its answer memo and its entries of moved digests go.
-        Every other plan is dropped.
+        edit: only its answer memo and its entries of moved digests go,
+        and the dropped entries of live nodes the edits did not name
+        seed the next pass's delta combines.  Every other plan is
+        dropped.
         """
         if dirty is None:
             self._stacked.clear()
@@ -446,7 +453,7 @@ class QuerySession:
                 del stacked[key]
                 dropped += 1
             else:
-                plan.forget(changed)
+                plan.forget(changed, targets, self.p)
                 kept += 1
         stats.survived_plans += kept
         if sp:

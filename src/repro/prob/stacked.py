@@ -43,8 +43,8 @@ root readout), so the root entry's pinned half *is* the answer.
 the group lane's :attr:`~repro.prob.traversal.Lane.known` entries.  In
 the local models a node's entry depends only on its own subtree (and on
 the plan's candidate and live sets, fixed while the plan lives), so a
-spine refresh drops exactly the nodes whose structural digest moved
-(:meth:`_AnswerPlan.forget`) and the next read recombines only that
+spine refresh (:meth:`_AnswerPlan.forget`) takes out exactly the nodes
+whose structural digest moved and the next read recombines only that
 dirty path.  The candidate and live sets are ``q(max world)`` and its
 ancestors, and no pattern node maps into a subtree that carries none of
 the query's labels (tree patterns have no wildcards).  So a plan
@@ -53,20 +53,47 @@ PDocument.dirty_labels_since`) miss its lanes' table labels — a
 probability-only edit touches none — and dies, with its spine, with any
 other world change.
 
+**Previous entries and delta combines.**  A refresh does not drop a
+dirty live node's split entry: it keeps it as the node's *previous
+entry* (:class:`_Previous`, the walk's :attr:`~repro.prob.traversal.
+Lane.previous`) with the node's changed children as its dirty list.
+Entries keep what a delta reads only once their plan has been
+refreshed, so a plan that is never refreshed (a one-shot batch) keeps
+nothing it would not read, and the first read after a plan's first
+edit seeds the dirty path's entries.
+The entry holds the child forms by child id and, per live lane, the
+:class:`~repro.prob.engine.PinnedState` the engine's ordinary pinned
+kernel built: each child's row and pins, the row groups with their
+factors' ``others``, and the node's outputs.  The walk pushes only the
+dirty children; the combine takes every other child's form from the
+previous entry and applies the changed children to each live lane's
+state (:meth:`~repro.prob.engine.EvaluationEngine.
+_combine_ordinary_pinned`), so a wide root on the dirty path costs what
+its changed children cost, not its fanout.  A lane with no candidate at
+the node keeps its row when no changed child's row of that lane moved.
+The node recombines every child instead when the edits named it (its
+label, probabilities or child list may have changed: :meth:`~repro.
+pxml.pdocument.PDocument.dirty_targets_since`), when its child list no
+longer matches the previous entry's, when it is not ordinary, or when
+an exact row or pin is involved (the exact-fallback rule stays in the
+engine's combine step).
+
 **Interned rows.**  Each answer plan interns the rows its passes create
 at live nodes and their children — the rows a live ordinary node's
 pinned combine reads — by content, so isomorphic children of a wide
 node hand the engine one row *object*, also when one child was
-recombined in a later pass than its siblings; the engine's
-ordinary-node pinned combine groups children by row identity and
-combines each distinct row once (:meth:`~repro.prob.engine.
-EvaluationEngine._combine_ordinary_pinned`).  Exact rows key by their
-integer ratios, which hash without a :class:`~fractions.Fraction` call;
-on ``array`` the key also holds the row's exactness, so a float row
-never stands in for an equal ``Fraction`` row.  Rows orphaned by edits
-are pruned: when the table outgrows ``_INTERN_PER_SPINE`` rows per
-spine entry it is rebuilt from the rows the spine still holds.
-Boolean passes have no live nodes and intern nothing.
+recombined in a later pass than its siblings.  The kernel groups
+children by row identity and combines each distinct row once; a child
+recombined to an equal row keeps its group, so the delta re-reads only
+its candidates against the group's kept ``others``, and a row that
+moved regroups the k distinct rows, not the children.  Exact rows key
+by their integer ratios, which hash without a
+:class:`~fractions.Fraction` call; on ``array`` the key also holds the
+row's exactness, so a float row never stands in for an equal
+``Fraction`` row.  Rows orphaned by edits are pruned: when the table
+outgrows ``_INTERN_PER_SPINE`` rows per spine entry it is rebuilt from
+the rows the spine still holds.  Boolean passes have no live nodes and
+intern nothing.
 
 **Per-class store keys.**  A subtree's lane class is stored under its
 first lane's own 5-part key, ``(structural digest, restricted-table
@@ -102,10 +129,12 @@ from typing import Optional
 from ..obs.trace import span as trace_span
 from ..probability_array import LaneRows, _is_exact
 from ..store import GATE_BLOCKED, GATE_UNPINNED, SubtreeKeyer
+from ..pxml.pdocument import PNodeKind
 from .engine import (
     _GRANT_ALL,
     _GRANT_NONE,
     EvaluationEngine,
+    PinnedState,
     positive_answers,
 )
 from .traversal import Lane
@@ -133,14 +162,40 @@ def _row_key(row: dict) -> tuple:
 
 
 class _SplitRows:
-    """Per-lane ``(blocked, pinned)`` pairs at a live-spine node."""
+    """Per-lane ``(blocked, pinned)`` pairs at a live-spine node, with
+    what a later delta combine of the node reads: the child forms by
+    child id, one :class:`~repro.prob.engine.PinnedState` per live lane
+    (``states`` is ``None`` when no delta may start from this entry: the
+    node is not ordinary, or a row or pin at or below it is exact), and
+    the number of live children.  Before its plan's first refresh an
+    entry keeps none of these (``forms`` is ``None``)."""
 
-    __slots__ = ("rows", "pinned", "exact")
+    __slots__ = ("rows", "pinned", "exact", "forms", "states", "live_children")
 
-    def __init__(self, rows: tuple, pinned: tuple, exact: bool) -> None:
+    def __init__(
+        self, rows: tuple, pinned: tuple, exact: bool, forms: dict,
+        states: Optional[tuple], live_children: int,
+    ) -> None:
         self.rows = rows
         self.pinned = pinned
         self.exact = exact
+        self.forms = forms
+        self.states = states
+        self.live_children = live_children
+
+
+class _Previous:
+    """A dirty live node's last split entry, kept for its next combine:
+    ``dirty`` lists the children whose digests moved since (the only
+    ones the walk pushes) and ``clean_live`` counts the other live
+    children, which the walk counts as spine hits."""
+
+    __slots__ = ("entry", "dirty", "clean_live")
+
+    def __init__(self, entry: _SplitRows) -> None:
+        self.entry = entry
+        self.dirty: list = []
+        self.clean_live = entry.live_children
 
 
 class StackedKeyer:
@@ -300,8 +355,9 @@ class _StackedGroup:
     __slots__ = (
         "labels", "lanes", "keyer", "grant", "union_live",
         "mixed", "row_key", "unit_dict",
-        "unit_entry", "rows_combined", "rows_shared", "spine", "interned",
-        "stats", "spine_before", "root_forms", "one_class",
+        "unit_entry", "rows_combined", "rows_shared", "children_read",
+        "spine", "previous", "keep", "interned",
+        "stats", "spine_before", "root_entry", "root_forms", "one_class",
     )
 
     def __init__(
@@ -326,9 +382,16 @@ class _StackedGroup:
         self.one_class = (0,) * len(lanes)
         self.rows_combined = 0
         self.rows_shared = 0
+        self.children_read = 0
         self.spine = {} if plan is None else plan.spine
+        self.previous = {} if plan is None else plan.previous
+        #: Whether split entries keep what a later delta reads: only
+        #: once the plan has been refreshed, so a plan that is never
+        #: refreshed keeps nothing it would not read.
+        self.keep = plan is not None and plan.refreshed
         self.stats = session.stats
         self.spine_before = session.stats.spine_hits
+        self.root_entry: Optional[_SplitRows] = None
         self.root_forms: Optional[list] = None
 
     def lane(self) -> Lane:
@@ -343,6 +406,7 @@ class _StackedGroup:
             width=len(self.lanes),
             assemble=self.assemble,
             known=self.spine,
+            previous=self.previous,
         )
 
     def counters(self) -> dict:
@@ -355,19 +419,27 @@ class _StackedGroup:
             "spine_reused": (self.stats.spine_hits - self.spine_before)
             // len(self.lanes),
             "root_groups": self._root_groups(),
+            # Child entries the live lanes' pinned combines read: every
+            # child from scratch, the changed ones in a delta.
+            "children_read": self.children_read,
         }
 
     def _root_groups(self) -> int:
         """Distinct child rows the root readout grouped, summed over the
         lanes live at the root (0 when the root was not combined)."""
-        forms = self.root_forms
-        if forms is None:
+        entry = self.root_entry
+        if entry is None:
             return 0
-        return sum(
-            len({id(form.rows[i]) for form in forms})
-            for i, lane in enumerate(self.lanes)
-            if lane.live
-        )
+        total = 0
+        for i, lane in enumerate(self.lanes):
+            if not lane.live:
+                continue
+            if entry.states is not None:
+                total += len(entry.states[i].groups)
+            else:
+                forms = self.root_forms
+                total += len({id(form.rows[i]) for form in forms})
+        return total
 
     def _intern(self, row: dict) -> dict:
         """The intern table's one object for ``row``'s content (and, on
@@ -381,10 +453,10 @@ class _StackedGroup:
 
     def combine(self, node, entries):
         node_id = node.node_id
-        forms = [entries[child.node_id] for child in node.children]
         classes = self.keyer.classes(node_id, self.labels[node_id])
         if node_id in self.union_live:
-            return self._split_combine(node, forms, classes)
+            return self._split_combine(node, entries, classes)
+        forms = [entries[child.node_id] for child in node.children]
         lane_class, representatives, shared = classes[:3]
         exact_below = self._exact_below(forms)
         class_rows = [
@@ -425,56 +497,133 @@ class _StackedGroup:
             node, child_map, self.grant, exact_below
         )
 
-    def _split_combine(self, node, forms, classes) -> _SplitRows:
+    def _split_combine(self, node, entries, classes) -> _SplitRows:
+        """A live node's split entry.  With a previous entry (the walk
+        then pushed only its dirty children) and no exact row or pin
+        involved, each live lane's combine applies the changed children
+        to its kept :class:`~repro.prob.engine.PinnedState`, and a lane
+        that holds no candidate here keeps its row when no changed
+        child's row of that lane moved.  Otherwise — no previous entry,
+        an edit at the node itself, a child list that changed, an exact
+        row or pin — every child is read again."""
         node_id = node.node_id
-        if node.parent is None:
-            self.root_forms = forms
+        children = node.children
+        prior = self.previous.pop(node_id, None)
+        delta = False
+        forms = None  # child id -> form, kept for a later delta
+        if prior is None:
+            # ``kids`` are the children the live lanes read and
+            # ``kid_forms`` their forms; ``ordered`` every child's form
+            # in child order, once known.
+            kids = children
+            kid_forms = ordered = [entries[child.node_id] for child in kids]
+            if self.keep:
+                forms = {
+                    child.node_id: form
+                    for child, form in zip(kids, kid_forms)
+                }
+        else:
+            old = prior.entry
+            forms = old.forms  # the old entry is dropped: take its map over
+            kids = prior.dirty
+            kid_forms = [entries[child.node_id] for child in kids]
+            before = [forms.get(child.node_id) for child in kids]
+            delta = (
+                old.states is not None
+                and len(forms) == len(children)
+                and None not in before
+                and not self._exact_below(kid_forms)
+            )
+            for child, form in zip(kids, kid_forms):
+                forms[child.node_id] = form
+            ordered = None
+            if not delta:
+                kids = children
+                kid_forms = ordered = [forms[child.node_id] for child in kids]
+                forms = {
+                    child.node_id: form
+                    for child, form in zip(kids, kid_forms)
+                }
+        exact_below = not delta and self._exact_below(kid_forms)
+        keep = (
+            self.keep
+            and node.kind is PNodeKind.ORDINARY
+            and not exact_below
+        )
         lane_class = classes[0]
-        exact_below = self._exact_below(forms)
         mixed = self.mixed
         unit = self.unit_dict
         class_rows: dict = {}
         rows = []
         pinned = []
+        states = []
         exact = False
         for i, lane in enumerate(self.lanes):
             if node_id in lane.live:
                 # The live lane's (blocked, pinned, exact) entry from its
-                # children's blocked rows and pins.
-                child_map = {}
-                for child, form in zip(node.children, forms):
-                    pins = (
+                # (changed) children's blocked rows and pins.
+                memo = {
+                    child.node_id: (
+                        form.rows[i],
                         form.pinned[i] if form.__class__ is _SplitRows
-                        else _EMPTY
+                        else _EMPTY,
                     )
-                    child_map[child.node_id] = (form.rows[i], pins)
+                    for child, form in zip(kids, kid_forms)
+                }
+                state = old.states[i] if delta else PinnedState()
                 blocked, pins, pair_exact = lane.engine.combine_pinned(
-                    node, child_map, lane.candidates, exact_below
+                    node, memo, lane.candidates, exact_below, state
                 )
                 blocked = self._intern(blocked)
                 exact = exact or pair_exact
                 rows.append(blocked)
                 pinned.append(pins)
+                states.append(state)
                 self.rows_combined += 1
+                self.children_read += len(memo)
                 continue
+            states.append(None)
+            pinned.append(_EMPTY)
             cls = lane_class[i]
             if cls < 0:
                 rows.append(unit)
+                continue
+            row = class_rows.get(cls)
+            if row is not None:
+                self.rows_shared += 1
+            elif delta and all(
+                was.rows[i] is form.rows[i]
+                for was, form in zip(before, kid_forms)
+            ):
+                # No changed child moved this lane's row: neither did
+                # the node's.
+                row = class_rows[cls] = old.rows[i]
             else:
-                row = class_rows.get(cls)
-                if row is None:
-                    row = class_rows[cls] = self._intern(
-                        self._row(node, forms, i, exact_below)
-                    )
-                    exact = exact or (mixed and _is_exact(row))
-                    self.rows_combined += 1
-                else:
-                    self.rows_shared += 1
-                rows.append(row)
-            pinned.append(_EMPTY)
+                if ordered is None:
+                    ordered = [forms[child.node_id] for child in children]
+                row = class_rows[cls] = self._intern(
+                    self._row(node, ordered, i, exact_below)
+                )
+                exact = exact or (mixed and _is_exact(row))
+                self.rows_combined += 1
+            rows.append(row)
+        if delta:
+            live_children = old.live_children
+        elif forms is not None:
+            live_children = sum(
+                form.__class__ is _SplitRows for form in kid_forms
+            )
+        else:
+            live_children = 0
         entry = self.spine[node_id] = _SplitRows(
-            tuple(rows), tuple(pinned), exact
+            tuple(rows), tuple(pinned), exact, forms,
+            tuple(states) if keep and not exact else None, live_children,
         )
+        if node.parent is None:
+            self.root_entry = entry
+            self.root_forms = (
+                ordered if ordered is not None else list(forms.values())
+            )
         return entry
 
 
@@ -487,7 +636,10 @@ class _AnswerPlan:
     list of the current epoch), the retained spine (``node_id -> split
     entry``) and the row intern table (see the module docstring)."""
 
-    __slots__ = ("lanes", "keyer", "union_live", "memo", "spine", "interned")
+    __slots__ = (
+        "lanes", "keyer", "union_live", "memo", "spine", "previous",
+        "interned", "refreshed",
+    )
 
     def __init__(self, lanes, keyer, union_live) -> None:
         self.lanes = lanes
@@ -495,18 +647,52 @@ class _AnswerPlan:
         self.union_live = union_live
         self.memo: list = []
         self.spine: dict = {}
+        #: node_id -> :class:`_Previous` of the live nodes a spine
+        #: refresh dropped, until the next pass recombines them.
+        self.previous: dict = {}
         self.interned: dict = {}
+        self.refreshed = False
 
-    def forget(self, changed) -> None:
+    def forget(self, changed, targets, p) -> None:
         """Spine refresh: drop the answer memo and every cached key, class
         and split entry of the node ids in ``changed`` — the nodes whose
         structural digest moved.  The caller has checked that the edits
-        left the plan's candidate and live sets standing."""
+        left the plan's candidate and live sets standing.
+
+        A dropped split entry becomes its node's previous entry, with the
+        node's changed children as its dirty list, unless the node is in
+        ``targets`` (the nodes the edits named: their own label,
+        probabilities or child list may have changed; ``None`` when
+        unknown).  Previous entries a pass never consumed are dropped
+        first: their dirty lists predate these edits."""
         self.memo.clear()
         self.keyer.forget(changed)
+        self.refreshed = True
         spine = self.spine
+        previous = self.previous
+        previous.clear()
         for node_id in changed:
-            spine.pop(node_id, None)
+            entry = spine.pop(node_id, None)
+            if (
+                entry is not None
+                and entry.forms is not None
+                and targets is not None
+                and node_id not in targets
+            ):
+                previous[node_id] = _Previous(entry)
+        if not previous:
+            return
+        live = self.union_live
+        for node_id in changed:
+            if not p.has_node(node_id):
+                continue
+            node = p.node(node_id)
+            parent = node.parent
+            prior = None if parent is None else previous.get(parent.node_id)
+            if prior is not None:
+                prior.dirty.append(node)
+                if node_id in live:
+                    prior.clean_live -= 1
 
     def trim(self, row_key) -> None:
         """Bound the intern table by the spine: past

@@ -41,7 +41,12 @@ may instead carry the live entries of an earlier pass in
 which a spine refresh has dropped every node whose digest moved.  A live
 node found there resolves like a hit (counted in ``spine_hits``, not
 ``memo_hits``) and is not descended into, so a read after a one-node
-edit recombines only the dirty path.
+edit recombines only the dirty path.  A dirty live node may keep its
+old entry in :attr:`Lane.previous`: the walk then pushes only the
+children on the dirty path, the combine takes every other child's entry
+from the old one, and those clean live children count as spine hits —
+so a wide node on the dirty path costs what its changed children cost,
+not its fanout.
 
 **Store I/O.**  A lane token (:meth:`repro.prob.stacked.StackedKeyer.
 token`) holds one canonical content-addressed store key per lane class,
@@ -92,11 +97,16 @@ class Lane:
             pass combined and that is still valid (see module docs).
             Such a node resolves like a hit, and its subtree is not
             walked.  Empty by default.
+        previous: ``node_id -> prior`` for live nodes whose entry moved
+            but whose combine reads the old one (see module docs): the
+            walk pushes only ``prior.dirty``, the children whose entries
+            changed, and counts ``prior.clean_live`` spine hits for the
+            live children it does not push.  Empty by default.
     """
 
     __slots__ = (
         "table_labels", "combine", "keyer", "live", "unit_entry", "width",
-        "assemble", "known",
+        "assemble", "known", "previous",
     )
 
     def __init__(
@@ -109,6 +119,7 @@ class Lane:
         width: int = 1,
         assemble: Optional[Callable] = None,
         known: Mapping = _NOTHING_KNOWN,
+        previous: Mapping = _NOTHING_KNOWN,
     ) -> None:
         self.table_labels = table_labels
         self.combine = combine
@@ -118,6 +129,7 @@ class Lane:
         self.width = width
         self.assemble = assemble
         self.known = known
+        self.previous = previous
 
 
 def probe(store: MemoStore, pending: dict, key):
@@ -171,6 +183,7 @@ def stored_postorder(
     table_labels = lane.table_labels
     live = lane.live
     known = lane.known
+    previous = lane.previous
     keyer = lane.keyer
     width = lane.width
     combine = lane.combine
@@ -180,11 +193,13 @@ def stored_postorder(
     # The token and probed rows of every node whose pre-check missed, for
     # the save after its combine (live nodes are never probed).
     missed: dict = {}
-    stack = [(p.root, False)]
+    # (node, None) on the way down; (node, the children pushed below it)
+    # once expanded.
+    stack = [(p.root, None)]
     while stack:
-        node, expanded = stack.pop()
+        node, pushed = stack.pop()
         node_id = node.node_id
-        if not expanded:
+        if pushed is None:
             label_set = labels[node_id]
             if node_id in live:
                 entry = known.get(node_id)
@@ -193,6 +208,17 @@ def stored_postorder(
                     if stats is not None:
                         stats.spine_hits += width
                         stats.subtree_skips += 1
+                    continue
+                prior = previous.get(node_id)
+                if prior is not None:
+                    # The combine reads its clean children's entries off
+                    # the previous one: push only the dirty children.
+                    pushed = prior.dirty
+                    if stats is not None:
+                        stats.spine_hits += width * prior.clean_live
+                        stats.subtree_skips += prior.clean_live
+                    stack.append((node, pushed))
+                    stack.extend((child, None) for child in pushed)
                     continue
             elif not (table_labels & label_set):
                 entries[node_id] = lane.unit_entry
@@ -215,13 +241,14 @@ def stored_postorder(
                         stats.subtree_skips += 1
                     continue
                 missed[node_id] = (keys, anchored, lane_class, rows)
-            stack.append((node, True))
-            stack.extend((child, False) for child in node.children)
+            pushed = node.children
+            stack.append((node, pushed))
+            stack.extend((child, None) for child in pushed)
             continue
         if stats is not None:
             stats.node_visits += 1
         entry = entries[node_id] = combine(node, entries)
-        for child in node.children:
+        for child in pushed:
             del entries[child.node_id]
         token = missed.pop(node_id, None) if use_memo else None
         if token is None:  # memo-less, or a live node: never probed

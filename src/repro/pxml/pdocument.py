@@ -241,7 +241,9 @@ class PDocument:
             if sp:
                 sp.set("changed", len(changed))
                 sp.set("world_changed", world_changed)
-        self._dirty.append((epoch, changed, world_changed, touched))
+        self._dirty.append(
+            (epoch, changed, world_changed, touched, node.node_id)
+        )
         if len(self._dirty) > _DIRTY_LOG_LIMIT:
             dropped = self._dirty.pop(0)
             self._dirty_floor = dropped[0]
@@ -272,7 +274,7 @@ class PDocument:
             return None
         changed: set = set()
         world_changed = False
-        for entry_epoch, entry_changed, entry_world, _ in self._dirty:
+        for entry_epoch, entry_changed, entry_world, _, _ in self._dirty:
             if entry_epoch > epoch:
                 changed.update(entry_changed)
                 world_changed = world_changed or entry_world
@@ -293,12 +295,28 @@ class PDocument:
         if epoch < self._dirty_floor:
             return None
         labels: set = set()
-        for entry_epoch, _, _, touched in self._dirty:
+        for entry_epoch, _, _, touched, _ in self._dirty:
             if entry_epoch > epoch:
                 if touched is None:
                     return None
                 labels |= touched
         return frozenset(labels)
+
+    def dirty_targets_since(self, epoch: int) -> Optional[frozenset]:
+        """The Ids the node-scoped edits since ``epoch`` named — the
+        :meth:`mark_mutated` arguments — or ``None`` when unknown (as
+        for :meth:`dirty_since`).  Every other node of
+        :meth:`dirty_since`'s changed set kept its own label,
+        probabilities and child list — unless a child was attached
+        under it and the attached node was named — and changed only
+        through a changed child."""
+        if epoch < self._dirty_floor:
+            return None
+        return frozenset(
+            target
+            for entry_epoch, _, _, _, target in self._dirty
+            if entry_epoch > epoch
+        )
 
     def _register_subtree(self, node: PNode) -> None:
         """Register freshly attached nodes under ``node``; reject clashes

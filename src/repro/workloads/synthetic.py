@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from ..pxml.builder import ind, mux, ordinary, pdoc
 from ..pxml.pdocument import PDocument, PNode, PNodeKind
@@ -126,16 +126,27 @@ def prefix_views(q: TreePattern, name_prefix: str = "v") -> list[View]:
 # ----------------------------------------------------------------------
 # Personnel-style scaling family (Figures 1/2 writ large)
 # ----------------------------------------------------------------------
+def _other_ids(persons: int) -> Iterator[int]:
+    """Sequential node Ids from ``10^6`` up for every node but the
+    persons and their bonuses, skipping the person (``100·i``) and bonus
+    (``100·i + 1``) Ids of ``persons`` persons.  Below ``10^4`` persons
+    no skipped Id is that large, so the sequence is plain counting."""
+    for node_id in itertools.count(1_000_000):
+        if node_id % 100 > 1 or node_id // 100 > persons:
+            yield node_id
+
+
 def personnel_pdocument(
     persons: int, projects: int = 3, seed: int = 0
 ) -> PDocument:
     """A scaled ``P̂_PER``: ``persons`` persons, probabilistic names/bonuses.
 
     Node Ids: person ``i`` has id ``100·i``, its bonus ``100·i + 1``;
-    project nodes get sequential ids above ``10^6``.
+    the other nodes get sequential ids from ``10^6`` that skip those
+    (:func:`_other_ids`).
     """
     rng = random.Random(seed)
-    counter = itertools.count(1_000_000)
+    counter = _other_ids(persons)
     project_names = [f"project{j}" for j in range(projects)]
     people = []
     for i in range(1, persons + 1):
@@ -193,12 +204,12 @@ def batch_workload(
     every query of a batch.
 
     Node Ids follow :func:`personnel_pdocument`: person ``i`` is
-    ``100·i``, its bonus ``100·i + 1``.
+    ``100·i``, its bonus ``100·i + 1``, and no other node takes either.
 
     Returns ``(pdocument, queries)``.
     """
     rng = random.Random(seed)
-    counter = itertools.count(1_000_000)
+    counter = _other_ids(persons)
     people = []
     for i in range(1, persons + 1):
         project = f"project{(i - 1) % projects}"

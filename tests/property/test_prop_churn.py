@@ -28,6 +28,7 @@ root and for a two-pattern answer too.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -41,7 +42,8 @@ from repro.prob.bruteforce import (
     brute_force_query_answer,
 )
 from repro.prob.stacked import _INTERN_PER_SPINE
-from repro.pxml.builder import ind, ordinary, pdoc
+from repro.probability_array import ArrayBackend
+from repro.pxml.builder import ind, mux, ordinary, pdoc
 from repro.pxml.pdocument import PDocument, PNode, PNodeKind
 from repro.store import InMemoryStore, SqliteStore
 from repro.tp.parser import parse_pattern
@@ -230,6 +232,124 @@ def test_retained_spine_reads_equal_fresh_exact_answers(
     finally:
         if store_kind == "sqlite":
             store.close()
+
+
+def _delta_document(rng: random.Random, counter) -> PDocument:
+    """An ordinary root over 24–64 ``a`` children — each an ``a`` over a
+    ``mux`` or ``ind`` holding ``b[c]`` at a random probability, plus a
+    numeric leaf no query reads — and a few numeric leaves of its own."""
+    root = ordinary(next(counter), "r")
+    for _ in range(rng.randint(24, 64)):
+        holder = mux if rng.random() < 0.5 else ind
+        kid = ordinary(next(counter), "b", ordinary(next(counter), "c"))
+        root.add_child(ordinary(
+            next(counter),
+            "a",
+            holder(next(counter), (kid, Fraction(rng.randint(1, 3), 4))),
+            ordinary(next(counter), str(rng.randint(10, 99))),
+        ))
+    for _ in range(rng.randint(1, 3)):
+        root.add_child(ordinary(next(counter), str(rng.randint(10, 99))))
+    return pdoc(root)
+
+
+def _delta_edit(p: PDocument, rng: random.Random, counter) -> bool:
+    """One edit of a delta stream; returns whether it names the root, the
+    one edit kind whose touched labels hold every query label (the
+    root's whole subtree), so the plan is rebuilt.
+
+    Probability scalings, bumps of numeric labels and numeric leaves
+    attached under the root and named themselves keep the plan: the
+    read after them combines the root as a delta."""
+    root = p.root
+    roll = rng.random()
+    if roll < 0.5:
+        # Mostly the first few children, so a child is dirty again while
+        # its entry holds the state of the read after its last edit.
+        holders = p.distributional_nodes()
+        node = rng.choice(holders[:4] if rng.random() < 0.8 else holders)
+        child = rng.choice(node.children)
+        node.probabilities[child.node_id] *= Fraction(rng.choice((1, 2, 3)), 4)
+        p.mark_mutated(node)
+        return False
+    if roll < 0.75:
+        leaf = rng.choice([
+            n for n in root.iter_subtree()
+            if n.label is not None and n.label.isdigit()
+        ])
+        leaf.label = str(int(leaf.label) + 1)
+        p.mark_mutated(leaf)
+        return False
+    leaves = [n for n in root.children if n.label.isdigit()]
+    if roll < 0.9 or len(leaves) < 2:
+        leaf = root.add_child(ordinary(next(counter), str(rng.randint(10, 99))))
+        named = root if rng.random() < 0.25 else leaf
+        p.mark_mutated(named)
+        return named is root
+    # Detach: only the still-attached parent can be named.
+    leaf = rng.choice(leaves)
+    root.children.remove(leaf)
+    leaf.parent = None
+    p.mark_mutated(root)
+    return True
+
+
+def _delta_session(p: PDocument, backend: str, threshold) -> QuerySession:
+    if threshold is not None:
+        return QuerySession(p, backend=ArrayBackend(width_threshold=threshold))
+    return QuerySession(p, backend=backend)
+
+
+@pytest.mark.parametrize(
+    "backend,threshold",
+    [("exact", None), ("array", None), ("array", 1)],
+)
+@settings(max_examples=12, deadline=None)
+@given(seed=seeds)
+def test_delta_combines_equal_a_fresh_session(backend, threshold, seed):
+    # A read after 1-3 edits combines each dirty live node from its
+    # previous entry: the wide root reads only its changed children,
+    # through the fast path (a changed child kept its row object) or the
+    # regroup (its row moved: r[.//c]/a gives the root's children rows
+    # that differ with their probabilities), or in full where the root
+    # itself was named or its child list changed; a lane without a
+    # candidate below a dirty node keeps its row there only when no
+    # changed child's row of that lane moved.  The answers must be
+    # what a fresh session reads off a scratch copy.
+    rng = random.Random(seed)
+    counter = itertools.count(1)
+    p = _delta_document(rng, counter)
+    queries = [
+        parse_pattern("r/a/b"),
+        parse_pattern("r[.//c]/a/b"),
+        parse_pattern("r//a[b/c]"),
+        parse_pattern("r[a/b]//c"),
+        # Selects the root alone: the a children are live for the other
+        # lanes but not this one, whose rows there still move with them.
+        parse_pattern("r[.//c]"),
+    ]
+    session = _delta_session(p, backend, threshold)
+    session.answer_many(queries)
+    kept = 0
+    for _ in range(rng.randint(3, 8)):
+        named_root = False
+        for _ in range(rng.randint(1, 3)):
+            named_root |= _delta_edit(p, rng, counter)
+        kept += not named_root
+        got = session.answer_many(queries)
+        scratch = p.subdocument(p.root.node_id)
+        fresh = _delta_session(scratch, backend, threshold).answer_many(queries)
+        if backend == "exact":
+            assert got == fresh
+            continue
+        for want, answer in zip(fresh, got):
+            assert set(answer) == set(want)
+            for node_id, value in want.items():
+                assert math.isclose(
+                    answer[node_id], value, rel_tol=REL_TOLERANCE
+                )
+    assert session.stats.invalidations == 0
+    assert session.stats.survived_plans == kept
 
 
 #: Labels of the mixed-stream documents: queries read only the first

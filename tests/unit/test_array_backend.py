@@ -316,8 +316,12 @@ class TestLaneClasses:
                 above.append(row)
             return row
 
-        def spy_pinned(engine, node, memo, candidate_set, exact_below=True):
-            entry = pinned(engine, node, memo, candidate_set, exact_below)
+        def spy_pinned(
+            engine, node, memo, candidate_set, exact_below=True, state=None
+        ):
+            entry = pinned(
+                engine, node, memo, candidate_set, exact_below, state
+            )
             if any(is_exact(memo[c.node_id][0]) for c in node.children):
                 above.append(entry[0])
             return entry
@@ -427,9 +431,9 @@ class TestLaneClasses:
             def __getattr__(self, name):
                 return getattr(self.ops, name)
 
-        def spy(engine, node, memo, candidate_set):
+        def spy(engine, node, state, changes, candidate_set):
             if node.parent is not None:
-                return combine(engine, node, memo, candidate_set)
+                return combine(engine, node, state, changes, candidate_set)
             calls = [0]
             convolve, ops = engine._convolve, engine._ops
             counting = engine._ops = Counting(ops)
@@ -440,7 +444,7 @@ class TestLaneClasses:
 
             engine._convolve = counted
             try:
-                return combine(engine, node, memo, candidate_set)
+                return combine(engine, node, state, changes, candidate_set)
             finally:
                 engine._convolve, engine._ops = convolve, ops
                 assert counting.rewrites == 1  # the blocked row only

@@ -502,6 +502,42 @@ class TestRetainedSpine:
         series = get_registry().snapshot()
         assert series["repro_session_spine_hits_total"] >= 7 * len(queries)
 
+    def test_read_after_edit_reads_the_same_children_at_any_width(self):
+        # The wide root combines as a delta on its previous entry: at 64
+        # and at 512 persons the read after an edit reads the same
+        # children (the dirty person's, per live lane), visits only the
+        # dirty path and reuses every other person.  A plan's entries
+        # keep what a delta reads once the plan has been refreshed, so
+        # the first read after an edit seeds them along its dirty path.
+        from repro.obs.trace import capture
+
+        reads = []
+        for persons in (64, 512):
+            p, queries = batch_workload(persons=persons, seed=3)
+            session = QuerySession(p, backend="array")
+            with capture() as cold:
+                session.answer_many(queries)
+            cold_pass = find_span(cold.spans, "stacked.pass").attrs
+            assert cold_pass["children_read"] >= persons * len(queries)
+            self.edit_bonus_mux(p)
+            session.answer_many(queries)
+            path = self.edit_bonus_mux(p)
+            visits = session.stats.node_visits
+            with capture() as warm:
+                got = session.answer_many(queries)
+            attrs = find_span(warm.spans, "stacked.pass").attrs
+            assert session.stats.node_visits - visits == len(path)
+            assert attrs["spine_reused"] == persons - 1
+            reads.append(attrs["children_read"])
+            scratch = p.subdocument(p.root.node_id)
+            assert_relatively_close(
+                got, [query_answer(scratch, q) for q in queries]
+            )
+        assert reads[0] == reads[1]
+        # The root reads one child per lane; the dirty person and its
+        # bonus, live for one lane, one each.
+        assert reads[0] == len(queries) + 2
+
     def test_plan_survival_and_root_groups_are_observable(self):
         from repro.obs.trace import capture
 

@@ -14,6 +14,7 @@ from repro.workloads.hypergraph import (
 )
 from repro.workloads.synthetic import (
     adversarial_intersection,
+    batch_workload,
     chain_query,
     churn_workload,
     personnel_pdocument,
@@ -94,6 +95,21 @@ class TestSynthetic:
         world = p.max_world()
         selected = evaluate_deterministic(personnel_views()[1].pattern, world)
         assert selected == {100 * i + 1 for i in (1, 2, 3)}
+
+    def test_personnel_ids_never_collide_past_ten_thousand_persons(self):
+        # Person i is 100·i and its bonus 100·i + 1; the other nodes
+        # count up from 10^6 and skip those, which 10^4 persons reach.
+        p = personnel_pdocument(10_000, projects=1)
+        ids = [n.node_id for n in p.root.iter_subtree()]
+        assert len(ids) == len(set(ids))
+        assert p.node(1_000_000).label == "person"
+        assert p.node(1_000_001).label == "bonus"
+
+    def test_batch_workload_ids_are_unchanged_below_ten_thousand(self):
+        # Captured before the generators skipped person and bonus Ids:
+        # documents below 10^4 persons keep every Id.
+        p, _ = batch_workload(1024, seed=1)
+        assert p.identity_digest() == "09f4a4d722baf296275d54716f4af580"
 
     def test_adversarial_family(self):
         patterns = adversarial_intersection(3)
