@@ -30,11 +30,12 @@ __all__ = ["PNodeKind", "PNode", "PDocument"]
 #: many mutations falls back to a full cache reset anyway.
 _DIRTY_LOG_LIMIT = 256
 
-#: Registry counters for derived-index maintenance: O(depth) spine
-#: splices after node-scoped mutations vs full O(n) digest rebuilds.
+#: Registry counters for derived-index maintenance: spine splices after
+#: node-scoped mutations vs full O(n) digest rebuilds.
 _SPINE_SPLICES = get_registry().counter(
     "repro_pdocument_spine_splices_total",
-    help="node-scoped mutations absorbed by O(depth) index splices",
+    help="node-scoped mutations absorbed by index splices along the "
+    "spine, one kept-entry update per spine node",
 )
 _DIGEST_REBUILDS = get_registry().counter(
     "repro_pdocument_digest_rebuilds_total",
@@ -155,8 +156,9 @@ class PDocument:
         self._dirty: list[tuple] = []
         self._dirty_floor = 0
         # Epoch-tagged derived indexes, built lazily: (epoch, digests,
-        # sizes, worlds, labels) from one walk (see _indexes_now), and the
-        # anchor positions (see anchor_index).
+        # sizes, worlds, labels) from one walk (see _indexes_now) plus the
+        # splices' kept child entries, and the anchor positions (see
+        # anchor_index).
         self._indexes: Optional[tuple] = None
         self._anchor_index: Optional[tuple] = None
         for n in root.iter_subtree():
@@ -214,8 +216,14 @@ class PDocument:
         The spine from ``node`` to the root is the only region whose
         cached derived state can have changed, so every populated index
         (structural digests / sizes, world digests, label sets, anchor
-        positions) is *spliced* in place in O(depth · fan-out) instead
-        of discarded — see :func:`repro.store.digest.splice_indexes`.
+        positions) is *spliced* in place instead of discarded — see
+        :func:`repro.store.digest.splice_indexes`.  Each spine node keeps
+        its children's sorted entries and label counts from the first
+        splice through it, so a later splice updates them with one
+        bisect per node and then joins and hashes the node's payload
+        once: O(depth · log fan-out) list work plus that O(fan-out) join
+        and hash.  The anchor positions still re-rank every spine node's
+        children.
         The mutation is appended to the dirty log so resident sessions
         (:meth:`dirty_since`) keep memo entries for untouched sibling
         subtrees, and — for an edit that moves the maximal world — with
@@ -235,12 +243,13 @@ class PDocument:
         epoch = self._mutation_epoch
         _SPINE_SPLICES.inc()
         with trace_span("pdocument.spine_splice", node=node.node_id) as sp:
-            changed, world_changed, touched = self._splice_indexes(
+            changed, world_changed, touched, rebuilt = self._splice_indexes(
                 node, epoch
             )
             if sp:
                 sp.set("changed", len(changed))
                 sp.set("world_changed", world_changed)
+                sp.set("entries_rebuilt", rebuilt)
         self._dirty.append(
             (epoch, changed, world_changed, touched, node.node_id)
         )
@@ -340,14 +349,15 @@ class PDocument:
     def _splice_indexes(self, node: PNode, epoch: int) -> tuple:
         """Splice every populated index along the spine of ``node``.
 
-        Returns ``(changed_ids, world_changed, touched_labels)``, the
-        labels empty for a probability-only edit.  An index cached at
-        any tag other than the pre-mutation epoch cannot be spliced (it
-        was dropped earlier, or never built) and is reset for lazy full
-        recomputation; if that happens to the fused indexes the change
-        extent is unknown and the conservative spine+subtree id set is
-        reported with ``world_changed`` true and unknown (``None``)
-        labels.
+        Returns ``(changed_ids, world_changed, touched_labels,
+        entries_rebuilt)``, the labels empty for a probability-only
+        edit.  An index cached at any tag other than the pre-mutation
+        epoch cannot be spliced (it was dropped earlier, or never built)
+        and is reset, kept entries included, for lazy full recomputation;
+        if that happens to the fused indexes the change extent is unknown
+        and the conservative spine+subtree id set is reported with
+        ``world_changed`` true, unknown (``None``) labels and no entries
+        rebuilt.
         """
         indexes = self._indexes
         if indexes is None or indexes[0] != epoch - 1:
@@ -358,12 +368,12 @@ class PDocument:
             while current is not None:
                 changed.add(current.node_id)
                 current = current.parent
-            return frozenset(changed), True, None
-        _, digests, sizes, worlds, labels = indexes
-        changed, world_changed, touched = splice_indexes(
-            node, digests, sizes, worlds, labels
+            return frozenset(changed), True, None, 0
+        _, digests, sizes, worlds, labels, kept = indexes
+        changed, world_changed, touched, rebuilt = splice_indexes(
+            node, digests, sizes, worlds, labels, kept
         )
-        self._indexes = (epoch, digests, sizes, worlds, labels)
+        self._indexes = (epoch, digests, sizes, worlds, labels, kept)
         anchors = self._anchor_index
         if anchors is not None and anchors[0] == epoch - 1:
             self._resplice_positions(node, anchors[1], digests)
@@ -374,6 +384,7 @@ class PDocument:
             frozenset(changed),
             world_changed,
             touched if world_changed else frozenset(),
+            rebuilt,
         )
 
     def _resplice_positions(
@@ -513,18 +524,23 @@ class PDocument:
     # Structural identity (content-addressed memo keys)
     # ------------------------------------------------------------------
     def _indexes_now(self) -> tuple:
-        """``(epoch, digests, sizes, worlds, labels)`` at the current epoch.
+        """``(epoch, digests, sizes, worlds, labels, kept)`` at the
+        current epoch.
 
         One :func:`repro.store.digest.compute_indexes` walk builds all
         four maps; node-scoped :meth:`mark_mutated` splices them in
-        place, :meth:`mark_all_mutated` drops them.
+        place, filling ``kept`` (the spliced nodes' sorted child entries
+        and label counts) as it goes; :meth:`mark_all_mutated` drops
+        them all.
         """
         cached = self._indexes
         if cached is not None and cached[0] == self._mutation_epoch:
             return cached
         _DIGEST_REBUILDS.inc()
         with trace_span("pdocument.digest_index", nodes=self.size()):
-            cached = (self._mutation_epoch,) + compute_indexes(self.root)
+            cached = (
+                (self._mutation_epoch,) + compute_indexes(self.root) + ({},)
+            )
         self._indexes = cached
         return cached
 
@@ -540,7 +556,7 @@ class PDocument:
         Returns ``(digests, sizes)``, both keyed by ``node_id``.  The
         result is recomputed lazily after :meth:`mark_mutated`.
         """
-        _, digests, sizes, _, _ = self._indexes_now()
+        _, digests, sizes, _, _, _ = self._indexes_now()
         return digests, sizes
 
     def structural_digest(self, node_id: Optional[int] = None) -> str:

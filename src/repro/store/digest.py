@@ -47,9 +47,18 @@ stamps — and are rebuilt lazily after a whole-document
 :meth:`PDocument.mark_all_mutated`; a *node-scoped*
 :meth:`PDocument.mark_mutated` instead calls :func:`splice_indexes`,
 which re-derives the mutated subtree with the same walk and then
-rehashes the ancestor chain one side at a time (:func:`_structural`,
-:func:`_world`, :func:`_labels`, formatting the same payload constants),
-with separate early exits for the structural and the world side.  This
+rehashes the ancestor chain one side at a time, with separate early
+exits for the structural and the world side.  Each ancestor it rehashes
+keeps its children's sorted structural and world entries and a count of
+each label over their label sets; a later splice through it swaps the
+changed child's entry with one bisect and rebuilds the label set only
+when a count reaches or leaves 0.  A kept list whose old entry is
+missing, or whose length does not match the child count, is rebuilt
+from the children (as :func:`_structural`, :func:`_world` and
+:func:`_labels` build a node from scratch, formatting the same payload
+constants).  What stays O(fan-out) per rehashed ancestor is one join and
+one hash of its payload; removing it needs a chunked digest format, a
+store-schema change.  This
 module is deliberately ignorant of the pxml classes — it reads
 ``node_id`` / ``kind`` / ``label`` / ``children`` / ``probabilities`` /
 ``parent`` duck-typed, so the store package never imports the document
@@ -75,7 +84,11 @@ so they stay a separate, lazily built, top-down index.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import Counter
 from hashlib import blake2b
+from itertools import chain
+from typing import Optional
 
 __all__ = [
     "DIGEST_SIZE",
@@ -129,43 +142,58 @@ def fingerprint_digest(table: tuple) -> str:
 
 
 def _body(node, entries: list) -> str:
-    """One node's payload body over its child entries (sorted in place)."""
-    entries.sort()
+    """One node's payload body over its sorted child entries."""
     if node.probabilities is None:
         return _ORDINARY % (node.label, _SIBLINGS.join(entries))
     return _DISTRIBUTIONAL % (node.kind.value, _SIBLINGS.join(entries))
 
 
-def _structural(node, digests: dict, sizes: dict) -> tuple[str, int]:
-    """One node's structural digest and subtree size, given its children's."""
-    children = node.children
+def _entries(node, digests: dict) -> list:
+    """One node's structural child entries, sorted."""
     probabilities = node.probabilities
     if probabilities is None:  # ordinary node
-        entries = [digests[c.node_id] for c in children]
+        entries = [digests[c.node_id] for c in node.children]
     else:  # the edge probability is part of the child entry
         entries = [
             _EDGE % (digests[c.node_id], probabilities[c.node_id])
-            for c in children
+            for c in node.children
         ]
-    size = 1
-    for child in children:
-        size += sizes[child.node_id]
-    return _hash(_body(node, entries)), size
+    entries.sort()
+    return entries
 
 
-def _world(node, worlds: dict) -> str:
-    """One node's world digest, given its children's."""
-    children = node.children
+def _world_entries(node, worlds: dict) -> list:
+    """One node's world child entries, sorted."""
     probabilities = node.probabilities
     if probabilities is None:
-        entries = [worlds[c.node_id] for c in children]
+        entries = [worlds[c.node_id] for c in node.children]
     else:
         entries = [
             worlds[c.node_id] if probabilities[c.node_id]
             else worlds[c.node_id] + _ZERO_EDGE
-            for c in children
+            for c in node.children
         ]
-    return _hash(_WORLD % (node.node_id, _body(node, entries)))
+    entries.sort()
+    return entries
+
+
+def _size(node, sizes: dict) -> int:
+    size = 1
+    for child in node.children:
+        size += sizes[child.node_id]
+    return size
+
+
+def _structural(node, digests: dict, sizes: dict) -> tuple[str, int]:
+    """One node's structural digest and subtree size, given its children's."""
+    return _hash(_body(node, _entries(node, digests))), _size(node, sizes)
+
+
+def _world(node, worlds: dict) -> str:
+    """One node's world digest, given its children's."""
+    return _hash(
+        _WORLD % (node.node_id, _body(node, _world_entries(node, worlds)))
+    )
 
 
 def _labels(node, labels: dict) -> frozenset:
@@ -180,6 +208,70 @@ def _labels(node, labels: dict) -> frozenset:
     for child in children:
         accumulated |= labels[child.node_id]
     return frozenset(accumulated)
+
+
+class _Kept:
+    """What a splice keeps at a node it rehashed: the children's sorted
+    structural and world entries, and how many children's label sets
+    hold each label."""
+
+    __slots__ = ("entries", "world_entries", "counts")
+
+    def __init__(self, node, digests: dict, worlds: dict, labels: dict):
+        self.entries = _entries(node, digests)
+        self.world_entries = _world_entries(node, worlds)
+        self.counts = _label_counts(node, labels)
+
+
+def _label_counts(node, labels: dict) -> Counter:
+    return Counter(
+        chain.from_iterable(labels[c.node_id] for c in node.children)
+    )
+
+
+def _label_set(node, counts: Counter) -> frozenset:
+    """One node's label set: its own label and every counted one."""
+    label = node.label
+    if label is None or label in counts:
+        return frozenset(counts)
+    return frozenset(counts).union((label,))
+
+
+def _swap(entries: list, old, new: str, width: int) -> bool:
+    """Replace one child's ``old`` entry (``None`` for a child the list
+    never held) by ``new`` in the sorted ``entries``; false, with the list
+    left for a rebuild, when ``old`` is missing or the list does not come
+    out ``width`` long."""
+    if old is not None:
+        at = bisect_left(entries, old)
+        if at == len(entries) or entries[at] != old:
+            return False
+        del entries[at]
+    insort(entries, new)
+    return len(entries) == width
+
+
+def _recount(counts: Counter, old: frozenset, new: frozenset) -> Optional[bool]:
+    """Move one child's label set from ``old`` to ``new`` in ``counts``.
+
+    Returns whether some label's count reached or left 0, or ``None``
+    when ``counts`` lacks a label of ``old`` (it must be rebuilt).
+    """
+    crossed = False
+    for label in old - new:
+        count = counts.get(label)
+        if not count:
+            return None
+        if count == 1:
+            del counts[label]
+            crossed = True
+        else:
+            counts[label] = count - 1
+    for label in new - old:
+        count = counts[label]
+        counts[label] = count + 1
+        crossed = crossed or not count
+    return crossed
 
 
 def compute_indexes(root) -> tuple[dict, dict, dict, dict]:
@@ -285,8 +377,13 @@ def compute_indexes(root) -> tuple[dict, dict, dict, dict]:
 
 
 def splice_indexes(
-    node, digests: dict, sizes: dict, worlds: dict, labels: dict
-) -> tuple[set, bool, frozenset]:
+    node,
+    digests: dict,
+    sizes: dict,
+    worlds: dict,
+    labels: dict,
+    kept: Optional[dict] = None,
+) -> tuple[set, bool, frozenset, int]:
     """Splice fresh indexes for ``node``'s subtree and its ancestor spine.
 
     The maps (one document's :func:`compute_indexes` output) are updated
@@ -298,48 +395,124 @@ def splice_indexes(
     digest is unchanged — for a probability-only edit, the mutated node
     itself.  Above either point no payload of that side can differ.
 
-    Returns ``(changed_ids, world_changed, touched_labels)``: the ids
-    whose structural digest actually changed (untouched descendants of
-    the mutated node — same Merkle digest before and after — are *not*
-    reported, so their memo entries survive), whether the world digest
-    at the mutated node changed (label, Id, child-set or
-    zero-probability edits; other probability edits keep
-    ``world_changed`` false), and the mutated subtree's label set
-    before the edit united with its label set after it.
+    ``kept`` (``node_id -> _Kept``, updated in place) holds, for every
+    node an earlier splice rehashed, its children's sorted structural
+    and world entries and a count of each label over their label sets.
+    At a kept ancestor one spine step removes the changed child's old
+    entry (bisected from its old digest) and inserts its new one, adjusts
+    the size by the child's difference, and rebuilds the label set only
+    when some label's count reaches or leaves 0.  A list whose old entry
+    is not at its bisect position, or that does not come out as long as
+    the node has children, is rebuilt from the children instead, as are
+    counts that lack a label the child held: a kept state that lost track
+    of its children costs time, never a wrong digest.  A node with no
+    kept state is built from its children, as :func:`_structural`,
+    :func:`_world` and :func:`_labels` do, and kept for later splices.
+    The mutated subtree's own kept states are dropped: its child lists
+    and probabilities may have changed.  Payloads stay byte-identical,
+    so each rehashed ancestor still costs one join and one hash over
+    all its children's entries.  Without ``kept`` every ancestor is
+    built from its children and nothing is kept.
+
+    Returns ``(changed_ids, world_changed, touched_labels,
+    entries_rebuilt)``: the ids whose structural digest actually changed
+    (untouched descendants of the mutated node — same Merkle digest
+    before and after — are *not* reported, so their memo entries
+    survive), whether the world digest at the mutated node changed
+    (label, Id, child-set or zero-probability edits; other probability
+    edits keep ``world_changed`` false), the mutated subtree's label set
+    before the edit united with its label set after it, and how many
+    child entries the splice built from scratch (one per edge of the
+    re-derived subtree, plus every child of each node it built or
+    rebuilt a kept state for).
     """
-    old_world = worlds.get(node.node_id)
-    old_labels = labels.get(node.node_id, frozenset())
+    if kept is None:
+        kept = {}
+    node_id = node.node_id
+    old_digest = digests.get(node_id)
+    old_size = sizes.get(node_id, 0)
+    old_world = worlds.get(node_id)
+    old_labels = labels.get(node_id, frozenset())
     sub_digests, sub_sizes, sub_worlds, sub_labels = compute_indexes(node)
     changed = {
-        node_id
-        for node_id, digest in sub_digests.items()
-        if digests.get(node_id) != digest
+        sub_id
+        for sub_id, digest in sub_digests.items()
+        if digests.get(sub_id) != digest
     }
-    world_changed = sub_worlds[node.node_id] != old_world
+    world_changed = sub_worlds[node_id] != old_world
+    touched = old_labels | sub_labels[node_id]
     digests.update(sub_digests)
     sizes.update(sub_sizes)
     worlds.update(sub_worlds)
     labels.update(sub_labels)
+    for sub_id in sub_digests:
+        kept.pop(sub_id, None)
+    rebuilt = len(sub_digests) - 1
     structural_live, world_live = True, world_changed
-    current = node.parent
+    child, current = node, node.parent
     while current is not None and (structural_live or world_live):
-        node_id = current.node_id
+        current_id, child_id = current.node_id, child.node_id
+        width = len(current.children)
+        probabilities = current.probabilities
+        edge = None if probabilities is None else probabilities[child_id]
+        state = kept.get(current_id)
+        fresh = state is None
+        if fresh:
+            state = kept[current_id] = _Kept(current, digests, worlds, labels)
+            rebuilt += width
         if structural_live:
-            digest, size = _structural(current, digests, sizes)
-            if digests[node_id] == digest and sizes[node_id] == size:
+            if fresh:
+                size = _size(current, sizes)
+            else:
+                new = digests[child_id]
+                old = old_digest
+                if probabilities is not None:
+                    new = _EDGE % (new, edge)
+                    old = None if old is None else _EDGE % (old, edge)
+                if _swap(state.entries, old, new, width):
+                    size = sizes[current_id] - old_size + sizes[child_id]
+                else:
+                    state.entries = _entries(current, digests)
+                    rebuilt += width
+                    size = _size(current, sizes)
+            digest = _hash(_body(current, state.entries))
+            old_digest, old_size = digests[current_id], sizes[current_id]
+            if old_digest == digest and old_size == size:
                 structural_live = False
             else:
-                digests[node_id], sizes[node_id] = digest, size
-                changed.add(node_id)
+                digests[current_id], sizes[current_id] = digest, size
+                changed.add(current_id)
         if world_live:
-            world = _world(current, worlds)
-            if worlds[node_id] == world:
+            child_labels = labels[child_id]
+            if fresh:
+                crossed = True
+            else:
+                new, old = worlds[child_id], old_world
+                if edge is not None and not edge:
+                    new += _ZERO_EDGE
+                    old = None if old is None else old + _ZERO_EDGE
+                if not _swap(state.world_entries, old, new, width):
+                    state.world_entries = _world_entries(current, worlds)
+                    rebuilt += width
+                crossed = child_labels is not old_labels and _recount(
+                    state.counts, old_labels, child_labels
+                )
+                if crossed is None:
+                    state.counts = _label_counts(current, labels)
+                    rebuilt += width
+                    crossed = True
+            world = _hash(
+                _WORLD % (current_id, _body(current, state.world_entries))
+            )
+            old_world, old_labels = worlds[current_id], labels[current_id]
+            if old_world == world:
                 world_live = False
             else:
-                worlds[node_id] = world
-                labels[node_id] = _labels(current, labels)
-        current = current.parent
-    return changed, world_changed, old_labels | sub_labels[node.node_id]
+                worlds[current_id] = world
+                if crossed:
+                    labels[current_id] = _label_set(current, state.counts)
+        child, current = current, current.parent
+    return changed, world_changed, touched, rebuilt
 
 
 def compute_positions(root, digests: dict[int, str]) -> dict[int, tuple]:

@@ -174,6 +174,43 @@ class TestMarkMutated:
         assert after != before
 
 
+class TestKeptEntries:
+    """A splice keeps each spine node's sorted child entries, so a write
+    below a wide root rebuilds only the fresh spine's entries."""
+
+    @staticmethod
+    def splice_attrs(p, person):
+        """Scale person ``person``'s name mux; its splice span's attrs."""
+        from repro.obs.trace import capture
+
+        gate = p.node(100 * person).children[0].children[0]
+        child_id = gate.children[0].node_id
+        gate.probabilities[child_id] *= Fraction(3, 4)
+        with capture() as cap:
+            p.mark_mutated(gate)
+        return find_span(cap.spans, "pdocument.spine_splice").attrs
+
+    def test_fresh_person_rebuilds_the_same_entries_at_any_width(self):
+        rebuilt = {}
+        for persons in (64, 1024):
+            p, _ = batch_workload(persons, projects=4, seed=3)
+            warm_indexes(p)
+            # The first write builds the root's kept list.
+            assert self.splice_attrs(p, 1)["entries_rebuilt"] >= persons
+            rebuilt[persons] = self.splice_attrs(p, 2)["entries_rebuilt"]
+            assert_indexes_equal_scratch(p)
+        assert rebuilt[64] == rebuilt[1024] < 64
+
+    def test_mark_all_mutated_drops_the_kept_entries(self):
+        p, _ = batch_workload(8, projects=4, seed=3)
+        warm_indexes(p)
+        self.splice_attrs(p, 1)
+        assert p._indexes_now()[5]
+        p.mark_all_mutated()
+        assert p._indexes_now()[5] == {}
+        assert self.splice_attrs(p, 1)["entries_rebuilt"] >= 8
+
+
 class TestWorldDigest:
     """``world_changed`` and ``identity_digest()`` follow the maximal
     world and node Ids, never plain edge probabilities."""
